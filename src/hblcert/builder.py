@@ -29,7 +29,7 @@ from hblcert.data import (
     subspace_slack,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, image
+from hblcert.linalg import Matrix, Subspace, _rref, image, kernel, span
 from hblcert.presentation import Presentation, verify_presentation
 
 
@@ -90,7 +90,7 @@ def polytope_from_candidates(datum: HBLDatum, candidates: CandidateLattice) -> E
     for v in candidates.subspaces:
         if v.dim == 0:
             continue  # vacuous row
-        coeffs = tuple(Fraction(image(m, v).dim) for m in datum.maps)
+        coeffs = tuple(Fraction(d) for d in datum.image_dims(v))
         rows.append(PolytopeRow(coeffs, Fraction(v.dim), v.is_full(),
                                 f"dim-{v.dim} candidate"))
     for i in range(n):
@@ -104,8 +104,6 @@ def polytope_from_candidates(datum: HBLDatum, candidates: CandidateLattice) -> E
 def _solve_square(rows: list[PolytopeRow], n: int) -> tuple[Fraction, ...] | None:
     """Exact solution of n tight rows, or None when the system is singular."""
     aug = [list(r.coeffs) + [r.rhs] for r in rows]
-    from hblcert.linalg import _rref
-
     reduced, pivots = _rref(aug, n + 1)
     if len(reduced) != n or pivots != list(range(n)):
         return None
@@ -175,14 +173,13 @@ def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
     recon = tuple(
         sum((c * p[i] for c, p in terms), Fraction(0)) for i in range(poly.n)
     )
-    assert total == 1 and recon == tau, "convex decomposition failed to reconstruct"
+    if total != 1 or recon != tau:
+        raise BuildError("convex decomposition failed to reconstruct the exponents")
     return ExtremeDecomposition(tuple(terms))
 
 
 def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
     tight = [r for r in poly.rows if r.tight(tau)]
-    from hblcert.linalg import kernel
-
     null = kernel(Matrix.from_rows([list(r.coeffs) for r in tight], cols=poly.n)) \
         if tight else Subspace.full(poly.n)
     if null.dim == 0:
@@ -205,7 +202,8 @@ def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[
 
     s_plus = max_step(+1)
     s_minus = max_step(-1)
-    assert s_plus > 0 and s_minus > 0
+    if s_plus <= 0 or s_minus <= 0:
+        raise BuildError("Caratheodory step along a tight direction has zero length")
     hi = tuple(t + s_plus * d for t, d in zip(tau, direction))
     lo = tuple(t - s_minus * d for t, d in zip(tau, direction))
     lam = s_minus / (s_plus + s_minus)
@@ -225,14 +223,13 @@ def _reduce_caratheodory(n: int, terms):
             merged[p] = merged.get(p, Fraction(0)) + c
     points = sorted(merged)
     coeffs = [merged[p] for p in points]
-    from hblcert.linalg import kernel
-
     while len(points) > n + 1:
         # Rows are the points with a trailing 1; a kernel vector is an
         # affine dependence sum lam_k p_k = 0, sum lam_k = 0.
         mat = Matrix.from_rows([list(p) + [Fraction(1)] for p in points], cols=n + 1)
         dep = kernel(mat.transpose())
-        assert dep.dim > 0
+        if dep.dim == 0:
+            raise BuildError("more than n+1 vertices without an affine dependence")
         lam = list(dep.basis.row(0))
         step: Fraction | None = None
         for c, l in zip(coeffs, lam):
@@ -243,7 +240,8 @@ def _reduce_caratheodory(n: int, terms):
             for c, l in zip(coeffs, lam):
                 if l > 0 and (step is None or c / l < step):
                     step = c / l
-        assert step is not None
+        if step is None:
+            raise BuildError("affine dependence with no positive coefficient")
         coeffs = [c - step * l for c, l in zip(coeffs, lam)]
         keep = [k for k, c in enumerate(coeffs) if c != 0]
         points = [points[k] for k in keep]
@@ -362,8 +360,6 @@ def _codim1_critical(datum: HBLDatum, i: int) -> Subspace:
     m = datum.maps[i]
     img = image(m, Subspace.full(datum.dim))
     w_basis = img.basis_rows()[:-1]
-    from hblcert.linalg import span, kernel
-
     w = span(w_basis, m.rows)
     p_off = Matrix.identity(m.rows) - w.projector()
     return kernel(p_off @ m)
@@ -468,6 +464,6 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         raise BuildError("constructed presentation failed verification: "
                          + "; ".join(report.problems))
     bound = vertex_count_bound(datum.n_maps, datum.dim)
-    assert len(pres.graph.vertices) <= bound, \
-        f"vertex count {len(pres.graph.vertices)} exceeds bound {bound}"
+    if len(pres.graph.vertices) > bound:
+        raise BuildError(f"vertex count {len(pres.graph.vertices)} exceeds bound {bound}")
     return pres

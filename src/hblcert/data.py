@@ -9,11 +9,11 @@ verifier downstream, not the lattice, is the source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from hblcert.linalg import Matrix, Subspace, image
+from hblcert.linalg import Matrix, Subspace, image, image_rank, kernel, sum_and_intersection
 
 VIOLATING = "violating"
 CRITICAL = "critical"
@@ -27,6 +27,10 @@ class HBLDatum:
     maps: tuple[Matrix, ...]
     names: tuple[str, ...]
     exponents: tuple[Fraction, ...]
+    # V -> (dim pi_i(V))_i. The dimensions depend on the maps alone, so data
+    # that differ only in their exponents share one table.
+    _image_dims: dict[Subspace, tuple[int, ...]] = field(
+        default_factory=dict, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         n = len(self.maps)
@@ -50,7 +54,16 @@ class HBLDatum:
         return tuple(m.rank for m in self.maps)
 
     def with_exponents(self, exponents: tuple[Fraction, ...]) -> HBLDatum:
-        return HBLDatum(self.dim, self.maps, self.names, tuple(exponents))
+        return HBLDatum(self.dim, self.maps, self.names, tuple(exponents),
+                        _image_dims=self._image_dims)
+
+    def image_dims(self, v: Subspace) -> tuple[int, ...]:
+        """(dim pi_i(V))_i, computed once per subspace V."""
+        dims = self._image_dims.get(v)
+        if dims is None:
+            dims = tuple(image_rank(m, v) for m in self.maps)
+            self._image_dims[v] = dims
+        return dims
 
 
 @dataclass(frozen=True)
@@ -74,8 +87,7 @@ def subspace_slack(datum: HBLDatum, v: Subspace) -> SlackReport:
     if v.ambient != datum.dim:
         raise ValueError("subspace ambient does not match datum dimension")
     slack = sum(
-        (t * image(m, v).dim for t, m in zip(datum.exponents, datum.maps)),
-        Fraction(0),
+        (t * d for t, d in zip(datum.exponents, datum.image_dims(v))), Fraction(0)
     ) - v.dim
     if v.is_full():
         cls = SCALING
@@ -122,7 +134,7 @@ def _is_closed(subs: list[Subspace]) -> bool:
     present = set(subs)
     for i, a in enumerate(subs):
         for b in subs[: i + 1]:
-            if (a + b) not in present or (a & b) not in present:
+            if not present.issuperset(sum_and_intersection(a, b)):
                 return False
     return True
 
@@ -153,8 +165,6 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
 
     push(Subspace.zero(datum.dim), "zero")
     push(Subspace.full(datum.dim), "full")
-    from hblcert.linalg import kernel
-
     for name, m in zip(datum.names, datum.maps):
         push(kernel(m), f"kernel of {name}")
     for k, s in enumerate(seeds):
@@ -163,16 +173,18 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         push(s, f"seed[{k}]")
 
     # Each unordered pair is examined exactly once, when its later element
-    # becomes the processed one.
+    # becomes the processed one. Pairs with {0} (index 0), H (index 1) or the
+    # element itself only give back subspaces already present, so they are
+    # skipped: pushing those would change nothing.
     processed = 0
     while processed < len(subs) and not overflow:
         a = subs[processed]
-        for j in range(processed + 1):
-            b = subs[j]
-            push(a + b, f"sum({j},{processed})")
+        for j in range(2, processed):
+            total, meet = sum_and_intersection(a, subs[j])
+            push(total, f"sum({j},{processed})")
             if overflow:
                 break
-            push(a & b, f"intersect({j},{processed})")
+            push(meet, f"intersect({j},{processed})")
             if overflow:
                 break
         processed += 1

@@ -312,7 +312,7 @@ def project_weight(graph: GraphDecomposition, weight: WeightFunction, map_: Matr
                    ) -> WeightFunction:
     """Summed pushforward of a balanced weight onto project_graph(graph, map).
 
-    Balance and total mass are preserved and asserted on the result. A
+    Balance and total mass are preserved and checked on the result. A
     rank-zero map is the one degenerate exception: its image graph is the
     single vertex {0} = H with no edges, so the pushforward is empty and
     carries no mass.
@@ -324,8 +324,8 @@ def project_weight(graph: GraphDecomposition, weight: WeightFunction, map_: Matr
         if target is not None:
             sums[target] = [a + b for a, b in zip(sums[target], weight.values[k])]
     result = WeightFunction(weight.width, tuple(tuple(v) for v in sums))
-    assert is_balanced(projected, result), "projected weight lost balance"
-    if projected.ambient > 0:
-        assert total_mass(projected, result) == total_mass(graph, weight), \
-            "projected weight changed total mass"
+    if not is_balanced(projected, result):
+        raise ValueError("projected weight lost balance")
+    if projected.ambient > 0 and total_mass(projected, result) != total_mass(graph, weight):
+        raise ValueError("projected weight changed total mass")
     return result

@@ -143,6 +143,8 @@ def parse_presentation(text: str) -> Presentation:
                 raise ParseError(
                     f"presentation: edges[{k}].{end}: unknown vertex id {entry[end]!r}"
                 )
+        if not isinstance(entry["theta"], list):
+            raise ParseError(f"presentation: edges[{k}].theta must be a list of rationals")
         theta = tuple(parse_rational(x, f"presentation: edges[{k}].theta[{j}]")
                       for j, x in enumerate(entry["theta"]))
         if width is None:

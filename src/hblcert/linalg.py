@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module is computed with `fractions.Fraction`; no floating
-point enters. Subspaces are kept in a unique canonical form (reduced row
-echelon basis) so that equality of spans is plain value equality and
-subspaces can be hashed, sorted and used as graph vertices.
+No floating point enters. Subspaces are kept in a unique canonical form
+(reduced row echelon basis of `fractions.Fraction`s) so that equality of
+spans is plain value equality and subspaces can be hashed, sorted and used
+as graph vertices. Elimination itself runs on integer rows: each input row
+is scaled by the lcm of its denominators, Gauss-Jordan proceeds
+fraction-free (Bareiss, Math. Comp. 22, 1968) with every new row divided by
+its content, and only the finished rows are divided by their pivots.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
-
-Rat = Fraction
 
 Scalar = Fraction | int | str
 
@@ -27,34 +31,74 @@ def frac(x: Scalar) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form with leading-one pivots.
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """The row divided by the gcd of its entries (unchanged if zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Returns the nonzero rows and the pivot column of each.
+
+def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
+    """Primitive integer multiple of a rational row."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _echelon(rows: Sequence[Sequence[int]], cols: int
+             ) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows.
+
+    Returns the nonzero rows and the pivot column of each: every pivot column
+    is zero outside its own row, so dividing each row by its pivot entry
+    gives the reduced row echelon form. Each row made by elimination is
+    divided by its content, which keeps the entries small.
     """
+    rows = [r for r in rows if any(r)]
+    n = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
+        if r == n:
+            break
+        for i in range(r, n):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        p = prow[c]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
     return rows[:r], pivots
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _leading_ones(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[list[Fraction]]:
+    """Each row divided by its pivot entry."""
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append([_ZERO if not x else _ONE if x == p else Fraction(x, p) for x in row])
+    return out
+
+
+def _rref(rows: Sequence[Sequence[Fraction | int]], cols: int
+          ) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with leading-one pivots.
+
+    Returns the nonzero rows and the pivot column of each.
+    """
+    reduced, pivots = _echelon([_integer_row(r) for r in rows], cols)
+    return _leading_ones(reduced, pivots), pivots
 
 
 @dataclass(frozen=True)
@@ -115,11 +159,15 @@ class Matrix:
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        da, a = self._scaled
+        db, b = other._scaled
+        den = da * db
+        cols = list(zip(*b)) if b else [()] * other.cols
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
+        for ra in a:
+            for cb in cols:
+                x = sum(map(mul, ra, cb))
+                out.append(Fraction(x, den) if x else _ZERO)
         return Matrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -151,8 +199,18 @@ class Matrix:
 
     @cached_property
     def rank(self) -> int:
-        reduced, _ = _rref(self.row_lists(), self.cols)
-        return len(reduced)
+        return len(_echelon(self._scaled[1], self.cols)[1])
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """D and the integer rows of D * self, with D the lcm of all denominators.
+
+        One common factor for the whole matrix: scaling rows separately
+        would change the map, and so its images.
+        """
+        den = lcm(*(x.denominator for x in self.entries))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in self.row(i))
+                          for i in range(self.rows))
 
     def inverse(self) -> Matrix:
         if self.rows != self.cols:
@@ -240,16 +298,27 @@ class Subspace:
             out.append(next(j for j, x in enumerate(row) if x != 0))
         return tuple(out)
 
+    @cached_property
+    def _integer_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer multiples of the basis rows.
+
+        Their pivots are positive, so these rows are a function of the
+        basis alone; subspaces built by elimination get them set directly.
+        """
+        return tuple(tuple(_integer_row(row)) for row in self.basis_rows())
+
+    def __hash__(self) -> int:
+        # The integer rows and the basis determine each other, so this agrees
+        # with equality, and it is far cheaper than hashing Fractions.
+        return hash((self.ambient, self._integer_basis))
+
     def __add__(self, other: Subspace) -> Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch in subspace sum")
-        return canonicalize(self.basis.stack(other.basis))
+        return _canonical([*self._integer_basis, *other._integer_basis], self.ambient)
 
     def __and__(self, other: Subspace) -> Subspace:
-        # Intersection via complement duality: U cap W = (U^perp + W^perp)^perp.
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch in subspace intersection")
-        return (self.perp() + other.perp()).perp()
+        return sum_and_intersection(self, other)[1]
 
     def __le__(self, other: Subspace) -> bool:
         return (self + other) == other
@@ -279,14 +348,25 @@ class Subspace:
         return Matrix.from_rows(rows, cols=self.ambient)
 
 
+def _from_echelon(ambient: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Subspace:
+    flat = tuple(x for row in _leading_ones(rows, pivots) for x in row)
+    sub = Subspace(ambient, Matrix(len(rows), ambient, flat))
+    object.__setattr__(sub, "_integer_basis", tuple(
+        tuple(_primitive(row if row[p] > 0 else [-x for x in row]))
+        for row, p in zip(rows, pivots)))
+    return sub
+
+
+def _canonical(rows: Sequence[Sequence[int]], ambient: int) -> Subspace:
+    """Canonical subspace spanned by integer rows."""
+    reduced, pivots = _echelon(rows, ambient)
+    return _from_echelon(ambient, reduced, pivots)
+
+
 def canonicalize(generators: Matrix) -> Subspace:
     """Row space of `generators` in canonical RREF form."""
-    reduced, _ = _rref(generators.row_lists(), generators.cols)
-    if reduced:
-        basis = Matrix.from_rows(reduced)
-    else:
-        basis = Matrix.zeros(0, generators.cols)
-    return Subspace(generators.cols, basis)
+    return _canonical([_integer_row(generators.row(i)) for i in range(generators.rows)],
+                      generators.cols)
 
 
 def span(vectors: Iterable[Sequence[Scalar]], ambient: int) -> Subspace:
@@ -298,28 +378,58 @@ def span(vectors: Iterable[Sequence[Scalar]], ambient: int) -> Subspace:
     return canonicalize(Matrix.from_rows(rows, cols=ambient))
 
 
-def image(map_: Matrix, v: Subspace) -> Subspace:
-    """Canonical image subspace map(v) inside Q^(map rows)."""
+def _image_rows(map_: Matrix, v: Subspace) -> list[list[int]]:
     if map_.cols != v.ambient:
         raise ValueError("map domain does not match subspace ambient")
-    rows = [map_.apply(b) for b in v.basis_rows()]
-    return span(rows, map_.rows)
+    scaled = map_._scaled[1]
+    return [[sum(map(mul, row, b)) for row in scaled] for b in v._integer_basis]
+
+
+def image(map_: Matrix, v: Subspace) -> Subspace:
+    """Canonical image subspace map(v) inside Q^(map rows)."""
+    return _canonical(_image_rows(map_, v), map_.rows)
+
+
+def image_rank(map_: Matrix, v: Subspace) -> int:
+    """dim map(v), without forming the image subspace."""
+    return len(_echelon(_image_rows(map_, v), map_.rows)[1])
 
 
 def kernel(map_: Matrix) -> Subspace:
     """Null space of the map, in canonical form."""
-    reduced, pivots = _rref(map_.row_lists(), map_.cols)
+    cols = map_.cols
+    reduced, pivots = _echelon(map_._scaled[1], cols)
     pivot_set = set(pivots)
-    free = [c for c in range(map_.cols) if c not in pivot_set]
     rows = []
-    for f in free:
-        v = [Fraction(0)] * map_.cols
-        v[f] = Fraction(1)
-        for k, p in enumerate(pivots):
-            v[p] = -reduced[k][f]
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        # Integer null vector with entry `scale` at free column f: each
+        # pivot row k then forces entry -row[f] * scale / row[p] at p.
+        scale = lcm(*(row[p] for row, p in zip(reduced, pivots) if row[f]))
+        v = [0] * cols
+        v[f] = scale
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f] * (scale // row[p])
         rows.append(v)
-    return span(rows, map_.cols)
+    return _canonical(rows, cols)
 
 
-def matrix_rank(map_: Matrix) -> int:
-    return map_.rank
+def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
+    """U + W and U cap W from one Zassenhaus elimination.
+
+    The RREF of the rows [u, u] (u in U) and [w, 0] (w in W), over 2m
+    columns, splits in two: the rows with a pivot left of column m have as
+    left halves the RREF of U + W, and the other rows, whose left halves are
+    zero, have as right halves the RREF of U cap W.
+    """
+    if u.ambient != w.ambient:
+        raise ValueError("ambient mismatch in subspace sum and intersection")
+    m = u.ambient
+    zeros = (0,) * m
+    rows = [b + b for b in u._integer_basis] + [b + zeros for b in w._integer_basis]
+    reduced, pivots = _echelon(rows, 2 * m)
+    k = bisect_left(pivots, m)
+    total = _from_echelon(m, [row[:m] for row in reduced[:k]], pivots[:k])
+    meet = _from_echelon(m, [row[m:] for row in reduced[k:]], [p - m for p in pivots[k:]])
+    return total, meet

@@ -21,7 +21,7 @@ from hblcert.flowgraph import (
     total_mass,
     validate_graph,
 )
-from hblcert.linalg import image, norm_sq
+from hblcert.linalg import Matrix, Subspace, image, norm_sq
 
 THETA_NEGATIVE = "theta-negative"
 THETA_BALANCE = "theta-balance"
@@ -42,9 +42,16 @@ class Presentation:
             raise ValueError("theta does not match the edge list")
 
 
-def _distinguishing(datum: HBLDatum, graph: GraphDecomposition) -> list[tuple[int, ...]]:
+def _vertex_images(datum: HBLDatum, graph: GraphDecomposition) -> list[list[Subspace]]:
+    """images[i][k] = pi_i(vertex k)."""
+    return [[image(m, v) for v in graph.vertices] for m in datum.maps]
+
+
+def _distinguishing(datum: HBLDatum, graph: GraphDecomposition,
+                    images: list[list[Subspace]] | None = None) -> list[tuple[int, ...]]:
     """For each edge, the map indices under which its endpoints have unequal images."""
-    images = [[image(m, v) for v in graph.vertices] for m in datum.maps]
+    if images is None:
+        images = _vertex_images(datum, graph)
     out = []
     for (a, b) in graph.edges:
         out.append(tuple(i for i in range(datum.n_maps) if images[i][a] != images[i][b]))
@@ -170,16 +177,26 @@ def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) ->
     rational basis vector works and no square roots appear.
     """
     a, b = pres.graph.edges[edge]
-    v1, v2 = pres.graph.vertices[a], pres.graph.vertices[b]
     m = datum.maps[i]
-    if image(m, v1) == image(m, v2):
+    low = image(m, pres.graph.vertices[a])
+    if low == image(m, pres.graph.vertices[b]):
         raise ValueError(f"map {datum.names[i]} does not distinguish the endpoints of edge {edge}")
-    new_dir = v2 & v1.perp()
+    return _norm_squared(m, low, _new_direction(pres, edge))
+
+
+def _new_direction(pres: Presentation, edge: int) -> tuple[Fraction, ...]:
+    """A basis vector of V2 cap V1-perp for the edge V1 -> V2."""
+    a, b = pres.graph.edges[edge]
+    new_dir = pres.graph.vertices[b] & pres.graph.vertices[a].perp()
     if new_dir.dim != 1:
         raise ValueError(f"edge {edge} does not raise dimension by one")
-    w = new_dir.basis.row(0)
+    return new_dir.basis.row(0)
+
+
+def _norm_squared(m: Matrix, low: Subspace, w: tuple[Fraction, ...]) -> Fraction:
+    """|P-perp m(w)|^2 / |w|^2, with P-perp projecting off `low`."""
     u = m.apply(w)
-    proj = image(m, v1).projector()
+    proj = low.projector()
     residual = tuple(x - y for x, y in zip(u, proj.apply(u)))
     return norm_sq(residual) / norm_sq(w)
 
@@ -219,15 +236,17 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
     report = verify_presentation(datum, pres)
     if not report.valid:
         raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
-    dist = _distinguishing(datum, pres.graph)
+    images = _vertex_images(datum, pres.graph)
+    dist = _distinguishing(datum, pres.graph, images)
     factors = []
-    for k in range(len(pres.graph.edges)):
-        for i in dist[k]:
-            theta = pres.theta.values[k][i]
-            if theta == 0:
-                continue
-            base = edge_norm_squared(datum, pres, i, k)
-            factors.append(BoundFactor(i, k, base, -theta / 2))
+    for k, (a, _) in enumerate(pres.graph.edges):
+        weighted = [i for i in dist[k] if pres.theta.values[k][i] != 0]
+        if not weighted:
+            continue
+        w = _new_direction(pres, k)
+        for i in weighted:
+            base = _norm_squared(datum.maps[i], images[i][a], w)
+            factors.append(BoundFactor(i, k, base, -pres.theta.values[k][i] / 2))
     factors.sort(key=lambda f: (f.map_index, f.base, f.exponent, f.edge))
     value = 1.0
     for f in factors:

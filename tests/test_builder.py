@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hblcert import builder
 from hblcert.builder import (
     BuildError,
     base_case_dim1,
@@ -133,6 +134,15 @@ def test_caratheodory_midpoint():
         (Fraction(1, 2), (Fraction(0), Fraction(0), Fraction(1))),
         (Fraction(1, 2), (Fraction(1), Fraction(1), Fraction(0))),
     ]
+
+
+def test_caratheodory_reconstruction_guard_is_an_exception(monkeypatch):
+    # The check must survive python -O, so it raises rather than asserts.
+    _, poly = lines_and_plane_polytope()
+    monkeypatch.setattr(builder, "_reduce_caratheodory",
+                        lambda n, terms: [(Fraction(1), terms[0][1])])
+    with pytest.raises(BuildError, match="failed to reconstruct"):
+        caratheodory(poly, (Fraction(1, 2),) * 3)
 
 
 def test_caratheodory_recovers_random_combinations():

@@ -188,6 +188,17 @@ def test_malformed_input_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("theta", [5, "11"])
+def test_theta_that_is_not_a_list_exits_two(capsys, tmp_path, theta):
+    pres = json.loads(pathlib.Path(fixture("lw2.presentation.json")).read_text())
+    pres["edges"][0]["theta"] = theta
+    path = tmp_path / "bad.presentation.json"
+    path.write_text(json.dumps(pres))
+    code, out = run_cli(capsys, "verify", "--data", fixture("lw2.datum.json"),
+                        "--presentation", str(path))
+    assert code == 2 and out == ""
+
+
 def test_missing_file_exits_two(capsys):
     code = main(["check-data", "--data", "/nonexistent/nowhere.json"])
     assert code == 2

@@ -78,6 +78,16 @@ def test_parse_errors_name_the_problem():
         }))
 
 
+@pytest.mark.parametrize("theta", [5, "11", None, {"0": "1"}])
+def test_parse_presentation_rejects_theta_that_is_not_a_list(theta):
+    text = json.dumps({
+        "vertices": [{"id": "a", "basis": []}, {"id": "b", "basis": [["1"]]}],
+        "edges": [{"from": "a", "to": "b", "theta": theta}],
+    })
+    with pytest.raises(ParseError, match=r"edges\[0\]\.theta must be a list"):
+        parse_presentation(text)
+
+
 def test_parse_candidates():
     text = "# comment line\n1 0 0; 0 1 0\n\n0 0 2\n"
     subs = parse_candidates(text, 3)

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hblcert.linalg import Matrix, Subspace, canonicalize, image, kernel, span
+from hblcert.data import HBLDatum
+from hblcert.linalg import (
+    Matrix,
+    Subspace,
+    _rref,
+    canonicalize,
+    image,
+    kernel,
+    span,
+    sum_and_intersection,
+)
 from hblcert.fixtures import fourmap_r6_datum
 
 from conftest import random_subspace
@@ -138,6 +148,93 @@ def test_intersection_duality(ambient, hyp_rng):
     assert (u & w) == (u.perp() + w.perp()).perp()
     assert u.perp().perp() == u
     assert u.dim + u.perp().dim == ambient
+
+
+def reference_rref(rows, cols):
+    """Plain Gauss-Jordan in Fraction arithmetic: divide by the pivot, clear."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_span(rows, ambient):
+    reduced, _ = reference_rref(rows, ambient)
+    return Subspace(ambient, Matrix.from_rows(reduced, cols=ambient))
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """Integer matrices with each row and each column divided by its own
+    denominator, so that rows carry different denominators."""
+    cols = draw(st.integers(1, 6)) if cols is None else cols
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    ints = draw(st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    row_dens = draw(st.lists(st.integers(1, 6), min_size=rows, max_size=rows))
+    col_dens = draw(st.lists(st.integers(1, 6), min_size=cols, max_size=cols))
+    return Matrix.from_rows(
+        [[Fraction(x, rd * cd) for x, cd in zip(row, col_dens)]
+         for row, rd in zip(ints, row_dens)], cols=cols)
+
+
+def assert_hash_rows_match_basis(s):
+    # Elimination sets the integer rows that hashing reads; they must be the
+    # ones the basis itself gives.
+    fresh = Subspace(s.ambient, s.basis)
+    assert s._integer_basis == fresh._integer_basis and hash(s) == hash(fresh)
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(mat):
+    assert _rref(mat.row_lists(), mat.cols) == reference_rref(mat.row_lists(), mat.cols)
+    assert canonicalize(mat) == reference_span(mat.row_lists(), mat.cols)
+    assert mat.rank == len(reference_rref(mat.row_lists(), mat.cols)[0])
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_sum_and_intersection_matches_duality(data):
+    ambient = data.draw(st.integers(1, 5))
+    u = canonicalize(data.draw(rational_matrices(cols=ambient)))
+    w = canonicalize(data.draw(rational_matrices(cols=ambient)))
+    total, meet = sum_and_intersection(u, w)
+    assert total == reference_span(u.basis_rows() + w.basis_rows(), ambient)
+    assert meet == (u.perp() + w.perp()).perp()
+    assert (total, meet) == (u + w, u & w)
+    assert total.dim + meet.dim == u.dim + w.dim
+    for s in (total, meet, u.perp()):
+        assert_hash_rows_match_basis(s)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_image_and_image_dims_with_unequal_row_denominators(data):
+    ambient = data.draw(st.integers(1, 5))
+    maps = tuple(data.draw(rational_matrices(rows=data.draw(st.integers(1, 4)), cols=ambient))
+                 for _ in range(data.draw(st.integers(1, 3))))
+    datum = HBLDatum(ambient, maps, tuple(f"p{i}" for i in range(len(maps))),
+                     (Fraction(0),) * len(maps))
+    v = canonicalize(data.draw(rational_matrices(cols=ambient)))
+    for m in maps:
+        assert image(m, v) == reference_span([m.apply(b) for b in v.basis_rows()], m.rows)
+        assert_hash_rows_match_basis(image(m, v))
+    assert datum.image_dims(v) == tuple(image(m, v).dim for m in maps)
+    shifted = datum.with_exponents((Fraction(1),) * len(maps))
+    assert shifted.image_dims(v) == datum.image_dims(v)
 
 
 @given(st.integers(1, 5), st.randoms(use_true_random=False))
