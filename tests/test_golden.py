@@ -15,10 +15,11 @@ import pytest
 
 from hblcert.builder import build_presentation
 from hblcert.data import HBLDatum, generate_lattice, transform_datum
-from hblcert.fixtures import fourmap_r6_datum, loomis_whitney_datum
+from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datum
+from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.formats import serialize_presentation
 from hblcert.linalg import Matrix, span
-from hblcert.presentation import bound_constant
+from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
 from conftest import random_invertible
 
@@ -110,3 +111,89 @@ def _hashes(datum: HBLDatum, seeds) -> tuple[str, str, str, str]:
 def test_build_outputs_are_byte_identical(name):
     make_datum, make_seeds = CASES[name]
     assert _hashes(make_datum(), make_seeds()) == GOLDEN[name]
+
+
+def _mutant(name: str, seed: int):
+    """One seeded single-entry change of a shipped certificate's theta."""
+    make_datum, make_pres = ALL_FIXTURES[name]
+    datum, pres = make_datum(), make_pres()
+    rng = random.Random(seed)
+    rows = [list(v) for v in pres.theta.values]
+    edge = rng.randrange(len(rows))
+    comp = rng.randrange(datum.n_maps)
+    rows[edge][comp] += rng.choice([Fraction(1, 4), Fraction(-1, 3), Fraction(-1), Fraction(2)])
+    return datum, Presentation(pres.graph, WeightFunction.from_rows(rows, datum.n_maps))
+
+
+def _structure_mismatch():
+    return ALL_FIXTURES["lw2"][0](), ALL_FIXTURES["r6"][1]()
+
+
+def _graph_violation():
+    # Drop the first edge and add a {0} -> H edge, which jumps dimension.
+    datum, pres = ALL_FIXTURES["lw3"][0](), ALL_FIXTURES["lw3"][1]()
+    graph = pres.graph
+    edges = graph.edges[1:] + ((graph.zero_vertex, graph.full_vertex),)
+    rows = pres.theta.values[1:] + ((Fraction(0),) * datum.n_maps,)
+    return datum, Presentation(GraphDecomposition(graph.ambient, graph.vertices, edges),
+                               WeightFunction(datum.n_maps, rows))
+
+
+PROBLEM_CASES = {
+    **{f"{name}-mutant-{seed}": (lambda name=name, seed=seed: _mutant(name, seed))
+       for name in ("lw3", "lw4", "r6") for seed in range(6)},
+    "structure-mismatch": _structure_mismatch,
+    "graph-violation": _graph_violation,
+}
+
+# sha256 of the problem strings, one per line in report order, recorded
+# before verification took a single flux pass.
+PROBLEM_GOLDEN = {
+    "graph-violation":
+        "bc757e286a3fa3cf24d50a1f1c6f419fa9cc103d62e9efbf82fa6add476aca7c",
+    "lw3-mutant-0":
+        "07ec285d6ca614ce87c654174243bca0da0978f3e94ba7a63d49260e78ac8dce",
+    "lw3-mutant-1":
+        "1264574ac7918d619f4a1cd65b9a5076da4c47d1e8c3a2e48dab8e3f8c904003",
+    "lw3-mutant-2":
+        "7f2805aac2d5ad55a775b189dd7b9dca068b8abf74df568f06b38be6d84f7361",
+    "lw3-mutant-3":
+        "a8073038ae8b9ec40759af1069fe06a92c01e5238885c6389331aa1dea82a4f9",
+    "lw3-mutant-4":
+        "04480335c5645549b4e5adb8ea9af6403861fbeeaece81187c865ca74f86fe4b",
+    "lw3-mutant-5":
+        "9ce7e82bee8f9c2fe5816b5a16e988bc41bed8b27497d245e1e04c65f6837131",
+    "lw4-mutant-0":
+        "1c36088106c4e47b5a7a75b89983cf52d6930fd83d954cac05fcab941e963cfc",
+    "lw4-mutant-1":
+        "a810a8dcad945e006c6db286bd56c9611cd9b599ad16463cc25c2cb28c27f44e",
+    "lw4-mutant-2":
+        "4a3edd32bdc7863f7305f570ad0426a00c994ac8ef688821d52859d4f0aa9ebb",
+    "lw4-mutant-3":
+        "20fe63cc493b18d9720739891ec8ee4a009db5f536e4c903acd8f106ffae2241",
+    "lw4-mutant-4":
+        "7e0e47545a0790bb01bc92a9598d60ba49b8d5fd7f3b02c581525c3de2005dc4",
+    "lw4-mutant-5":
+        "d2694c1b1afe0909d6ab3ca14ec7ea7d34c184e7b266ac82d084d19543f161b5",
+    "r6-mutant-0":
+        "1a57dcde89e5227fa0f3e8bb8a88e914072fc18fc34d4860da9dbf0b69afabef",
+    "r6-mutant-1":
+        "f8840e26fcb6033ef3c8ff6da2e78a8897c829f3fb03dd2e8495cea1f7c2c9ce",
+    "r6-mutant-2":
+        "d91fd53a6c4dffb14f325c5543e955f1c02ea4486e14f4519b6d70421656454f",
+    "r6-mutant-3":
+        "7a717f0ad7afb6a326b28e23764dd6f87a505cf6bd706f42b27fec1e3ef731b1",
+    "r6-mutant-4":
+        "511f3550cc2ee4e9559fccb95db941ed973af203c312f9d46b8c22bd68194a43",
+    "r6-mutant-5":
+        "c1b07bb1dd5a88a18c53ce144439481273e90cb43117072acb9a27de5cdf91e6",
+    "structure-mismatch":
+        "3b28586a47b728f471288db9832286830407a9563d34b7e67d522c32722c5990",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_CASES))
+def test_problem_strings_are_byte_identical(name):
+    report = verify_presentation(*PROBLEM_CASES[name]())
+    assert not report.valid
+    assert _sha("\n".join(report.problems)) == PROBLEM_GOLDEN[name]
