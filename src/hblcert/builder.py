@@ -6,9 +6,9 @@ single edge carrying the exponents; a non-extreme exponent vector is split
 into extreme points of the candidate polytope and the results convexly
 combined; at an extreme point a critical subspace (zero slack, proper) pivots
 the problem into a restriction to V and a quotient onto V-perp whose
-presentations concatenate. Every output is re-verified, so an impoverished
-candidate family can only cause an explicit failure, never a wrong
-certificate.
+presentations concatenate. The top-level result is verified exactly, so an
+impoverished candidate family can only cause an explicit failure, never a
+wrong certificate.
 """
 
 from __future__ import annotations
@@ -260,34 +260,24 @@ def base_case_dim1(datum: HBLDatum) -> Presentation:
     full = Subspace.full(1)
     graph = GraphDecomposition.build(1, [zero, full], [(zero, full)])
     theta = WeightFunction(datum.n_maps, (tuple(datum.exponents),))
-    pres = Presentation(graph, theta)
-    report = verify_presentation(datum, pres)
-    if not report.valid:
-        raise BuildError("dimension-1 presentation failed verification: "
-                         + "; ".join(report.problems))
-    return pres
+    return Presentation(graph, theta)
 
 
 def concatenate(datum: HBLDatum, v: Subspace, p_low: Presentation,
                 p_high: Presentation) -> Presentation:
     """Splice a presentation of the restriction to V with one of the quotient.
 
-    Low vertices embed through the V chart; high vertices W become V + W
-    through the V-perp chart; edges and weights are inherited. The result is
-    re-verified against the original datum. With V = {0} the low part is the
-    trivial single-vertex presentation and the result is the re-embedded
-    high part.
+    Low vertices embed through the chart of V and high vertices W become
+    V + W through the chart of V-perp, the charts restrict_datum and
+    quotient_datum use; edges and weights are inherited. The result is not
+    verified here: build_presentation verifies the top-level result. With
+    V = {0} the low part is the trivial single-vertex presentation and the
+    result is the re-embedded high part.
     """
-    if v.is_zero():
-        if p_low.graph.ambient != 0 or p_low.graph.edges:
-            raise ValueError("the zero subspace admits only the trivial low part")
-        low_embed = Matrix.zeros(datum.dim, 0)
-        low_datum = None
-    else:
-        low_datum, low_embed = restrict_datum(datum, v)
-    high_datum, high_embed = quotient_datum(datum, v)
-    if (low_datum is not None and p_low.graph.ambient != low_datum.dim) \
-            or p_high.graph.ambient != high_datum.dim:
+    if v.ambient != datum.dim:
+        raise ValueError("subspace ambient does not match datum dimension")
+    low_embed, high_embed = v.chart(), v.perp().chart()
+    if p_low.graph.ambient != v.dim or p_high.graph.ambient != datum.dim - v.dim:
         raise ValueError("part presentations do not match the split dimensions")
 
     def low_vertex(w: Subspace) -> Subspace:
@@ -311,11 +301,7 @@ def concatenate(datum: HBLDatum, v: Subspace, p_low: Presentation,
 
     graph = GraphDecomposition.build(datum.dim, vertices, list(weighted))
     rows = [weighted[(graph.vertices[a], graph.vertices[b])] for (a, b) in graph.edges]
-    pres = Presentation(graph, WeightFunction(datum.n_maps, tuple(rows)))
-    report = verify_presentation(datum, pres)
-    if not report.valid:
-        raise BuildError("concatenation failed verification: " + "; ".join(report.problems))
-    return pres
+    return Presentation(graph, WeightFunction(datum.n_maps, tuple(rows)))
 
 
 def convex_combine(terms) -> Presentation:
@@ -421,12 +407,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
                 sub = recurse(datum.with_exponents(point), candidates, depth + 1)
                 parts.append((c, sub))
-            pres = convex_combine(parts)
-            report = verify_presentation(datum, pres)
-            if not report.valid:
-                raise BuildError("convex combination failed verification: "
-                                 + "; ".join(report.problems))
-            return pres
+            return convex_combine(parts)
 
         criticals = find_critical(datum, candidates)
         if criticals:

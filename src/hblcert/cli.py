@@ -3,14 +3,14 @@
 Commands run the library pipelines on datum/presentation/candidate files and
 emit text or JSON reports (DOT for diagram export). Exit status 0 means a
 positive verdict (valid, feasible, dominated), 1 a mathematically negative
-verdict with the report attached, and 2 malformed input or usage errors.
+verdict with the report attached, 2 malformed input or usage errors, and 3
+an unexpected internal error, reported on one `error: internal:` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -78,10 +78,6 @@ def _load_candidates(args, datum) -> CandidateLattice:
         subs = formats.parse_candidates(_read(args.candidates, "candidates"), datum.dim)
         return CandidateLattice.from_subspaces(datum.dim, subs)
     return generate_lattice(datum, max_size=args.max_lattice)
-
-
-def _describe(graph, i: int) -> str:
-    return graph.describe_vertex(i)
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
@@ -227,7 +223,7 @@ def _cmd_project(args) -> tuple[int, dict]:
         "command": "project",
         "verdict": "ok",
         "map": datum.names[i],
-        "vertices": [_describe(projected, k) for k in range(len(projected.vertices))],
+        "vertices": [projected.describe_vertex(k) for k in range(len(projected.vertices))],
         "edges": [
             {"from": a, "to": b, "weight": [str(x) for x in weight.values[k]]}
             for k, (a, b) in enumerate(projected.edges)
@@ -348,17 +344,18 @@ def main(argv=None) -> int:
         parser.error("--tol must be positive")
     try:
         status, rendered = run(args)
-    except formats.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.out and args.command != "build":
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out and args.command != "build":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    except Exception as exc:  # noqa: BLE001 - any other failure is a defect
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {message}", file=sys.stderr)
+        return 3
     return status
 
 

@@ -227,7 +227,7 @@ def restrict_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:
         raise ValueError("subspace ambient does not match datum dimension")
     if v.dim == 0:
         raise ValueError("cannot restrict to the zero subspace")
-    embedding = v.basis.transpose()
+    embedding = v.chart()
     maps = tuple(m @ embedding for m in datum.maps)
     return HBLDatum(v.dim, maps, datum.names, datum.exponents), embedding
 
@@ -244,7 +244,7 @@ def quotient_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:
     if v.is_full():
         raise ValueError("cannot quotient by the full space")
     vperp = v.perp()
-    embedding = vperp.basis.transpose()
+    embedding = vperp.chart()
     maps = []
     for m in datum.maps:
         img = image(m, v)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from hblcert.linalg import Matrix, Subspace, frac, image
 
@@ -165,28 +165,27 @@ def _check_sizes(graph: GraphDecomposition, weight: WeightFunction) -> None:
         )
 
 
-def _vertex_flux(graph: GraphDecomposition, weight: WeightFunction, i: int
-                 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def unbalanced_vertices(graph: GraphDecomposition, weight: WeightFunction
+                        ) -> Iterator[tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """(vertex, in-sum, out-sum) at each vertex other than {0} and H where the
+    componentwise sums differ, in vertex order."""
+    _check_sizes(graph, weight)
     zero = (Fraction(0),) * weight.width
-    into = zero
-    outof = zero
-    for k in graph.incoming[i]:
-        into = tuple(a + b for a, b in zip(into, weight.values[k]))
-    for k in graph.outgoing[i]:
-        outof = tuple(a + b for a, b in zip(outof, weight.values[k]))
-    return into, outof
+    for i, v in enumerate(graph.vertices):
+        if v.is_zero() or v.is_full():
+            continue
+        into = outof = zero
+        for k in graph.incoming[i]:
+            into = tuple(a + b for a, b in zip(into, weight.values[k]))
+        for k in graph.outgoing[i]:
+            outof = tuple(a + b for a, b in zip(outof, weight.values[k]))
+        if into != outof:
+            yield i, into, outof
 
 
 def is_balanced(graph: GraphDecomposition, weight: WeightFunction) -> bool:
     """True iff in-sum equals out-sum at every vertex other than {0} and H."""
-    _check_sizes(graph, weight)
-    for i, v in enumerate(graph.vertices):
-        if v.is_zero() or v.is_full():
-            continue
-        into, outof = _vertex_flux(graph, weight, i)
-        if into != outof:
-            return False
-    return True
+    return next(unbalanced_vertices(graph, weight), None) is None
 
 
 def total_mass(graph: GraphDecomposition, weight: WeightFunction) -> tuple[Fraction, ...]:

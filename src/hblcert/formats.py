@@ -30,7 +30,10 @@ _RATIONAL = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 def parse_rational(text: str, where: str = "rational") -> Fraction:
     if not isinstance(text, str) or not _RATIONAL.match(text.strip()):
         raise ParseError(f"{where}: malformed rational {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -42,9 +45,19 @@ def _load_json(text: str, what: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer with more digits than int() converts
+        raise ParseError(f"{what}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what}: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError(f"{what}: top level must be an object")
     return obj
+
+
+def _list(obj: dict, key: str, where: str) -> list:
+    if not isinstance(obj[key], list):
+        raise ParseError(f"{where}: {key} must be a list")
+    return obj[key]
 
 
 def _parse_matrix(rows, cols: int | None, where: str) -> Matrix:
@@ -70,17 +83,19 @@ def parse_datum(text: str) -> HBLDatum:
         if key not in obj:
             raise ParseError(f"datum: missing key {key!r}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("datum: dim must be a positive integer")
     maps, names = [], []
-    for k, entry in enumerate(obj["maps"]):
+    for k, entry in enumerate(_list(obj, "maps", "datum")):
         if not isinstance(entry, dict) or "rows" not in entry:
             raise ParseError(f"datum: maps[{k}] needs a rows field")
         name = entry.get("name", f"pi{k + 1}")
+        if not isinstance(name, str):
+            raise ParseError(f"datum: maps[{k}].name must be a string")
         maps.append(_parse_matrix(entry["rows"], dim, f"datum: maps[{k}] ({name})"))
-        names.append(str(name))
+        names.append(name)
     exponents = [parse_rational(x, f"datum: exponents[{k}]")
-                 for k, x in enumerate(obj["exponents"])]
+                 for k, x in enumerate(_list(obj, "exponents", "datum"))]
     if len(exponents) != len(maps):
         raise ParseError("datum: one exponent per map required")
     try:
@@ -107,22 +122,24 @@ def parse_presentation(text: str) -> Presentation:
     for key in ("vertices", "edges"):
         if key not in obj:
             raise ParseError(f"presentation: missing key {key!r}")
-    if not obj["vertices"]:
+    vertices = _list(obj, "vertices", "presentation")
+    edges = _list(obj, "edges", "presentation")
+    if not vertices:
         raise ParseError("presentation: needs at least one vertex")
-    ambient = None
-    for entry in obj["vertices"]:
-        if isinstance(entry, dict) and entry.get("basis"):
-            first_row = entry["basis"][0]
-            if isinstance(first_row, list):
-                ambient = len(first_row)
-                break
+    for k, entry in enumerate(vertices):
+        if not isinstance(entry, dict) or "id" not in entry or "basis" not in entry:
+            raise ParseError(f"presentation: vertices[{k}] needs id and basis")
+        if not isinstance(entry["id"], str):
+            raise ParseError(f"presentation: vertices[{k}].id must be a string")
+        if not isinstance(entry["basis"], list):
+            raise ParseError(f"presentation: vertices[{k}].basis must be a list")
+    ambient = next((len(e["basis"][0]) for e in vertices
+                    if e["basis"] and isinstance(e["basis"][0], list)), None)
     if ambient is None:
         raise ParseError("presentation: could not infer the ambient dimension")
     by_id: dict[str, Subspace] = {}
-    for k, entry in enumerate(obj["vertices"]):
-        if not isinstance(entry, dict) or "id" not in entry or "basis" not in entry:
-            raise ParseError(f"presentation: vertices[{k}] needs id and basis")
-        vid = str(entry["id"])
+    for entry in vertices:
+        vid = entry["id"]
         if vid in by_id:
             raise ParseError(f"presentation: duplicate vertex id {vid!r}")
         basis = entry["basis"]
@@ -132,14 +149,14 @@ def parse_presentation(text: str) -> Presentation:
 
     width = None
     weighted: list[tuple[Subspace, Subspace, tuple[Fraction, ...]]] = []
-    for k, entry in enumerate(obj["edges"]):
+    for k, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise ParseError(f"presentation: edges[{k}] must be an object")
         for key in ("from", "to", "theta"):
             if key not in entry:
                 raise ParseError(f"presentation: edges[{k}] missing {key!r}")
         for end in ("from", "to"):
-            if str(entry[end]) not in by_id:
+            if not isinstance(entry[end], str) or entry[end] not in by_id:
                 raise ParseError(
                     f"presentation: edges[{k}].{end}: unknown vertex id {entry[end]!r}"
                 )
@@ -151,7 +168,7 @@ def parse_presentation(text: str) -> Presentation:
             width = len(theta)
         elif len(theta) != width:
             raise ParseError(f"presentation: edges[{k}].theta width {len(theta)} != {width}")
-        weighted.append((by_id[str(entry["from"])], by_id[str(entry["to"])], theta))
+        weighted.append((by_id[entry["from"]], by_id[entry["to"]], theta))
     if width is None:
         raise ParseError("presentation: needs at least one edge")
 

@@ -335,12 +335,15 @@ class Subspace:
         gram = b @ b.transpose()
         return b.transpose() @ gram.inverse() @ b
 
-    def retraction(self) -> Matrix:
-        """Left inverse of the basis chart: selects pivot coordinates.
+    def chart(self) -> Matrix:
+        """The chart Q^dim -> Q^ambient whose columns are the RREF basis."""
+        return self.basis.transpose()
 
-        With E = basis^T the chart Q^dim -> Q^ambient, retraction() @ E is the
-        identity and E @ retraction() restricts to the identity on the
-        subspace itself.
+    def retraction(self) -> Matrix:
+        """Left inverse of the chart: selects pivot coordinates.
+
+        With E = chart(), retraction() @ E is the identity and
+        E @ retraction() restricts to the identity on the subspace itself.
         """
         rows = []
         for p in self.pivots:

@@ -330,9 +330,10 @@ def grid_factorize(f: GridFunction, graph: GraphDecomposition,
 
     Each vertex V gets the axis-summed marginal f_V, each edge the quotient
     f_V1 / f_V2 guarded on the support of f_V2. Verifies that line sums along
-    each edge's new axis stay below 1 + 1e-12 and that
-    f^tau = mass^tau * prod f_e^phi(e) on cells where f > 0; returns the edge
-    functions and the worst relative factorization error.
+    each edge's new axis stay below 1 + 1e-12, raising FloatingPointError
+    when rounding pushes one above, and that f^tau = mass^tau * prod
+    f_e^phi(e) on cells where f > 0; returns the edge functions and the worst
+    relative factorization error.
     """
     if phi.width != 1:
         raise ValueError("factorization uses a scalar weight")
@@ -361,7 +362,7 @@ def grid_factorize(f: GridFunction, graph: GraphDecomposition,
         new_axis = (set(axes[b]) - set(axes[a])).pop()
         line = quotient.sum(axis=new_axis, keepdims=True) * steps[new_axis]
         if float(line.max(initial=0.0)) > 1 + 1e-12:
-            raise AssertionError(f"edge {k} line sums exceed 1: {float(line.max())}")
+            raise FloatingPointError(f"edge {k} line sums exceed 1: {float(line.max())}")
         edge_arrays.append(quotient)
 
     tau = float(total_mass(graph, phi)[0])

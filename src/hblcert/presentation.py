@@ -17,8 +17,8 @@ from hblcert.data import HBLDatum
 from hblcert.flowgraph import (
     GraphDecomposition,
     WeightFunction,
-    is_balanced,
     total_mass,
+    unbalanced_vertices,
     validate_graph,
 )
 from hblcert.linalg import Matrix, Subspace, image, norm_sq
@@ -42,20 +42,19 @@ class Presentation:
             raise ValueError("theta does not match the edge list")
 
 
-def _vertex_images(datum: HBLDatum, graph: GraphDecomposition) -> list[list[Subspace]]:
-    """images[i][k] = pi_i(vertex k)."""
-    return [[image(m, v) for v in graph.vertices] for m in datum.maps]
+def _distinguishing(datum: HBLDatum, graph: GraphDecomposition
+                    ) -> tuple[list[list[Subspace]], list[tuple[int, ...]]]:
+    """Vertex images images[i][k] = pi_i(vertex k), and for each edge the map
+    indices under which its endpoints have unequal images."""
+    images = [[image(m, v) for v in graph.vertices] for m in datum.maps]
+    dist = [tuple(i for i in range(datum.n_maps) if images[i][a] != images[i][b])
+            for (a, b) in graph.edges]
+    return images, dist
 
 
-def _distinguishing(datum: HBLDatum, graph: GraphDecomposition,
-                    images: list[list[Subspace]] | None = None) -> list[tuple[int, ...]]:
-    """For each edge, the map indices under which its endpoints have unequal images."""
-    if images is None:
-        images = _vertex_images(datum, graph)
-    out = []
-    for (a, b) in graph.edges:
-        out.append(tuple(i for i in range(datum.n_maps) if images[i][a] != images[i][b]))
-    return out
+def _summary(theta: WeightFunction, dist: list[tuple[int, ...]]) -> WeightFunction:
+    return WeightFunction.scalar(
+        [sum((row[i] for i in maps), Fraction(0)) for row, maps in zip(theta.values, dist)])
 
 
 def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
@@ -64,11 +63,7 @@ def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
         raise ValueError("datum dimension does not match graph ambient")
     if pres.theta.width != datum.n_maps:
         raise ValueError("theta width does not match the number of maps")
-    dist = _distinguishing(datum, pres.graph)
-    values = []
-    for k in range(len(pres.graph.edges)):
-        values.append(sum((pres.theta.values[k][i] for i in dist[k]), Fraction(0)))
-    return WeightFunction.scalar(values)
+    return _summary(pres.theta, _distinguishing(datum, pres.graph)[1])
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,13 @@ class VerificationReport:
 
 def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationReport:
     """Full certificate check; every failure lands in the report, none raise."""
+    return _verify(datum, pres)[0]
+
+
+def _verify(datum: HBLDatum, pres: Presentation
+            ) -> tuple[VerificationReport, list[list[Subspace]], list[tuple[int, ...]]]:
+    """The verification report, with the vertex images and distinguishing maps
+    it was computed from (empty on a structure mismatch)."""
     problems: list[str] = []
     if datum.dim != pres.graph.ambient:
         problems.append(
@@ -107,65 +109,55 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
             f"{STRUCTURE}: theta width {pres.theta.width} != {datum.n_maps} maps"
         )
     if problems:
-        return VerificationReport((), (), (), False, Fraction(0), tuple(problems), False)
+        return VerificationReport((), (), (), False, Fraction(0), tuple(problems), False), [], []
 
-    graph_violations = tuple(validate_graph(pres.graph))
+    graph = pres.graph
+    graph_violations = tuple(validate_graph(graph))
     for v in graph_violations:
         problems.append(f"{GRAPH}: {v}")
 
-    graph = pres.graph
     masses = total_mass(graph, pres.theta)
+    unbalanced = list(unbalanced_vertices(graph, pres.theta))
     map_checks = []
     for i, name in enumerate(datum.names):
-        comp = WeightFunction.scalar(pres.theta.component(i))
-        nonneg = comp.is_nonnegative()
-        balanced = is_balanced(graph, comp)
-        check = MapCheck(name, nonneg, balanced, masses[i], datum.exponents[i])
+        nonneg = all(row[i] >= 0 for row in pres.theta.values)
+        off = [(k, into[i], outof[i]) for k, into, outof in unbalanced if into[i] != outof[i]]
+        check = MapCheck(name, nonneg, not off, masses[i], datum.exponents[i])
         map_checks.append(check)
         if not nonneg:
             problems.append(f"{THETA_NEGATIVE}: map {name} has a negative weight")
-        if not balanced:
-            for k, vtx in enumerate(graph.vertices):
-                if vtx.is_zero() or vtx.is_full():
-                    continue
-                into = sum((pres.theta.values[e][i] for e in graph.incoming[k]), Fraction(0))
-                outof = sum((pres.theta.values[e][i] for e in graph.outgoing[k]), Fraction(0))
-                if into != outof:
-                    problems.append(
-                        f"{THETA_BALANCE}: map {name} unbalanced at {graph.describe_vertex(k)} "
-                        f"(in {into}, out {outof})"
-                    )
+        for k, into, outof in off:
+            problems.append(
+                f"{THETA_BALANCE}: map {name} unbalanced at {graph.describe_vertex(k)} "
+                f"(in {into}, out {outof})"
+            )
         if check.mass != check.expected_mass:
             problems.append(
                 f"{THETA_MASS}: map {name} has total mass {check.mass}, expected {check.expected_mass}"
             )
 
-    sigma = summary_weight(datum, pres)
-    sigma_balanced = is_balanced(graph, sigma)
-    if not sigma_balanced:
-        for k, vtx in enumerate(graph.vertices):
-            if vtx.is_zero() or vtx.is_full():
-                continue
-            into = sum((sigma.values[e][0] for e in graph.incoming[k]), Fraction(0))
-            outof = sum((sigma.values[e][0] for e in graph.outgoing[k]), Fraction(0))
-            if into != outof:
-                problems.append(
-                    f"{SIGMA_BALANCE}: summary weight unbalanced at {graph.describe_vertex(k)} "
-                    f"(in {into}, out {outof})"
-                )
+    images, dist = _distinguishing(datum, graph)
+    sigma = _summary(pres.theta, dist)
+    sigma_off = list(unbalanced_vertices(graph, sigma))
+    for k, (into,), (outof,) in sigma_off:
+        problems.append(
+            f"{SIGMA_BALANCE}: summary weight unbalanced at {graph.describe_vertex(k)} "
+            f"(in {into}, out {outof})"
+        )
     sigma_mass = total_mass(graph, sigma)[0]
     if sigma_mass != 1:
         problems.append(f"{SIGMA_MASS}: summary weight has total mass {sigma_mass}, expected 1")
 
-    return VerificationReport(
+    report = VerificationReport(
         graph_violations=graph_violations,
         map_checks=tuple(map_checks),
         sigma=sigma.component(0),
-        sigma_balanced=sigma_balanced,
+        sigma_balanced=not sigma_off,
         sigma_mass=sigma_mass,
         problems=tuple(problems),
         valid=not problems,
     )
+    return report, images, dist
 
 
 def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) -> Fraction:
@@ -233,11 +225,9 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
     Factors with theta_i(e) = 0 contribute 1 and are omitted. Requires a
     valid presentation.
     """
-    report = verify_presentation(datum, pres)
+    report, images, dist = _verify(datum, pres)
     if not report.valid:
         raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
-    images = _vertex_images(datum, pres.graph)
-    dist = _distinguishing(datum, pres.graph, images)
     factors = []
     for k, (a, _) in enumerate(pres.graph.edges):
         weighted = [i for i in dist[k] if pres.theta.values[k][i] != 0]
@@ -259,7 +249,7 @@ def export_dot(datum: HBLDatum, pres: Presentation) -> str:
     """Deterministic DOT rendering; starred entries mark distinguishing maps."""
     graph = pres.graph
     try:
-        dist = _distinguishing(datum, graph)
+        dist = _distinguishing(datum, graph)[1]
     except ValueError:
         dist = [()] * len(graph.edges)
     lines = ["digraph presentation {", "  rankdir=LR;"]

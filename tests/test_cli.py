@@ -4,6 +4,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from hblcert import cli, formats
 from hblcert.cli import main
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -230,3 +231,61 @@ def test_out_writes_report_to_file(capsys, tmp_path):
     report = json.loads(out.read_text())
     jsonschema.validate(report, SCHEMA)
     assert report["verdict"] == "feasible"
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+# A one-map datum in dimension one, so that a node of the wrong type is the
+# input's only fault.
+_LINE_DATUM = {"dim": 1, "maps": [{"name": "id", "rows": [["1"]]}], "exponents": ["1"]}
+
+
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("datum", ("maps",), 5, "maps must be a list"),
+    ("presentation", ("vertices",), 5, "vertices must be a list"),
+    ("presentation", ("edges",), 3, "edges must be a list"),
+    ("presentation", ("vertices", 1, "basis"), {"x": 1}, r"vertices\[1\]\.basis must be a list"),
+    ("datum", ("dim",), True, "dim must be a positive integer"),
+    ("datum", ("exponents",), "1", "exponents must be a list"),
+])
+def test_json_node_of_the_wrong_type_exits_two(capsys, tmp_path, kind, path, value, message):
+    if kind == "datum":
+        obj = json.loads(json.dumps(_LINE_DATUM))
+        parse, argv = formats.parse_datum, ["check-data", "--data"]
+    else:
+        obj = json.loads(pathlib.Path(fixture("lw2.presentation.json")).read_text())
+        parse = formats.parse_presentation
+        argv = ["verify", "--data", fixture("lw2.datum.json"), "--presentation"]
+    _set(obj, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    with pytest.raises(formats.ParseError, match=message):
+        parse(bad.read_text())
+    code = main([*argv, str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_unexpected_error_exits_three_on_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    code = main(["verify", "--data", fixture("lw2.datum.json"),
+                 "--presentation", fixture("lw2.presentation.json")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: internal: RuntimeError: boom second line\n"
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    code = main(["check-data", "--data", fixture("lw2.datum.json"),
+                 "--out", str(tmp_path / "absent" / "report.txt")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -3,6 +3,8 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hblcert.formats import (
     ParseError,
@@ -107,3 +109,78 @@ def test_parsed_fixture_presentations_verify():
         datum = parse_datum((FIXTURE_DIR / f"{name}.datum.json").read_text())
         pres = parse_presentation((FIXTURE_DIR / f"{name}.presentation.json").read_text())
         assert verify_presentation(datum, pres).valid
+
+
+# -- fuzzing: every parser either parses or raises ParseError ---------------
+
+_KEYS = ("dim", "maps", "name", "rows", "exponents", "vertices", "edges",
+         "id", "basis", "from", "to", "theta")
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "1/0", "x", "", "v0", "v1"])
+            | st.text(max_size=5))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def _parses_or_rejects(parse, *args):
+    try:
+        parse(*args)
+    except ParseError:
+        pass
+
+
+_DOCS = {
+    "datum": (parse_datum, json.loads((FIXTURE_DIR / "lw2.datum.json").read_text())),
+    "presentation": (parse_presentation,
+                     json.loads((FIXTURE_DIR / "lw2.presentation.json").read_text())),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_DOCS)), data=st.data())
+def test_fuzz_one_node_of_a_fixture_replaced(kind, data):
+    parse, doc = _DOCS[kind]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    _parses_or_rejects(parse, json.dumps(_replaced(doc, path, data.draw(_TREES))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_DOCS)), tree=_TREES)
+def test_fuzz_json_trees(kind, tree):
+    _parses_or_rejects(_DOCS[kind][0], json.dumps(tree))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_DOCS)), text=st.text(max_size=40))
+@example(kind="datum", text="9" * 5000)
+@example(kind="datum", text="[" * 100_000)
+@example(kind="presentation", text='{"vertices": [{"id": "a", "basis": [["1/' + "9" * 5000 + '"]]}]}')
+def test_fuzz_text(kind, text):
+    _parses_or_rejects(_DOCS[kind][0], text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet=" \t\n;,#-/019x", max_size=40), ambient=st.integers(0, 4))
+@example(text="9" * 5000, ambient=1)
+def test_fuzz_candidates(text, ambient):
+    _parses_or_rejects(parse_candidates, text, ambient)

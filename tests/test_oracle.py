@@ -216,6 +216,20 @@ def test_grid_factorize_rejects_bad_inputs():
         grid_factorize(f3, graph, unbalanced)
 
 
+def test_grid_factorize_line_sum_guard_raises_floating_point_error():
+    from hblcert.flowgraph import GraphDecomposition
+    from hblcert.linalg import Subspace
+
+    # Subnormal samples: the marginal 4u/3 rounds to u, so the quotients
+    # 1, 1, 2 integrate to 4/3 along the single axis.
+    u = 5e-324
+    f = GridFunction(((0.0, 1.0),), np.array([u, u, 2 * u]))
+    line = GraphDecomposition.build(1, [Subspace.zero(1), Subspace.full(1)],
+                                    [(Subspace.zero(1), Subspace.full(1))])
+    with pytest.raises(FloatingPointError, match="edge 0 line sums exceed 1"):
+        grid_factorize(f, line, WeightFunction.scalar([1]))
+
+
 def test_quadrature_unit_cube_is_sharp():
     datum = loomis_whitney_datum(2)
     cube = GridFunction(((0.0, 1.0), (0.0, 1.0)), np.ones((64, 64)))
