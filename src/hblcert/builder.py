@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from hblcert.data import (
     CandidateLattice,
@@ -29,7 +30,15 @@ from hblcert.data import (
     subspace_slack,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, _rref, image, kernel, span
+from hblcert.linalg import (
+    Matrix,
+    Subspace,
+    _echelon,
+    _over_common_denominator,
+    image,
+    kernel,
+    span,
+)
 from hblcert.presentation import Presentation, verify_presentation
 
 
@@ -39,20 +48,31 @@ class BuildError(Exception):
 
 @dataclass(frozen=True)
 class PolytopeRow:
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
+    """The constraint coeffs . tau >= rhs (== rhs if `equality`), in integers."""
+
+    coeffs: tuple[int, ...]
+    rhs: int
     equality: bool
     provenance: str
 
+    def _gap(self, scaled: tuple[int, tuple[int, ...]]) -> int:
+        """D * (coeffs . tau - rhs), for tau = n / D given as scaled = (D, n)."""
+        den, nums = scaled
+        return sum(map(mul, self.coeffs, nums)) - self.rhs * den
+
+    def _holds(self, scaled: tuple[int, tuple[int, ...]]) -> bool:
+        gap = self._gap(scaled)
+        return gap == 0 if self.equality else gap >= 0
+
     def evaluate(self, tau) -> Fraction:
-        return sum((c * t for c, t in zip(self.coeffs, tau)), Fraction(0))
+        den, nums = _over_common_denominator(tau)
+        return Fraction(sum(map(mul, self.coeffs, nums)), den)
 
     def satisfied(self, tau) -> bool:
-        lhs = self.evaluate(tau)
-        return lhs == self.rhs if self.equality else lhs >= self.rhs
+        return self._holds(_over_common_denominator(tau))
 
     def tight(self, tau) -> bool:
-        return self.evaluate(tau) == self.rhs
+        return self._gap(_over_common_denominator(tau)) == 0
 
 
 @dataclass(frozen=True)
@@ -62,8 +82,9 @@ class ExponentPolytope:
 
     def member(self, tau) -> PolytopeRow | None:
         """None if tau satisfies every row, else the first violated row."""
+        scaled = _over_common_denominator(tau)
         for row in self.rows:
-            if not row.satisfied(tau):
+            if not row._holds(scaled):
                 return row
         return None
 
@@ -90,24 +111,22 @@ def polytope_from_candidates(datum: HBLDatum, candidates: CandidateLattice) -> E
     for v in candidates.subspaces:
         if v.dim == 0:
             continue  # vacuous row
-        coeffs = tuple(Fraction(d) for d in datum.image_dims(v))
-        rows.append(PolytopeRow(coeffs, Fraction(v.dim), v.is_full(),
+        rows.append(PolytopeRow(datum.image_dims(v), v.dim, v.is_full(),
                                 f"dim-{v.dim} candidate"))
     for i in range(n):
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(PolytopeRow(unit, Fraction(0), False, f"tau{i + 1} >= 0"))
-        neg = tuple(Fraction(-1 if j == i else 0) for j in range(n))
-        rows.append(PolytopeRow(neg, Fraction(-1), False, f"tau{i + 1} <= 1"))
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        rows.append(PolytopeRow(unit, 0, False, f"tau{i + 1} >= 0"))
+        neg = tuple(-1 if j == i else 0 for j in range(n))
+        rows.append(PolytopeRow(neg, -1, False, f"tau{i + 1} <= 1"))
     return ExponentPolytope(n, tuple(rows))
 
 
 def _solve_square(rows: list[PolytopeRow], n: int) -> tuple[Fraction, ...] | None:
     """Exact solution of n tight rows, or None when the system is singular."""
-    aug = [list(r.coeffs) + [r.rhs] for r in rows]
-    reduced, pivots = _rref(aug, n + 1)
+    reduced, pivots = _echelon([(*r.coeffs, r.rhs) for r in rows], n + 1)
     if len(reduced) != n or pivots != list(range(n)):
         return None
-    return tuple(reduced[i][n] for i in range(n))
+    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
 
 
 def enumerate_extremes(poly: ExponentPolytope, cap: int = 200_000) -> ExtremeSet:
@@ -140,10 +159,8 @@ def enumerate_extremes(poly: ExponentPolytope, cap: int = 200_000) -> ExtremeSet
 
 
 def _tight_rank(poly: ExponentPolytope, tau) -> int:
-    tight = [list(r.coeffs) for r in poly.rows if r.tight(tau)]
-    if not tight:
-        return 0
-    return Matrix.from_rows(tight, cols=poly.n).rank
+    scaled = _over_common_denominator(tau)
+    return len(_echelon([r.coeffs for r in poly.rows if r._gap(scaled) == 0], poly.n)[1])
 
 
 def is_extreme(poly: ExponentPolytope, tau) -> bool:
@@ -179,21 +196,24 @@ def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
 
 
 def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    tight = [r for r in poly.rows if r.tight(tau)]
-    null = kernel(Matrix.from_rows([list(r.coeffs) for r in tight], cols=poly.n)) \
-        if tight else Subspace.full(poly.n)
+    scaled = _over_common_denominator(tau)
+    gaps = [row._gap(scaled) for row in poly.rows]
+    tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
+    null = kernel(Matrix.from_rows(tight, cols=poly.n)) if tight else Subspace.full(poly.n)
     if null.dim == 0:
         return [(Fraction(1), tau)]
-    direction = null.basis.row(0)
+    # A positive integer multiple of the RREF direction: the step lengths
+    # shrink by the same factor, so the end points and lam do not change.
+    direction = null._integer_basis[0]
 
     def max_step(sign: int) -> Fraction:
         best: Fraction | None = None
-        for row in poly.rows:
-            if row.equality or row.tight(tau):
+        for row, gap in zip(poly.rows, gaps):
+            if row.equality or gap == 0:
                 continue
-            speed = sum((c * sign * d for c, d in zip(row.coeffs, direction)), Fraction(0))
+            speed = sign * sum(map(mul, row.coeffs, direction))
             if speed < 0:
-                limit = (row.evaluate(tau) - row.rhs) / (-speed)
+                limit = Fraction(gap, -speed * scaled[0])
                 if best is None or limit < best:
                     best = limit
         if best is None:

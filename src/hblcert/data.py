@@ -12,8 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from hblcert.linalg import Matrix, Subspace, image, image_rank, kernel, sum_and_intersection
+from hblcert.linalg import (
+    Matrix,
+    Rows,
+    Subspace,
+    _from_rows,
+    _over_common_denominator,
+    _zassenhaus,
+    image,
+    image_rank,
+    kernel,
+)
 
 VIOLATING = "violating"
 CRITICAL = "critical"
@@ -131,12 +142,10 @@ class CandidateLattice:
 
 
 def _is_closed(subs: list[Subspace]) -> bool:
-    present = set(subs)
-    for i, a in enumerate(subs):
-        for b in subs[: i + 1]:
-            if not present.issuperset(sum_and_intersection(a, b)):
-                return False
-    return True
+    present = {s._integer_basis for s in subs}
+    return all(rows in present
+               for i, a in enumerate(subs) for b in subs[: i + 1]
+               for rows, _ in _zassenhaus(a, b))
 
 
 def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> CandidateLattice:
@@ -149,19 +158,22 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         raise ValueError("max_size must be at least 2")
     subs: list[Subspace] = []
     log: list[str] = []
-    seen: set[Subspace] = set()
+    # Keyed on the normalized integer rows that Subspace hashes, so a
+    # duplicate sum or intersection is dropped before its Fraction basis and
+    # its log entry are formed.
+    seen: set[Rows] = set()
     overflow = False
 
     def push(s: Subspace, why: str) -> None:
         nonlocal overflow
-        if s in seen:
+        if s._integer_basis in seen:
             return
         if len(subs) >= max_size:
             overflow = True
             return
         subs.append(s)
         log.append(why)
-        seen.add(s)
+        seen.add(s._integer_basis)
 
     push(Subspace.zero(datum.dim), "zero")
     push(Subspace.full(datum.dim), "full")
@@ -180,15 +192,22 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
     while processed < len(subs) and not overflow:
         a = subs[processed]
         for j in range(2, processed):
-            total, meet = sum_and_intersection(a, subs[j])
-            push(total, f"sum({j},{processed})")
-            if overflow:
-                break
-            push(meet, f"intersect({j},{processed})")
+            for kind, (rows, pivots) in zip(("sum", "intersect"), _zassenhaus(a, subs[j])):
+                if rows not in seen:
+                    push(_from_rows(datum.dim, rows, pivots), f"{kind}({j},{processed})")
             if overflow:
                 break
         processed += 1
     return CandidateLattice(tuple(subs), not overflow, tuple(log))
+
+
+def _scaled_slack(datum: HBLDatum, v: Subspace, scaled: tuple[int, tuple[int, ...]]) -> int:
+    """D * slack(V) = sum_i n_i dim pi_i(V) - D dim V, for the exponents tau = n / D.
+
+    One common D for all maps, so this is an integer with the sign of the slack.
+    """
+    den, nums = scaled
+    return sum(map(mul, nums, datum.image_dims(v))) - den * v.dim
 
 
 def find_violation(datum: HBLDatum, candidates: CandidateLattice) -> SlackReport | None:
@@ -196,21 +215,18 @@ def find_violation(datum: HBLDatum, candidates: CandidateLattice) -> SlackReport
     holds, _, _ = check_scaling(datum)
     if not holds:
         return subspace_slack(datum, Subspace.full(datum.dim))
+    scaled = _over_common_denominator(datum.exponents)
     for v in candidates.subspaces:
-        report = subspace_slack(datum, v)
-        if report.slack < 0:
-            return report
+        if _scaled_slack(datum, v, scaled) < 0:
+            return subspace_slack(datum, v)
     return None
 
 
 def find_critical(datum: HBLDatum, candidates: CandidateLattice) -> list[SlackReport]:
     """All zero-slack proper candidates, sorted by dimension then basis."""
-    out = [
-        subspace_slack(datum, v)
-        for v in candidates.subspaces
-        if 0 < v.dim < datum.dim
-    ]
-    criticals = [r for r in out if r.classification == CRITICAL]
+    scaled = _over_common_denominator(datum.exponents)
+    criticals = [subspace_slack(datum, v) for v in candidates.subspaces
+                 if 0 < v.dim < datum.dim and _scaled_slack(datum, v, scaled) == 0]
     criticals.sort(key=lambda r: r.subspace.sort_key)
     return criticals
 

@@ -87,7 +87,7 @@ class GraphDecomposition:
         if v.is_zero():
             return "0"
         if v.is_full():
-            return f"R^{self.ambient}"
+            return f"R^{v.ambient}"
         rows = ["[" + " ".join(str(x) for x in r) + "]" for r in v.basis_rows()]
         return "span{" + ",".join(rows) + "}"
 
@@ -113,7 +113,7 @@ def validate_graph(graph: GraphDecomposition) -> list[str]:
                 f"edge {k} ({graph.describe_vertex(a)} -> {graph.describe_vertex(b)}) "
                 f"jumps dimension {va.dim} to {vb.dim}"
             )
-        elif not va <= vb:
+        elif va.ambient == vb.ambient and not va <= vb:
             problems.append(
                 f"edge {k} ({graph.describe_vertex(a)} -> {graph.describe_vertex(b)}) "
                 "source is not contained in target"

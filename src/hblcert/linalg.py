@@ -20,6 +20,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 Scalar = Fraction | int | str
+Rows = tuple[tuple[int, ...], ...]
 
 
 def frac(x: Scalar) -> Fraction:
@@ -37,10 +38,15 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def _over_common_denominator(values: Sequence[Fraction | int]) -> tuple[int, tuple[int, ...]]:
+    """(D, n) with values[k] = n[k] / D, D the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return den, tuple(x.numerator * (den // x.denominator) for x in values)
+
+
 def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
     """Primitive integer multiple of a rational row."""
-    den = lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
+    return _primitive(_over_common_denominator(row)[1])
 
 
 def _echelon(rows: Sequence[Sequence[int]], cols: int
@@ -208,9 +214,9 @@ class Matrix:
         One common factor for the whole matrix: scaling rows separately
         would change the map, and so its images.
         """
-        den = lcm(*(x.denominator for x in self.entries))
-        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in self.row(i))
-                          for i in range(self.rows))
+        den, flat = _over_common_denominator(self.entries)
+        c = self.cols
+        return den, tuple(flat[i * c:(i + 1) * c] for i in range(self.rows))
 
     def inverse(self) -> Matrix:
         if self.rows != self.cols:
@@ -299,7 +305,7 @@ class Subspace:
         return tuple(out)
 
     @cached_property
-    def _integer_basis(self) -> tuple[tuple[int, ...], ...]:
+    def _integer_basis(self) -> Rows:
         """Primitive integer multiples of the basis rows.
 
         Their pivots are positive, so these rows are a function of the
@@ -318,7 +324,7 @@ class Subspace:
         return _canonical([*self._integer_basis, *other._integer_basis], self.ambient)
 
     def __and__(self, other: Subspace) -> Subspace:
-        return sum_and_intersection(self, other)[1]
+        return _from_rows(self.ambient, *_zassenhaus(self, other)[1])
 
     def __le__(self, other: Subspace) -> bool:
         return (self + other) == other
@@ -351,19 +357,28 @@ class Subspace:
         return Matrix.from_rows(rows, cols=self.ambient)
 
 
-def _from_echelon(ambient: int, rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Subspace:
+def _normalized(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
+    """Echelon rows as primitive integer rows with positive pivots.
+
+    These rows depend on the span alone, so they can key a subspace before,
+    or instead of, its Fraction basis being formed.
+    """
+    return tuple(tuple(_primitive(row if row[p] > 0 else [-x for x in row]))
+                 for row, p in zip(rows, pivots))
+
+
+def _from_rows(ambient: int, rows: Rows, pivots: Sequence[int]) -> Subspace:
+    """The subspace with these normalized echelon rows."""
     flat = tuple(x for row in _leading_ones(rows, pivots) for x in row)
     sub = Subspace(ambient, Matrix(len(rows), ambient, flat))
-    object.__setattr__(sub, "_integer_basis", tuple(
-        tuple(_primitive(row if row[p] > 0 else [-x for x in row]))
-        for row, p in zip(rows, pivots)))
+    object.__setattr__(sub, "_integer_basis", rows)
     return sub
 
 
 def _canonical(rows: Sequence[Sequence[int]], ambient: int) -> Subspace:
     """Canonical subspace spanned by integer rows."""
     reduced, pivots = _echelon(rows, ambient)
-    return _from_echelon(ambient, reduced, pivots)
+    return _from_rows(ambient, _normalized(reduced, pivots), pivots)
 
 
 def canonicalize(generators: Matrix) -> Subspace:
@@ -418,8 +433,9 @@ def kernel(map_: Matrix) -> Subspace:
     return _canonical(rows, cols)
 
 
-def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
-    """U + W and U cap W from one Zassenhaus elimination.
+def _zassenhaus(u: Subspace, w: Subspace
+                ) -> tuple[tuple[Rows, list[int]], tuple[Rows, list[int]]]:
+    """Normalized echelon rows and pivots of U + W and of U cap W.
 
     The RREF of the rows [u, u] (u in U) and [w, 0] (w in W), over 2m
     columns, splits in two: the rows with a pivot left of column m have as
@@ -433,6 +449,13 @@ def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
     rows = [b + b for b in u._integer_basis] + [b + zeros for b in w._integer_basis]
     reduced, pivots = _echelon(rows, 2 * m)
     k = bisect_left(pivots, m)
-    total = _from_echelon(m, [row[:m] for row in reduced[:k]], pivots[:k])
-    meet = _from_echelon(m, [row[m:] for row in reduced[k:]], [p - m for p in pivots[k:]])
-    return total, meet
+    total_pivots = pivots[:k]
+    meet_pivots = [p - m for p in pivots[k:]]
+    return ((_normalized([row[:m] for row in reduced[:k]], total_pivots), total_pivots),
+            (_normalized([row[m:] for row in reduced[k:]], meet_pivots), meet_pivots))
+
+
+def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
+    """U + W and U cap W from one Zassenhaus elimination."""
+    total, meet = _zassenhaus(u, w)
+    return _from_rows(u.ambient, *total), _from_rows(u.ambient, *meet)

@@ -98,7 +98,7 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
 def _verify(datum: HBLDatum, pres: Presentation
             ) -> tuple[VerificationReport, list[list[Subspace]], list[tuple[int, ...]]]:
     """The verification report, with the vertex images and distinguishing maps
-    it was computed from (empty on a structure mismatch)."""
+    it was computed from (empty on a structure or vertex-ambient mismatch)."""
     problems: list[str] = []
     if datum.dim != pres.graph.ambient:
         problems.append(
@@ -135,6 +135,12 @@ def _verify(datum: HBLDatum, pres: Presentation
             problems.append(
                 f"{THETA_MASS}: map {name} has total mass {check.mass}, expected {check.expected_mass}"
             )
+
+    if any(v.ambient != graph.ambient for v in graph.vertices):
+        # validate_graph has named these vertices; the maps cannot take them.
+        report = VerificationReport(graph_violations, tuple(map_checks), (), False,
+                                    Fraction(0), tuple(problems), False)
+        return report, [], []
 
     images, dist = _distinguishing(datum, graph)
     sigma = _summary(pres.theta, dist)

@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hblcert import builder
 from hblcert.builder import (
@@ -30,7 +33,8 @@ from hblcert.fixtures import (
     loomis_whitney_datum,
 )
 from hblcert.linalg import Matrix, Subspace, span
-from hblcert.presentation import verify_presentation
+from hblcert.oracle import GaussianInput, gaussian_ratio
+from hblcert.presentation import bound_constant, verify_presentation
 
 
 def forcing_lattice():
@@ -169,6 +173,48 @@ def test_caratheodory_recovers_random_combinations():
         )
         assert recovered == tau
         assert sum(c for c, _ in decomposition.terms) == 1
+
+
+def fraction_value(row, tau):
+    """coeffs . tau, one Fraction product at a time."""
+    return sum((Fraction(c) * Fraction(t) for c, t in zip(row.coeffs, tau)), Fraction(0))
+
+
+def fraction_satisfied(row, tau):
+    value = fraction_value(row, tau)
+    return value == row.rhs if row.equality else value >= row.rhs
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_integer_rows_agree_with_fraction_evaluation(hyp_rng):
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m, n = rng.randint(2, 3), rng.randint(2, 4)
+    subsets = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(n)]
+    probe = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
+    poly = polytope_from_candidates(probe, coordinate_lattice(m))
+    vertices = list(enumerate_extremes(poly).points)
+    points = list(vertices)
+    for _ in range(3 if vertices else 0):
+        chosen = rng.sample(vertices, rng.randint(1, len(vertices)))
+        weights = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in chosen]
+        total = sum(weights)
+        points.append(tuple(sum((w * p[i] for w, p in zip(weights, chosen)), Fraction(0)) / total
+                            for i in range(n)))
+    outside = []
+    while len(outside) < 4:
+        tau = tuple(Fraction(rng.randint(-3, 9), rng.randint(1, 6)) for _ in range(n))
+        if not all(fraction_satisfied(row, tau) for row in poly.rows):
+            outside.append(tau)
+    for tau in points + outside:
+        for row in poly.rows:
+            value = fraction_value(row, tau)
+            assert row.evaluate(tau) == value
+            assert row.satisfied(tau) == fraction_satisfied(row, tau)
+            assert row.tight(tau) == (value == row.rhs)
+        first = next((row for row in poly.rows if not fraction_satisfied(row, tau)), None)
+        assert poly.member(tau) is first
+        assert (first is None) == (tau not in outside)
 
 
 def test_caratheodory_rejects_non_members():
@@ -336,3 +382,27 @@ def test_build_random_coordinate_subset_data():
         assert len(pres.graph.vertices) <= vertex_count_bound(n, m)
         built += 1
     assert built >= 6
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_built_constant_dominates_gaussian_ratios(hyp_rng):
+    """Differential check against the float oracle: the certificate's C is at
+    least every Gaussian ratio, which Gaussians approach (Lieb, 1990)."""
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m, n = rng.randint(2, 4), rng.randint(2, 4)
+    subsets = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(n)]
+    lattice = coordinate_lattice(m)
+    probe = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
+    points = enumerate_extremes(polytope_from_candidates(probe, lattice)).points
+    if not points:
+        return  # no feasible exponents, e.g. an uncovered coordinate
+    tau = tuple(sum((p[i] for p in points), Fraction(0)) / len(points) for i in range(n))
+    datum = coordinate_subset_datum(m, subsets, tau)
+    pres = build_presentation(datum, lattice)
+    assert verify_presentation(datum, pres).valid
+    constant = bound_constant(datum, pres).value
+    gauss = np.random.default_rng(rng.randint(0, 10**9))
+    for _ in range(5):
+        ratio = gaussian_ratio(datum, GaussianInput.random(datum, gauss))
+        assert ratio <= constant * (1 + 1e-9)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hblcert.data import (
+    CRITICAL,
     CandidateLattice,
     HBLDatum,
     check_scaling,
@@ -18,7 +21,7 @@ from hblcert.data import (
 from hblcert.fixtures import fourmap_r6_datum, loomis_whitney_datum
 from hblcert.linalg import Matrix, Subspace, image, span
 
-from conftest import random_invertible, random_subspace
+from conftest import random_invertible, random_matrix, random_subspace
 
 
 def test_scaling_examples():
@@ -205,3 +208,48 @@ def test_candidate_lattice_from_subspaces():
     lat = CandidateLattice.from_subspaces(3, axes)
     assert lat.subspaces[0].is_zero() and lat.subspaces[1].is_full()
     assert not lat.closed  # missing the plane spanned by the two axes
+
+
+# Exponents with unequal denominators, so the slack loops need one common one.
+EXPONENTS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+             Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+def reference_violation(datum, lattice):
+    """The scaling failure, else the first negative slack in stored order."""
+    if not check_scaling(datum)[0]:
+        return subspace_slack(datum, Subspace.full(datum.dim))
+    for v in lattice.subspaces:
+        report = subspace_slack(datum, v)
+        if report.slack < 0:
+            return report
+    return None
+
+
+def reference_critical(datum, lattice):
+    """All zero-slack proper subspaces, sorted by sort_key."""
+    reports = [subspace_slack(datum, v) for v in lattice.subspaces if 0 < v.dim < datum.dim]
+    return sorted((r for r in reports if r.slack == 0), key=lambda r: r.subspace.sort_key)
+
+
+@given(st.integers(2, 4), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_violation_and_critical_agree_with_fraction_slack(ambient, hyp_rng):
+    # A last injective map takes up the deficit m - sum_i tau_i r_i when it
+    # lies in [0, m], so most data satisfy the scaling equality and the
+    # candidate loops run; the rest exercise the scaling failure.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    maps = [random_matrix(rng, rng.randint(1, ambient), ambient)
+            for _ in range(rng.randint(1, 3))]
+    exponents = [rng.choice(EXPONENTS) for _ in maps]
+    deficit = ambient - sum(t * m.rank for t, m in zip(exponents, maps))
+    maps.append(random_invertible(rng, ambient))
+    exponents.append(deficit / ambient if 0 <= deficit <= ambient else rng.choice(EXPONENTS))
+    datum = HBLDatum(ambient, tuple(maps), tuple(f"pi{k}" for k in range(len(maps))),
+                     tuple(exponents))
+    seeds = [random_subspace(rng, ambient) for _ in range(2)]
+    lattice = generate_lattice(datum, seeds=seeds, max_size=32)
+    assert find_violation(datum, lattice) == reference_violation(datum, lattice)
+    criticals = find_critical(datum, lattice)
+    assert criticals == reference_critical(datum, lattice)
+    assert all(r.classification == CRITICAL for r in criticals)

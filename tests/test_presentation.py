@@ -103,6 +103,27 @@ def test_structure_mismatch_lands_in_report():
     assert any(p.startswith("structure") for p in report.problems)
 
 
+@pytest.mark.parametrize("stranger, edge_problems", [
+    (Subspace.full(2), ("graph: edge 0 (0 -> R^2) jumps dimension 0 to 2",
+                        "graph: edge 1 (R^2 -> span{[1 0 0],[0 1 0]}) jumps dimension 2 to 2")),
+    (span([[1, 1]], 2), ()),
+])
+def test_vertex_of_the_wrong_ambient_lands_in_report(stranger, edge_problems):
+    # A vertex of R^2 in a graph of R^3: one of another dimension than the
+    # vertex it replaces, and one of the same dimension, whose edges reach
+    # the containment check.
+    datum, pres = loomis_whitney_datum(2), loomis_whitney_presentation(2)
+    vertices = list(pres.graph.vertices)
+    vertices[1] = stranger
+    bad = Presentation(GraphDecomposition(3, tuple(vertices), pres.graph.edges), pres.theta)
+    report = verify_presentation(datum, bad)
+    assert not report.valid
+    assert report.problems == ("graph: vertex 1 has ambient 2, graph has 3", *edge_problems)
+    assert report.sigma == () and not report.sigma_balanced
+    with pytest.raises(ValueError, match="requires a valid presentation"):
+        bound_constant(datum, bad)
+
+
 def test_edge_norms_loomis_whitney_all_one():
     datum, pres = loomis_whitney_datum(2), loomis_whitney_presentation(2)
     sigma = summary_weight(datum, pres)
