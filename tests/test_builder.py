@@ -26,13 +26,14 @@ from hblcert.data import (
     generate_lattice,
     quotient_datum,
     restrict_datum,
+    subspace_slack,
 )
 from hblcert.fixtures import (
     fourmap_r6_datum,
     fourmap_r6_forcing_candidates,
     loomis_whitney_datum,
 )
-from hblcert.linalg import Matrix, Subspace, span
+from hblcert.linalg import Matrix, Subspace, kernel, span
 from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import bound_constant, verify_presentation
 
@@ -406,3 +407,41 @@ def test_built_constant_dominates_gaussian_ratios(hyp_rng):
     for _ in range(5):
         ratio = gaussian_ratio(datum, GaussianInput.random(datum, gauss))
         assert ratio <= constant * (1 + 1e-9)
+
+
+# Data whose build reaches the tau_i = 1 branch: no candidate is critical at
+# the extreme exponents, so the builder takes a hyperplane through ker pi_i.
+# The third reaches it inside the quotient after splitting at ker pi_1.
+TAU_ONE_CASES = {
+    "identity-r2": (HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),)), 1.0),
+    "shear-r3": (HBLDatum(3, (Matrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]]),),
+                          ("A",), (Fraction(1),)), 1 / 7),
+    "quotient-r3": (HBLDatum(3, (Matrix.from_rows([[1, 1, 0], [0, 1, 1]]),
+                                 Matrix.from_rows([[1, 0, 1]])),
+                             ("p", "q"), (Fraction(1), Fraction(1))), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_ONE_CASES))
+def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
+    datum, constant = TAU_ONE_CASES[name]
+    calls = []
+    original = builder._codim1_critical
+
+    def recording(d, i):
+        h = original(d, i)
+        calls.append((d, i, h))
+        return h
+
+    monkeypatch.setattr(builder, "_codim1_critical", recording)
+    trace: list[str] = []
+    pres = build_presentation(datum, generate_lattice(datum), trace=trace)
+    assert verify_presentation(datum, pres).valid
+    assert any("tau1=1 branch" in line for line in trace)
+    assert calls
+    for d, i, h in calls:
+        assert h.dim == d.dim - 1
+        assert kernel(d.maps[i]) <= h
+        assert subspace_slack(d, h).slack == 0
+    if constant is not None:
+        assert abs(bound_constant(datum, pres).value - constant) <= 1e-12
