@@ -38,8 +38,13 @@ from hblcert.linalg import (
     image,
     kernel,
     span,
+    sum_and_intersection,
 )
 from hblcert.presentation import Presentation, verify_presentation
+
+
+# enumerate_extremes examines at most this many subsets of tight rows.
+EXTREME_SUBSET_CAP = 200_000
 
 
 class BuildError(Exception):
@@ -129,11 +134,11 @@ def _solve_square(rows: list[PolytopeRow], n: int) -> tuple[Fraction, ...] | Non
     return tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
 
 
-def enumerate_extremes(poly: ExponentPolytope, cap: int = 200_000) -> ExtremeSet:
+def enumerate_extremes(poly: ExponentPolytope) -> ExtremeSet:
     """Exact vertex enumeration by solving all n-subsets of tight rows.
 
-    Subsets must contain every equality row; cap bounds how many subsets are
-    examined and is reported through `truncated`.
+    Subsets must contain every equality row; EXTREME_SUBSET_CAP bounds how
+    many subsets are examined and is reported through `truncated`.
     """
     n = poly.n
     eq_rows = [r for r in poly.rows if r.equality]
@@ -146,7 +151,7 @@ def enumerate_extremes(poly: ExponentPolytope, cap: int = 200_000) -> ExtremeSet
     truncated = False
     for combo in itertools.combinations(range(len(ineq_rows)), need):
         examined += 1
-        if examined > cap:
+        if examined > EXTREME_SUBSET_CAP:
             truncated = True
             break
         rows = eq_rows + [ineq_rows[k] for k in combo]
@@ -361,31 +366,30 @@ def vertex_count_bound(n_maps: int, dim: int) -> int:
 
 
 def _codim1_critical(datum: HBLDatum, i: int) -> Subspace:
-    """For tau_i = 1 on a positive-rank map: the preimage of a codimension-1
-    subspace of the image (the last RREF basis vector dropped)."""
-    m = datum.maps[i]
-    img = image(m, Subspace.full(datum.dim))
-    w_basis = img.basis_rows()[:-1]
-    w = span(w_basis, m.rows)
-    p_off = Matrix.identity(m.rows) - w.projector()
-    return kernel(p_off @ m)
+    """For tau_i = 1 on a positive-rank map: a hyperplane through ker pi_i.
+
+    It is ker pi_i plus the RREF basis of its complement with the last vector
+    dropped. By the scaling equality any hyperplane H containing ker pi_i has
+    slack sum_{j != i} tau_j (dim pi_j(H) - rank pi_j), which is at most 0,
+    and at least 0 for feasible data, so H is critical; the caller still
+    checks its slack.
+    """
+    k = kernel(datum.maps[i])
+    return k + span(k.perp().basis_rows()[:-1], datum.dim)
 
 
-def _map_candidates_low(candidates: CandidateLattice, v: Subspace) -> list[Subspace]:
-    retract = v.retraction()
-    out = []
-    for u in candidates.subspaces:
-        out.append(image(retract, u & v))
-    return out
-
-
-def _map_candidates_high(candidates: CandidateLattice, v: Subspace) -> list[Subspace]:
+def _split_seeds(candidates: CandidateLattice, v: Subspace
+                 ) -> tuple[list[Subspace], list[Subspace]]:
+    """Seeds for the restriction to V and the quotient by V: each candidate U
+    gives U cap V in the chart of V and (U + V) cap V-perp in that of V-perp."""
     vperp = v.perp()
-    retract = vperp.retraction()
-    out = []
+    low_retract, high_retract = v.retraction(), vperp.retraction()
+    low, high = [], []
     for u in candidates.subspaces:
-        out.append(image(retract, (u + v) & vperp))
-    return out
+        total, meet = sum_and_intersection(u, v)
+        low.append(image(low_retract, meet))
+        high.append(image(high_retract, total & vperp))
+    return low, high
 
 
 def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
@@ -449,12 +453,9 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 )
         low_datum, _ = restrict_datum(datum, v)
         high_datum, _ = quotient_datum(datum, v)
-        low_candidates = generate_lattice(
-            low_datum, seeds=_map_candidates_low(candidates, v), max_size=max_lattice
-        )
-        high_candidates = generate_lattice(
-            high_datum, seeds=_map_candidates_high(candidates, v), max_size=max_lattice
-        )
+        low_seeds, high_seeds = _split_seeds(candidates, v)
+        low_candidates = generate_lattice(low_datum, seeds=low_seeds, max_size=max_lattice)
+        high_candidates = generate_lattice(high_datum, seeds=high_seeds, max_size=max_lattice)
         p_low = recurse(low_datum, low_candidates, depth + 1)
         p_high = recurse(high_datum, high_candidates, depth + 1)
         return concatenate(datum, v, p_low, p_high)

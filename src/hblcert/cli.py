@@ -26,7 +26,7 @@ from hblcert.data import (
 )
 from hblcert.flowgraph import decompose_flow, project_graph, project_weight, total_mass
 from hblcert.oracle import GaussianInput, GridFunction, gaussian_ascent, gaussian_ratio, quadrature_check
-from hblcert.presentation import bound_constant, export_dot, verify_presentation
+from hblcert.presentation import export_dot, verify_and_bound
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +83,7 @@ def _load_candidates(args, datum) -> CandidateLattice:
 def _cmd_verify(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     pres = _load_presentation(args)
-    report = verify_presentation(datum, pres)
+    report, cert = verify_and_bound(datum, pres)
     out = {
         "command": "verify",
         "verdict": "valid" if report.valid else "invalid",
@@ -93,7 +93,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "map_masses": [str(c.mass) for c in report.map_checks],
     }
     if report.valid:
-        cert = bound_constant(datum, pres)
         out["bound"] = _certificate_dict(cert, pres)
     return (0 if report.valid else 1), out
 
@@ -185,11 +184,10 @@ def _cmd_build(args) -> tuple[int, dict]:
 def _cmd_bound(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     pres = _load_presentation(args)
-    report = verify_presentation(datum, pres)
+    report, cert = verify_and_bound(datum, pres)
     if not report.valid:
         return 1, {"command": "bound", "verdict": "invalid",
                    "problems": list(report.problems)}
-    cert = bound_constant(datum, pres)
     return 0, {"command": "bound", "verdict": "ok",
                "bound": _certificate_dict(cert, pres)}
 
@@ -251,11 +249,10 @@ def _cmd_gaussian(args) -> tuple[int, dict]:
 def _cmd_quadrature(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     pres = _load_presentation(args)
-    report = verify_presentation(datum, pres)
+    report, cert = verify_and_bound(datum, pres)
     if not report.valid:
         return 1, {"command": "quadrature", "verdict": "invalid",
                    "problems": list(report.problems)}
-    cert = bound_constant(datum, pres)
     rng = np.random.default_rng(args.seed)
     trials = []
     worst = 0.0

@@ -249,11 +249,13 @@ def restrict_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:
 
 
 def quotient_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:
-    """Datum on the orthogonal complement of V with maps projected off pi_i(V).
+    """Datum on the orthogonal complement of V with maps taken modulo pi_i(V).
 
-    Each map becomes P_i pi_i restricted to V-perp, where P_i is orthogonal
-    projection onto the complement of pi_i(V); this realizes the identity
-    dim P_i pi_i(W) = dim pi_i(W + V) - dim pi_i(V) for W inside V-perp.
+    Each map becomes C_i pi_i restricted to V-perp, where the rows of C_i are
+    the RREF basis of pi_i(V)-perp, so C_i has kernel pi_i(V); this realizes
+    dim C_i pi_i(W) = dim pi_i(W + V) - dim pi_i(V) for W inside V-perp.
+    Kernels, ranks and image dimensions are all the recursion reads, and any
+    map with kernel pi_i(V) in place of C_i gives the same ones.
     """
     if v.ambient != datum.dim:
         raise ValueError("subspace ambient does not match datum dimension")
@@ -261,12 +263,8 @@ def quotient_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:
         raise ValueError("cannot quotient by the full space")
     vperp = v.perp()
     embedding = vperp.chart()
-    maps = []
-    for m in datum.maps:
-        img = image(m, v)
-        p_perp = Matrix.identity(m.rows) - img.projector()
-        maps.append(p_perp @ m @ embedding)
-    return HBLDatum(vperp.dim, tuple(maps), datum.names, datum.exponents), embedding
+    maps = tuple(image(m, v).perp().basis @ m @ embedding for m in datum.maps)
+    return HBLDatum(vperp.dim, maps, datum.names, datum.exponents), embedding
 
 
 def transform_datum(datum: HBLDatum, t: Matrix, s_list) -> HBLDatum:

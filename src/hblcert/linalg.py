@@ -184,25 +184,6 @@ class Matrix:
             for i in range(self.rows)
         )
 
-    def __add__(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: Scalar) -> Matrix:
-        c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
-
-    def stack(self, other: Matrix) -> Matrix:
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
-
     @cached_property
     def rank(self) -> int:
         return len(_echelon(self._scaled[1], self.cols)[1])
@@ -229,9 +210,6 @@ class Matrix:
             raise ValueError("singular matrix")
         ent = tuple(reduced[i][n + j] for i in range(n) for j in range(n))
         return Matrix(n, n, ent)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -284,16 +262,6 @@ class Subspace:
 
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         return [self.basis.row(i) for i in range(self.dim)]
-
-    def contains_vector(self, vec: Sequence[Fraction]) -> bool:
-        v = [frac(x) for x in vec]
-        for i in range(self.dim):
-            p = self.pivots[i]
-            if v[p] != 0:
-                f = v[p]
-                row = self.basis.row(i)
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:

@@ -15,8 +15,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hblcert.data import HBLDatum
-from hblcert.flowgraph import GraphDecomposition, WeightFunction, is_balanced, total_mass
+from hblcert.flowgraph import (
+    GraphDecomposition,
+    WeightFunction,
+    _surjective_chart,
+    is_balanced,
+    total_mass,
+)
 from hblcert.linalg import Matrix, Subspace, image
+
+# gaussian_ascent reports divergence once the ratio estimate exceeds this.
+DIVERGENCE_THRESHOLD = 1e6
 
 
 def _float_matrix(m: Matrix) -> np.ndarray:
@@ -178,14 +187,13 @@ def _ascent_gradients(datum: HBLDatum, forms, params):
     return grads
 
 
-def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0, *,
-                    divergence_threshold: float = 1e6) -> tuple[float, bool]:
+def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tuple[float, bool]:
     """Gradient ascent (L-BFGS with restarts) of the log Gaussian ratio.
 
     The matrices are parameterized as A_i = L_i L_i^T with log-parameterized
     diagonal, which keeps them positive definite without constraints.
     Returns (sup_estimate, diverged); diverged means the estimate exceeded
-    the threshold. A heuristic probe only: unbounded ratios certify
+    DIVERGENCE_THRESHOLD. A heuristic probe only: unbounded ratios certify
     infeasibility, but a bounded run proves nothing.
     """
     import scipy.optimize
@@ -222,7 +230,7 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0, *,
         best["value"] = max(best["value"], lr)
         return -lr, -grad
 
-    log_threshold = math.log(divergence_threshold)
+    log_threshold = math.log(DIVERGENCE_THRESHOLD)
     if x0.size:
         # The box keeps every evaluation finite; a diverging family reaches
         # e^30 along the boundary, far past any practical threshold. The
@@ -385,7 +393,7 @@ def grid_factorize(f: GridFunction, graph: GraphDecomposition,
 
 
 def quadrature_check(datum: HBLDatum, c: float, fs, *,
-                     box=None, resolution: int = 64) -> tuple[float, float, float]:
+                     box, resolution: int = 64) -> tuple[float, float, float]:
     """Tensor quadrature of both sides of the inequality on a box.
 
     lhs integrates prod f_i(pi_i x)^tau_i over the box by the midpoint rule;
@@ -399,14 +407,7 @@ def quadrature_check(datum: HBLDatum, c: float, fs, *,
     fs = list(fs)
     if len(fs) != datum.n_maps:
         raise ValueError("need one grid function per map")
-    if box is None:
-        los = [lo for g in fs for (lo, _) in g.bounds]
-        his = [hi for g in fs for (_, hi) in g.bounds]
-        box = tuple((min(los), max(his)) for _ in range(m))
-    forms = []
-    for mat in datum.maps:
-        img = image(mat, Subspace.full(m))
-        forms.append(_float_matrix(img.retraction() @ mat if not img.is_full() else mat))
+    forms = [_float_matrix(_surjective_chart(mat)) for mat in datum.maps]
 
     axes_centers = []
     for k in range(m):

@@ -21,7 +21,7 @@ from hblcert.flowgraph import (
     unbalanced_vertices,
     validate_graph,
 )
-from hblcert.linalg import Matrix, Subspace, image, norm_sq
+from hblcert.linalg import Matrix, Subspace, dot, image, norm_sq
 
 THETA_NEGATIVE = "theta-negative"
 THETA_BALANCE = "theta-balance"
@@ -175,28 +175,30 @@ def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) ->
     rational basis vector works and no square roots appear.
     """
     a, b = pres.graph.edges[edge]
+    v1, v2 = pres.graph.vertices[a], pres.graph.vertices[b]
     m = datum.maps[i]
-    low = image(m, pres.graph.vertices[a])
-    if low == image(m, pres.graph.vertices[b]):
+    low, high = image(m, v1), image(m, v2)
+    if low == high:
         raise ValueError(f"map {datum.names[i]} does not distinguish the endpoints of edge {edge}")
-    return _norm_squared(m, low, _new_direction(pres, edge))
+    return _norm_squared(m, low, high, _new_direction(v1, v2))
 
 
-def _new_direction(pres: Presentation, edge: int) -> tuple[Fraction, ...]:
-    """A basis vector of V2 cap V1-perp for the edge V1 -> V2."""
-    a, b = pres.graph.edges[edge]
-    new_dir = pres.graph.vertices[b] & pres.graph.vertices[a].perp()
-    if new_dir.dim != 1:
-        raise ValueError(f"edge {edge} does not raise dimension by one")
-    return new_dir.basis.row(0)
+def _new_direction(low: Subspace, high: Subspace) -> tuple[Fraction, ...]:
+    """A basis vector of the line high cap low-perp."""
+    line = high & low.perp()
+    if line.dim != 1:
+        raise ValueError("edge does not raise dimension by one")
+    return line.basis.row(0)
 
 
-def _norm_squared(m: Matrix, low: Subspace, w: tuple[Fraction, ...]) -> Fraction:
-    """|P-perp m(w)|^2 / |w|^2, with P-perp projecting off `low`."""
-    u = m.apply(w)
-    proj = low.projector()
-    residual = tuple(x - y for x, y in zip(u, proj.apply(u)))
-    return norm_sq(residual) / norm_sq(w)
+def _norm_squared(m: Matrix, low: Subspace, high: Subspace, w: tuple[Fraction, ...]) -> Fraction:
+    """|P-perp m(w)|^2 / |w|^2, with P-perp projecting off `low` = m(V1).
+
+    The residual lies on the image edge's line d = high cap low-perp, so it is
+    the projection of m(w) onto d, of squared length (m(w) . d)^2 / |d|^2.
+    """
+    d = _new_direction(low, high)
+    return dot(m.apply(w), d) ** 2 / (norm_sq(d) * norm_sq(w))
 
 
 @dataclass(frozen=True)
@@ -231,24 +233,35 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
     Factors with theta_i(e) = 0 contribute 1 and are omitted. Requires a
     valid presentation.
     """
+    report, cert = verify_and_bound(datum, pres)
+    if cert is None:
+        raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
+    return cert
+
+
+def verify_and_bound(datum: HBLDatum, pres: Presentation
+                     ) -> tuple[VerificationReport, BoundCertificate | None]:
+    """The verification report and, when it is valid, the certificate
+    constant, both from one verification pass."""
     report, images, dist = _verify(datum, pres)
     if not report.valid:
-        raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
+        return report, None
+    graph = pres.graph
     factors = []
-    for k, (a, _) in enumerate(pres.graph.edges):
+    for k, (a, b) in enumerate(graph.edges):
         weighted = [i for i in dist[k] if pres.theta.values[k][i] != 0]
         if not weighted:
             continue
-        w = _new_direction(pres, k)
+        w = _new_direction(graph.vertices[a], graph.vertices[b])
         for i in weighted:
-            base = _norm_squared(datum.maps[i], images[i][a], w)
+            base = _norm_squared(datum.maps[i], images[i][a], images[i][b], w)
             factors.append(BoundFactor(i, k, base, -pres.theta.values[k][i] / 2))
     factors.sort(key=lambda f: (f.map_index, f.base, f.exponent, f.edge))
     value = 1.0
     for f in factors:
         value *= float(f.base) ** float(f.exponent)
     exact_one = all(f.base == 1 for f in factors)
-    return BoundCertificate(tuple(factors), value, exact_one)
+    return report, BoundCertificate(tuple(factors), value, exact_one)
 
 
 def export_dot(datum: HBLDatum, pres: Presentation) -> str:

@@ -411,20 +411,26 @@ def test_built_constant_dominates_gaussian_ratios(hyp_rng):
 
 # Data whose build reaches the tau_i = 1 branch: no candidate is critical at
 # the extreme exponents, so the builder takes a hyperplane through ker pi_i.
-# The third reaches it inside the quotient after splitting at ker pi_1.
+# The third reaches it inside the quotient after splitting at ker pi_1. A
+# generated lattice holds every kernel, and a nonzero ker pi_i is critical
+# when tau_i = 1, so only a given candidate family (the fourth case, with
+# {0} and H alone) reaches the branch with a nonzero kernel.
 TAU_ONE_CASES = {
-    "identity-r2": (HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),)), 1.0),
+    "identity-r2": (HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),)), False, 1.0),
     "shear-r3": (HBLDatum(3, (Matrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]]),),
-                          ("A",), (Fraction(1),)), 1 / 7),
+                          ("A",), (Fraction(1),)), False, 1 / 7),
     "quotient-r3": (HBLDatum(3, (Matrix.from_rows([[1, 1, 0], [0, 1, 1]]),
                                  Matrix.from_rows([[1, 0, 1]])),
-                             ("p", "q"), (Fraction(1), Fraction(1))), None),
+                             ("p", "q"), (Fraction(1), Fraction(1))), False, None),
+    "kernel-r3": (HBLDatum(3, (Matrix.from_rows([[1, 0, 0]]),
+                               Matrix.from_rows([[0, 1, 0], [0, 0, 1]])),
+                           ("p", "q"), (Fraction(1), Fraction(1))), True, 1.0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TAU_ONE_CASES))
 def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
-    datum, constant = TAU_ONE_CASES[name]
+    datum, trivial_family, constant = TAU_ONE_CASES[name]
     calls = []
     original = builder._codim1_critical
 
@@ -434,8 +440,10 @@ def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
         return h
 
     monkeypatch.setattr(builder, "_codim1_critical", recording)
+    candidates = (CandidateLattice.from_subspaces(datum.dim, []) if trivial_family
+                  else generate_lattice(datum))
     trace: list[str] = []
-    pres = build_presentation(datum, generate_lattice(datum), trace=trace)
+    pres = build_presentation(datum, candidates, trace=trace)
     assert verify_presentation(datum, pres).valid
     assert any("tau1=1 branch" in line for line in trace)
     assert calls

@@ -19,7 +19,7 @@ from hblcert.data import (
     transform_datum,
 )
 from hblcert.fixtures import fourmap_r6_datum, loomis_whitney_datum
-from hblcert.linalg import Matrix, Subspace, image, span
+from hblcert.linalg import Matrix, Subspace, image, kernel, span
 
 from conftest import random_invertible, random_matrix, random_subspace
 
@@ -154,7 +154,6 @@ def test_transform_identity_and_permutation():
 
     perm = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     moved = transform_datum(lw, perm, [Matrix.identity(2)] * 3)
-    from hblcert.linalg import kernel
     new_kernels = {kernel(m) for m in moved.maps}
     expected = {image(perm, kernel(m)) for m in lw.maps}
     assert new_kernels == expected
@@ -188,6 +187,26 @@ def test_quotient_dimension_identity():
             lhs = image(new_map, w).dim
             rhs = image(old_map, actual + v).dim - image(old_map, v).dim
             assert lhs == rhs
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_quotient_maps_match_orthogonal_projections(hyp_rng):
+    """The quotient maps and P-perp pi_i on V-perp, with P-perp the orthogonal
+    projection off pi_i(V), have the same kernels and image dimensions."""
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m = rng.randint(1, 5)
+    maps = tuple(random_matrix(rng, rng.randint(1, 4), m) for _ in range(rng.randint(1, 3)))
+    datum = HBLDatum(m, maps, tuple(f"p{i}" for i in range(len(maps))),
+                     (Fraction(0),) * len(maps))
+    v = random_subspace(rng, m, max_dim=m - 1)
+    quotient, embedding = quotient_datum(datum, v)
+    w = random_subspace(rng, quotient.dim)
+    for new_map, old_map in zip(quotient.maps, maps):
+        reference = image(old_map, v).perp().projector() @ old_map @ embedding
+        assert kernel(new_map) == kernel(reference)
+        assert new_map.rank == reference.rank
+        assert image(new_map, w).dim == image(reference, w).dim
 
 
 def test_restriction_preserves_slack():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hblcert.data import HBLDatum, transform_datum
 from hblcert.fixtures import (
@@ -12,17 +14,23 @@ from hblcert.fixtures import (
     loomis_whitney_presentation,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, image, span
+from hblcert.linalg import Matrix, Subspace, image, norm_sq, span
 from hblcert.presentation import (
     Presentation,
     bound_constant,
     edge_norm_squared,
     export_dot,
     summary_weight,
+    verify_and_bound,
     verify_presentation,
 )
 
-from conftest import random_invertible, random_signed_permutation
+from conftest import (
+    random_flag_graph,
+    random_invertible,
+    random_matrix,
+    random_signed_permutation,
+)
 
 
 def r6_edge(pres, target_from_dim, to_basis_rows):
@@ -159,6 +167,44 @@ def test_edge_norms_positive_wherever_defined():
                 if image(m, pres.graph.vertices[a]) == image(m, pres.graph.vertices[b]):
                     continue
                 assert edge_norm_squared(datum, pres, i, k) > 0
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_edge_norms_match_orthogonal_projection(hyp_rng):
+    """On random flags and dense maps, the edge norm equals |P-perp pi_i(w)|^2
+    / |w|^2 computed with the orthogonal projector onto pi_i(V1)."""
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m = rng.randint(2, 4)
+    graph, _ = random_flag_graph(rng, m, 2)
+    maps = tuple(random_matrix(rng, rng.randint(1, m), m) for _ in range(2))
+    datum = HBLDatum(m, maps, ("p", "q"), (Fraction(0),) * 2)
+    pres = Presentation(graph, WeightFunction(2, ((Fraction(0),) * 2,) * len(graph.edges)))
+    for k, (a, b) in enumerate(graph.edges):
+        v1, v2 = graph.vertices[a], graph.vertices[b]
+        w = (v2 & v1.perp()).basis.row(0)
+        for i, pi in enumerate(maps):
+            low = image(pi, v1)
+            if low == image(pi, v2):
+                continue
+            u = pi.apply(w)
+            residual = [x - y for x, y in zip(u, low.projector().apply(u))]
+            assert edge_norm_squared(datum, pres, i, k) == norm_sq(residual) / norm_sq(w)
+
+
+def test_verify_and_bound_is_one_pass_of_both():
+    for make_datum, make_pres in ALL_FIXTURES.values():
+        datum, pres = make_datum(), make_pres()
+        report, cert = verify_and_bound(datum, pres)
+        assert report == verify_presentation(datum, pres)
+        assert cert == bound_constant(datum, pres)
+    datum, pres = fourmap_r6_datum(), fourmap_r6_presentation()
+    rows = [list(v) for v in pres.theta.values]
+    rows[0][0] += Fraction(1, 4)
+    bad = Presentation(pres.graph, WeightFunction.from_rows(rows, 4))
+    report, cert = verify_and_bound(datum, bad)
+    assert cert is None
+    assert report == verify_presentation(datum, bad)
 
 
 def test_edge_norm_requires_distinguishing_map():
