@@ -14,8 +14,13 @@ from fractions import Fraction
 import pytest
 
 from hblcert.builder import build_presentation
-from hblcert.data import HBLDatum, generate_lattice, transform_datum
-from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datum
+from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, transform_datum
+from hblcert.fixtures import (
+    ALL_FIXTURES,
+    fourmap_r6_datum,
+    fourmap_r6_forcing_candidates,
+    loomis_whitney_datum,
+)
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.formats import serialize_presentation
 from hblcert.linalg import Matrix, span
@@ -96,7 +101,10 @@ def _sha(text: str) -> str:
 
 
 def _hashes(datum: HBLDatum, seeds) -> tuple[str, str, str, str]:
-    lattice = generate_lattice(datum, seeds=seeds)
+    return _lattice_hashes(datum, generate_lattice(datum, seeds=seeds))
+
+
+def _lattice_hashes(datum: HBLDatum, lattice: CandidateLattice) -> tuple[str, str, str, str]:
     pres = build_presentation(datum, lattice)
     cert = bound_constant(datum, pres)
     subspaces = "\n".join(
@@ -111,6 +119,69 @@ def _hashes(datum: HBLDatum, seeds) -> tuple[str, str, str, str]:
 def test_build_outputs_are_byte_identical(name):
     make_datum, make_seeds = CASES[name]
     assert _hashes(make_datum(), make_seeds()) == GOLDEN[name]
+
+
+def _lw3_flag() -> CandidateLattice:
+    # {0} < e1 < e1 + e2 < e1 + e2 + e3 < H: closed, but of the four kernels
+    # (the coordinate axes) it holds only e1.
+    axes = [[1 if c == j else 0 for c in range(4)] for j in range(4)]
+    return CandidateLattice.from_subspaces(4, [span(axes[:k], 4) for k in (1, 2, 3)])
+
+
+def _tau_one_quotient() -> HBLDatum:
+    # Splits at ker p, then takes a tau_i = 1 hyperplane inside the quotient.
+    return HBLDatum(3, (Matrix.from_rows([[1, 1, 0], [0, 1, 1]]), Matrix.from_rows([[1, 0, 1]])),
+                    ("p", "q"), (Fraction(1), Fraction(1)))
+
+
+# Families for which a split cannot read its children off the parent family:
+# one not closed, one closed without the kernels, one truncated by the size
+# cap, and a split at a tau_i = 1 hyperplane outside the family.
+FALLBACK_CASES = {
+    "r6-forcing-unclosed": (
+        fourmap_r6_datum,
+        lambda d: CandidateLattice.from_subspaces(6, fourmap_r6_forcing_candidates())),
+    "lw3-flag-without-kernels": (lambda: loomis_whitney_datum(3), lambda d: _lw3_flag()),
+    "lw4-truncated": (lambda: loomis_whitney_datum(4), lambda d: generate_lattice(d, max_size=6)),
+    "tau-one-quotient": (_tau_one_quotient, generate_lattice),
+}
+
+# Same four hashes as GOLDEN, recorded before children of a split could be
+# read off a closed parent family.
+FALLBACK_GOLDEN = {
+    "lw3-flag-without-kernels": (
+        "16f4b5a926b2bf2d7e470cdbd61bc6aeb3192cb653f08c1f11a86f0ea187a724",
+        "ac8b5b87485878db5e61de0aafd945a851c76ce95531508a9453a77809b025ed",
+        "552fca293a8d6d3190bf8cba74cf039e60e37cd64985d6c578673b445871e21e",
+        "0d1e047b3d4054deb65fb73b2f7243d103a0cc23a52b9d489dff934c267c8213",
+    ),
+    "lw4-truncated": (
+        "b0cca1b892feb6fc8df8fdd9c61c151d2063c34ef5545cc40e6234ef830d7226",
+        "61b1b0a311125d979abfd332bd38911284b2d547d61e2d9122f0cdeacc6d33ed",
+        "bd46f5aff5d9d060b6cebfb7732e644643f608ac9450c980b84a3310a88776e2",
+        "f1de691314b885c85763513ff38dc341d3a0fd85c8392ccc1f9ae4a2e5e584ea",
+    ),
+    "r6-forcing-unclosed": (
+        "ab683b560422430fb564084a6f7af303e2ae1eda52ce11decf6d82d9a80d66af",
+        "5069cb939834dd0cd8e0dfd95d8270efa67ff7f586df4bf18f51d252acd5af54",
+        "f1bf3ed6a1abf0ba48420e8f0b777cbed93bc07fed02b847e96d3230fa8780f0",
+        "7f21a62299fe12eb40b2d97e65387adf1936f766345d1f32f1ce8222155de349",
+    ),
+    "tau-one-quotient": (
+        "bd92aa2830c0a68fe2ac50fadeddec99559e223582eecbb05155ec0c122ae70b",
+        "99631171eb0ce42c2e85c8bb5445205c2fab4ac998c629e6bc2a7c43cab06d15",
+        "b74b400bb5bcff5a1f11d5ddae2e3ae81652dc95e007eaef5cb6308b6a88dd0b",
+        "c8765ee2f5976d5f5aba7df62c820bb905bff564226fff25e71017af5be54bb4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_fallback_builds_are_byte_identical(name):
+    make_datum, make_lattice = FALLBACK_CASES[name]
+    datum = make_datum()
+    lattice = make_lattice(datum)
+    assert _lattice_hashes(datum, lattice) == FALLBACK_GOLDEN[name]
 
 
 def _mutant(name: str, seed: int):
