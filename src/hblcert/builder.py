@@ -6,9 +6,10 @@ single edge carrying the exponents; a non-extreme exponent vector is split
 into extreme points of the candidate polytope and the results convexly
 combined; at an extreme point a critical subspace (zero slack, proper) pivots
 the problem into a restriction to V and a quotient onto V-perp whose
-presentations concatenate. The top-level result is verified exactly, so an
-impoverished candidate family can only cause an explicit failure, never a
-wrong certificate.
+presentations concatenate; when the candidate family is closed, the two
+children's families are its intervals below and above V. The top-level
+result is verified exactly, so an impoverished candidate family can only
+cause an explicit failure, never a wrong certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from hblcert.data import (
     CandidateLattice,
@@ -380,7 +381,8 @@ def _codim1_critical(datum: HBLDatum, i: int) -> Subspace:
 
 def _split_seeds(candidates: CandidateLattice, v: Subspace
                  ) -> tuple[list[Subspace], list[Subspace]]:
-    """Seeds for the restriction to V and the quotient by V: each candidate U
+    """Seeds for the restriction to V and the quotient by V, for a split whose
+    children's families cannot be read off the parent's: each candidate U
     gives U cap V in the chart of V and (U + V) cap V-perp in that of V-perp."""
     vperp = v.perp()
     low_retract, high_retract = v.retraction(), vperp.retraction()
@@ -390,6 +392,42 @@ def _split_seeds(candidates: CandidateLattice, v: Subspace
         low.append(image(low_retract, meet))
         high.append(image(high_retract, total & vperp))
     return low, high
+
+
+def _interval_families(datum: HBLDatum, candidates: CandidateLattice, v: Subspace,
+                       low_datum: HBLDatum, high_datum: HBLDatum, max_size: int
+                       ) -> tuple[CandidateLattice, CandidateLattice] | None:
+    """The children's families read off a closed parent family L that holds V.
+
+    The restriction gets [0, V] = {U in L : U <= V} in the chart of V, the
+    quotient gets [V, H] = {U in L : V <= U} carried by U -> U cap V-perp into
+    the chart of V-perp. Both are closed (the second by the modular law), and
+    their image dimensions are the parent's: dim pi_i(U), and dim pi_i(U) -
+    dim pi_i(V); they fill the children's tables, so no rank is computed.
+    When each interval also holds its child's {0}, H and kernels, it is the
+    closure of the _split_seeds seeds. Returns None unless L is closed, both
+    intervals hold those, which needs V in L, and both fit in max_size.
+    """
+    if not candidates.closed:
+        return None
+    vperp = v.perp()
+    low_retract, high_retract = v.retraction(), vperp.retraction()
+    base = datum.image_dims(v)
+    low: dict[Subspace, tuple[int, ...]] = {}
+    high: dict[Subspace, tuple[int, ...]] = {}
+    for u in candidates.subspaces:
+        if u.dim <= v.dim and u <= v:
+            low[image(low_retract, u)] = datum.image_dims(u)
+        if u.dim >= v.dim and v <= u:
+            high[image(high_retract, u & vperp)] = tuple(map(sub, datum.image_dims(u), base))
+    for child, family in ((low_datum, low), (high_datum, high)):
+        needed = (Subspace.zero(child.dim), Subspace.full(child.dim), *map(kernel, child.maps))
+        if len(family) > max_size or any(s not in family for s in needed):
+            return None
+    low_datum._image_dims.update(low)
+    high_datum._image_dims.update(high)
+    return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
+            CandidateLattice(tuple(high), True, ("interval [V, H]",) * len(high)))
 
 
 def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
@@ -453,9 +491,12 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 )
         low_datum, _ = restrict_datum(datum, v)
         high_datum, _ = quotient_datum(datum, v)
-        low_seeds, high_seeds = _split_seeds(candidates, v)
-        low_candidates = generate_lattice(low_datum, seeds=low_seeds, max_size=max_lattice)
-        high_candidates = generate_lattice(high_datum, seeds=high_seeds, max_size=max_lattice)
+        families = _interval_families(datum, candidates, v, low_datum, high_datum, max_lattice)
+        if families is None:
+            low_seeds, high_seeds = _split_seeds(candidates, v)
+            families = (generate_lattice(low_datum, seeds=low_seeds, max_size=max_lattice),
+                        generate_lattice(high_datum, seeds=high_seeds, max_size=max_lattice))
+        low_candidates, high_candidates = families
         p_low = recurse(low_datum, low_candidates, depth + 1)
         p_high = recurse(high_datum, high_candidates, depth + 1)
         return concatenate(datum, v, p_low, p_high)

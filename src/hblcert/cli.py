@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from hblcert import builder as builder_mod
 from hblcert import formats
@@ -25,7 +24,6 @@ from hblcert.data import (
     generate_lattice,
 )
 from hblcert.flowgraph import decompose_flow, project_graph, project_weight, total_mass
-from hblcert.oracle import GaussianInput, GridFunction, gaussian_ascent, gaussian_ratio, quadrature_check
 from hblcert.presentation import export_dot, verify_and_bound
 
 
@@ -232,7 +230,11 @@ def _cmd_project(args) -> tuple[int, dict]:
     return 0, out
 
 
+# The floating-point commands import numpy and the oracles themselves, so the
+# exact commands never load them.
 def _cmd_gaussian(args) -> tuple[int, dict]:
+    from hblcert.oracle import GaussianInput, gaussian_ascent, gaussian_ratio
+
     datum = _load_datum(args)
     sup, diverged = gaussian_ascent(datum, iterations=400, seed=args.seed)
     identity_ratio = gaussian_ratio(datum, GaussianInput.identity(datum))
@@ -247,6 +249,10 @@ def _cmd_gaussian(args) -> tuple[int, dict]:
 
 
 def _cmd_quadrature(args) -> tuple[int, dict]:
+    import numpy as np
+
+    from hblcert.oracle import GridFunction, quadrature_check
+
     datum = _load_datum(args)
     pres = _load_presentation(args)
     report, cert = verify_and_bound(datum, pres)
@@ -337,8 +343,10 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("--tol must be finite and positive")
+    if args.max_lattice < 2:
+        parser.error("--max-lattice must be at least 2")
     try:
         status, rendered = run(args)
         if args.out and args.command != "build":

@@ -299,6 +299,12 @@ class Subspace:
 
     def perp(self) -> Subspace:
         """Orthogonal complement w.r.t. the standard inner product."""
+        return self._perp
+
+    @cached_property
+    def _perp(self) -> Subspace:
+        # Computed once: a split reads V-perp in the quotient, the children's
+        # families and the concatenation.
         return kernel(self.basis)
 
     def projector(self) -> Matrix:

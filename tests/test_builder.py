@@ -23,6 +23,7 @@ from hblcert.builder import (
 from hblcert.data import (
     CandidateLattice,
     HBLDatum,
+    _is_closed,
     generate_lattice,
     quotient_datum,
     restrict_datum,
@@ -36,6 +37,8 @@ from hblcert.fixtures import (
 from hblcert.linalg import Matrix, Subspace, kernel, span
 from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import bound_constant, verify_presentation
+
+from conftest import random_matrix, random_subspace
 
 
 def forcing_lattice():
@@ -453,3 +456,65 @@ def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
         assert subspace_slack(d, h).slack == 0
     if constant is not None:
         assert abs(bound_constant(datum, pres).value - constant) <= 1e-12
+
+
+def _fresh(d: HBLDatum) -> HBLDatum:
+    """The same datum with an empty image-dimension table."""
+    return HBLDatum(d.dim, d.maps, d.names, d.exponents)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_children_read_intervals_off_a_closed_family(hyp_rng):
+    """At every proper V of a closed family L, the children's families are the
+    closures of the split seeds, are closed, and inherit exact image dimensions."""
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m = rng.randint(3, 5)
+    maps = tuple(random_matrix(rng, rng.randint(1, m - 1), m, -1, 1)
+                 for _ in range(rng.randint(2, 4)))
+    datum = HBLDatum(m, maps, tuple(f"p{i}" for i in range(len(maps))),
+                     (Fraction(0),) * len(maps))
+    seeds = [random_subspace(rng, m) for _ in range(rng.randint(0, 1))]
+    lattice = generate_lattice(datum, seeds=seeds, max_size=64)
+    if not lattice.closed:
+        return
+    for v in lattice.subspaces:
+        if not 0 < v.dim < m:
+            continue
+        low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
+        families = builder._interval_families(datum, lattice, v, low_datum, high_datum, 64)
+        assert families is not None
+        for child, family, seeds in zip((low_datum, high_datum), families,
+                                        builder._split_seeds(lattice, v)):
+            expected = generate_lattice(_fresh(child), seeds=seeds)
+            assert set(family.subspaces) == set(expected.subspaces)
+            assert family.closed and _is_closed(list(family.subspaces))
+            fresh = _fresh(child)
+            for u in family.subspaces:
+                assert child._image_dims[u] == fresh.image_dims(u)
+
+
+def test_children_regenerate_when_the_family_cannot_supply_them():
+    def families(datum, lattice, v, max_size=512):
+        return builder._interval_families(datum, lattice, v, restrict_datum(datum, v)[0],
+                                          quotient_datum(datum, v)[0], max_size)
+
+    r6 = fourmap_r6_datum()
+    unclosed = forcing_lattice()
+    assert not unclosed.closed
+    assert families(r6, unclosed, unclosed.subspaces[2]) is None
+    # Closed, but of the four coordinate-axis kernels only e1 is present.
+    lw3 = loomis_whitney_datum(3)
+    axes = [[1 if c == j else 0 for c in range(4)] for j in range(4)]
+    flag = CandidateLattice.from_subspaces(4, [span(axes[:k], 4) for k in (1, 2, 3)])
+    assert flag.closed
+    assert families(lw3, flag, span(axes[:2], 4)) is None
+    # A tau_i = 1 hyperplane outside the family.
+    lattice = generate_lattice(lw3)
+    hyperplane = span([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4)
+    assert hyperplane not in lattice.subspaces
+    assert families(lw3, lattice, hyperplane) is None
+    # An interval larger than the size cap.
+    v = span(axes[:3], 4)
+    assert families(lw3, lattice, v, max_size=7) is None
+    assert families(lw3, lattice, v, max_size=8) is not None

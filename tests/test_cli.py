@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -289,3 +292,42 @@ def test_unwritable_out_exits_two(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "nan", "--tol must be finite and positive"),
+    ("--tol", "inf", "--tol must be finite and positive"),
+    ("--tol", "0", "--tol must be finite and positive"),
+    ("--max-lattice", "1", "--max-lattice must be at least 2"),
+])
+def test_out_of_range_options_exit_two(capsys, option, value, message):
+    # A NaN tolerance would turn quadrature's valid certificate into a false
+    # "exceeded" (exit 1), an infinite one into "dominated" on any evidence.
+    with pytest.raises(SystemExit) as exc:
+        main(["quadrature", "--data", fixture("lw2.datum.json"),
+              "--presentation", fixture("lw2.presentation.json"), option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def test_exact_commands_never_import_numpy(tmp_path):
+    """verify, build and check-data are rational arithmetic only."""
+    script = (
+        "import sys\n"
+        "from hblcert import cli\n"
+        "lw2 = sys.argv[1:]\n"
+        "for argv in (['verify', '--data', lw2[0], '--presentation', lw2[1]],\n"
+        "             ['build', '--data', lw2[0]], ['check-data', '--data', lw2[0]]):\n"
+        "    assert cli.main(argv + ['--format', 'json']) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "sys.exit(f'imported {loaded[:3]}' if loaded else 0)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run(
+        [sys.executable, "-c", script, fixture("lw2.datum.json"),
+         fixture("lw2.presentation.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
