@@ -405,10 +405,10 @@ def _interval_families(datum: HBLDatum, candidates: CandidateLattice, v: Subspac
     their image dimensions are the parent's: dim pi_i(U), and dim pi_i(U) -
     dim pi_i(V); they fill the children's tables, so no rank is computed.
     When each interval also holds its child's {0}, H and kernels, it is the
-    closure of the _split_seeds seeds. Returns None unless L is closed, both
-    intervals hold those, which needs V in L, and both fit in max_size.
+    closure of the _split_seeds seeds. Returns None unless L is closed and
+    holds V, both intervals hold those, and both fit in max_size.
     """
-    if not candidates.closed:
+    if not candidates.closed or v not in candidates.subspaces:
         return None
     vperp = v.perp()
     low_retract, high_retract = v.retraction(), vperp.retraction()
