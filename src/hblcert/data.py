@@ -116,8 +116,9 @@ class CandidateLattice:
     """Finite surrogate for "all subspaces": a deduplicated family with provenance.
 
     Order is insertion order ({0}, H, kernels, seeds, then closure products;
-    an interval of a parent family keeps the parent's order); `closed` records whether sum/intersection closure reached a fixpoint
-    before the size cap.
+    an interval of a parent family keeps the parent's order); `closed`
+    records whether sum/intersection closure reached a fixpoint before the
+    size cap.
     """
 
     subspaces: tuple[Subspace, ...]

@@ -484,12 +484,12 @@ def test_children_read_intervals_off_a_closed_family(hyp_rng):
         low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
         families = builder._interval_families(datum, lattice, v, low_datum, high_datum, 64)
         assert families is not None
-        for child, family, seeds in zip((low_datum, high_datum), families,
-                                        builder._split_seeds(lattice, v)):
-            expected = generate_lattice(_fresh(child), seeds=seeds)
+        for child, family, child_seeds in zip((low_datum, high_datum), families,
+                                              builder._split_seeds(lattice, v)):
+            fresh = _fresh(child)
+            expected = generate_lattice(fresh, seeds=child_seeds)
             assert set(family.subspaces) == set(expected.subspaces)
             assert family.closed and _is_closed(list(family.subspaces))
-            fresh = _fresh(child)
             for u in family.subspaces:
                 assert child._image_dims[u] == fresh.image_dims(u)
 
