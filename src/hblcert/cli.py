@@ -347,6 +347,8 @@ def main(argv=None) -> int:
         parser.error("--tol must be finite and positive")
     if args.max_lattice < 2:
         parser.error("--max-lattice must be at least 2")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     try:
         status, rendered = run(args)
         if args.out and args.command != "build":

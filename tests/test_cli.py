@@ -149,6 +149,20 @@ def test_gaussian_command_bounded_and_divergent(capsys, tmp_path):
     assert report["verdict"] == "diverged"
 
 
+def test_gaussian_command_diverges_on_a_common_kernel(capsys, tmp_path):
+    # Both maps kill e2, so the left side is infinite on every Gaussian.
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "maps": [{"name": "p", "rows": [["1", "0"]]}, {"name": "q", "rows": [["2", "0"]]}],
+        "exponents": ["1", "1"],
+    }))
+    code, report = run_json(capsys, "gaussian", "--data", str(path))
+    assert code == 1
+    assert report["verdict"] == "diverged"
+    assert report["sup_estimate"] > 1e6
+
+
 def test_quadrature_command(capsys):
     code, report = run_json(
         capsys, "quadrature",
@@ -309,6 +323,21 @@ def test_out_of_range_options_exit_two(capsys, option, value, message):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert message in captured.err
+
+
+LW2_PAIR = ["--data", fixture("lw2.datum.json"),
+            "--presentation", fixture("lw2.presentation.json")]
+
+
+@pytest.mark.parametrize("command, files", [
+    ("gaussian", LW2_PAIR[:2]), ("quadrature", LW2_PAIR), ("verify", LW2_PAIR),
+])
+def test_negative_seed_exits_two(capsys, command, files):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--seed must be non-negative" in captured.err
 
 
 def test_exact_commands_never_import_numpy(tmp_path):

@@ -1,4 +1,5 @@
-"""Soundness guards must survive `python -O`, which strips `assert`."""
+"""Source scans: soundness guards must survive `python -O`, which strips
+`assert`, and the package imports nothing beyond its declared dependencies."""
 
 import ast
 from pathlib import Path
@@ -17,3 +18,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert at lines {lines}; raise an exception instead"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    # numpy is the only float dependency; scipy is not installed with the package.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    found = [name for name in modules if name.split(".")[0] == "scipy"]
+    assert not found, f"{path.name}: imports {found}"
