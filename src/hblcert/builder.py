@@ -6,10 +6,10 @@ single edge carrying the exponents; a non-extreme exponent vector is split
 into extreme points of the candidate polytope and the results convexly
 combined; at an extreme point a critical subspace (zero slack, proper) pivots
 the problem into a restriction to V and a quotient onto V-perp whose
-presentations concatenate; when the candidate family is closed, the two
-children's families are its intervals below and above V. The top-level
-result is verified exactly, so an impoverished candidate family can only
-cause an explicit failure, never a wrong certificate.
+presentations concatenate; when the top-level family is closed and holds
+the kernels, the children's families are its intervals below and above V.
+The top-level result is verified exactly, so an impoverished candidate
+family can only cause an explicit failure, never a wrong certificate.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from operator import mul, sub
 from hblcert.data import (
     CandidateLattice,
     HBLDatum,
+    _scaled_slack,
     check_scaling,
-    find_critical,
-    find_violation,
     generate_lattice,
     quotient_datum,
     restrict_datum,
-    subspace_slack,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import (
@@ -164,16 +162,16 @@ def enumerate_extremes(poly: ExponentPolytope) -> ExtremeSet:
     return ExtremeSet(tuple(sorted(points)), truncated)
 
 
-def _tight_rank(poly: ExponentPolytope, tau) -> int:
-    scaled = _over_common_denominator(tau)
-    return len(_echelon([r.coeffs for r in poly.rows if r._gap(scaled) == 0], poly.n)[1])
+def _tight_rank(poly: ExponentPolytope, gaps: list[int]) -> int:
+    return len(_echelon([r.coeffs for r, gap in zip(poly.rows, gaps) if gap == 0], poly.n)[1])
 
 
 def is_extreme(poly: ExponentPolytope, tau) -> bool:
     """tau is a vertex iff its tight rows span the full exponent space."""
     if poly.member(tau) is not None:
         raise ValueError("tau is not a member of the polytope")
-    return _tight_rank(poly, tau) == poly.n
+    scaled = _over_common_denominator(tau)
+    return _tight_rank(poly, [row._gap(scaled) for row in poly.rows]) == poly.n
 
 
 def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
@@ -379,55 +377,50 @@ def _codim1_critical(datum: HBLDatum, i: int) -> Subspace:
     return k + span(k.perp().basis_rows()[:-1], datum.dim)
 
 
-def _split_seeds(candidates: CandidateLattice, v: Subspace
-                 ) -> tuple[list[Subspace], list[Subspace]]:
-    """Seeds for the restriction to V and the quotient by V, for a split whose
-    children's families cannot be read off the parent's: each candidate U
-    gives U cap V in the chart of V and (U + V) cap V-perp in that of V-perp."""
+def _ready(datum: HBLDatum, candidates: CandidateLattice) -> bool:
+    """L is closed and holds {0}, H and every kernel. Then, by closure, its
+    intervals at each V in L hold the children's {0}, H and kernels too."""
+    return candidates.closed and {Subspace.zero(datum.dim), Subspace.full(datum.dim),
+                                  *map(kernel, datum.maps)} <= set(candidates.subspaces)
+
+
+def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
+                    v: Subspace, low_datum: HBLDatum, high_datum: HBLDatum,
+                    max_size: int) -> tuple[CandidateLattice, CandidateLattice]:
+    """The families of the restriction to V and the quotient by V.
+
+    When L is ready and holds V, they are its intervals [0, V] = {U in L :
+    U <= V} in the chart of V and [V, H] = {U in L : V <= U} carried by
+    U -> U cap V-perp into the chart of V-perp: closed (the second by the
+    modular law), ready, and with the parent's image dimensions dim pi_i(U)
+    and dim pi_i(U) - dim pi_i(V) filling the children's tables. Otherwise,
+    or when an interval exceeds max_size, generate_lattice closes the seeds
+    U cap V and (U + V) cap V-perp of each U in L; such a family holds
+    {0}, H and every kernel, so it is ready exactly when closed.
+    """
     vperp = v.perp()
     low_retract, high_retract = v.retraction(), vperp.retraction()
-    low, high = [], []
+    if ready and v in candidates.subspaces:
+        base = datum.image_dims(v)
+        low: dict[Subspace, tuple[int, ...]] = {}
+        high: dict[Subspace, tuple[int, ...]] = {}
+        for u in candidates.subspaces:
+            if u.dim <= v.dim and u <= v:
+                low[image(low_retract, u)] = datum.image_dims(u)
+            if u.dim >= v.dim and v <= u:
+                high[image(high_retract, u & vperp)] = tuple(map(sub, datum.image_dims(u), base))
+        if len(low) <= max_size and len(high) <= max_size:
+            low_datum._image_dims.update(low)
+            high_datum._image_dims.update(high)
+            return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
+                    CandidateLattice(tuple(high), True, ("interval [V, H]",) * len(high)))
+    low_seeds, high_seeds = [], []
     for u in candidates.subspaces:
         total, meet = sum_and_intersection(u, v)
-        low.append(image(low_retract, meet))
-        high.append(image(high_retract, total & vperp))
-    return low, high
-
-
-def _interval_families(datum: HBLDatum, candidates: CandidateLattice, v: Subspace,
-                       low_datum: HBLDatum, high_datum: HBLDatum, max_size: int
-                       ) -> tuple[CandidateLattice, CandidateLattice] | None:
-    """The children's families read off a closed parent family L that holds V.
-
-    The restriction gets [0, V] = {U in L : U <= V} in the chart of V, the
-    quotient gets [V, H] = {U in L : V <= U} carried by U -> U cap V-perp into
-    the chart of V-perp. Both are closed (the second by the modular law), and
-    their image dimensions are the parent's: dim pi_i(U), and dim pi_i(U) -
-    dim pi_i(V); they fill the children's tables, so no rank is computed.
-    When each interval also holds its child's {0}, H and kernels, it is the
-    closure of the _split_seeds seeds. Returns None unless L is closed and
-    holds V, both intervals hold those, and both fit in max_size.
-    """
-    if not candidates.closed or v not in candidates.subspaces:
-        return None
-    vperp = v.perp()
-    low_retract, high_retract = v.retraction(), vperp.retraction()
-    base = datum.image_dims(v)
-    low: dict[Subspace, tuple[int, ...]] = {}
-    high: dict[Subspace, tuple[int, ...]] = {}
-    for u in candidates.subspaces:
-        if u.dim <= v.dim and u <= v:
-            low[image(low_retract, u)] = datum.image_dims(u)
-        if u.dim >= v.dim and v <= u:
-            high[image(high_retract, u & vperp)] = tuple(map(sub, datum.image_dims(u), base))
-    for child, family in ((low_datum, low), (high_datum, high)):
-        needed = (Subspace.zero(child.dim), Subspace.full(child.dim), *map(kernel, child.maps))
-        if len(family) > max_size or any(s not in family for s in needed):
-            return None
-    low_datum._image_dims.update(low)
-    high_datum._image_dims.update(high)
-    return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
-            CandidateLattice(tuple(high), True, ("interval [V, H]",) * len(high)))
+        low_seeds.append(image(low_retract, meet))
+        high_seeds.append(image(high_retract, total & vperp))
+    return (generate_lattice(low_datum, seeds=low_seeds, max_size=max_size),
+            generate_lattice(high_datum, seeds=high_seeds, max_size=max_size))
 
 
 def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
@@ -444,43 +437,46 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         if trace is not None:
             trace.append(msg)
 
-    def recurse(datum: HBLDatum, candidates: CandidateLattice, depth: int) -> Presentation:
+    def recurse(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
+                depth: int) -> Presentation:
         indent = "  " * depth
         holds, lhs, rhs = check_scaling(datum)
         if not holds:
             raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
-        violation = find_violation(datum, candidates)
-        if violation is not None:
-            raise BuildError(
-                f"candidate subspace violates the dimension inequality "
-                f"(dim {violation.subspace.dim}, slack {violation.slack})"
-            )
         if datum.dim == 1:
             log(f"{indent}dim 1 base case")
             return base_case_dim1(datum)
 
         poly = polytope_from_candidates(datum, candidates)
         tau = datum.exponents
-        if _tight_rank(poly, tau) < poly.n:
+        scaled = _over_common_denominator(tau)
+        gaps = [row._gap(scaled) for row in poly.rows]
+        # Rows open with the positive-dimensional candidates; a gap is D * slack.
+        rows = list(zip((v for v in candidates.subspaces if v.dim), gaps))
+        for v, gap in rows:
+            if gap < 0:
+                raise BuildError("candidate subspace violates the dimension inequality "
+                                 f"(dim {v.dim}, slack {Fraction(gap, scaled[0])})")
+        if _tight_rank(poly, gaps) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
             decomp = caratheodory(poly, tau)
             parts = []
             for c, point in decomp.terms:
                 log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
-                sub = recurse(datum.with_exponents(point), candidates, depth + 1)
+                sub = recurse(datum.with_exponents(point), candidates, ready, depth + 1)
                 parts.append((c, sub))
             return convex_combine(parts)
 
-        criticals = find_critical(datum, candidates)
+        criticals = [v for v, gap in rows if gap == 0 and v.dim < datum.dim]
         if criticals:
-            v = criticals[0].subspace
+            v = min(criticals, key=lambda s: s.sort_key)
             log(f"{indent}critical subspace of dim {v.dim}")
         else:
             v = None
             for i, t in enumerate(tau):
                 if t == 1 and datum.ranks[i] > 0:
                     cand = _codim1_critical(datum, i)
-                    if subspace_slack(datum, cand).slack == 0:
+                    if _scaled_slack(datum, cand, scaled) == 0:
                         v = cand
                         log(f"{indent}tau{i + 1}=1 branch: codim-1 critical subspace")
                         break
@@ -489,19 +485,13 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                     "candidate set insufficient: extreme exponents admit no "
                     "critical subspace among the candidates"
                 )
-        low_datum, _ = restrict_datum(datum, v)
-        high_datum, _ = quotient_datum(datum, v)
-        families = _interval_families(datum, candidates, v, low_datum, high_datum, max_lattice)
-        if families is None:
-            low_seeds, high_seeds = _split_seeds(candidates, v)
-            families = (generate_lattice(low_datum, seeds=low_seeds, max_size=max_lattice),
-                        generate_lattice(high_datum, seeds=high_seeds, max_size=max_lattice))
-        low_candidates, high_candidates = families
-        p_low = recurse(low_datum, low_candidates, depth + 1)
-        p_high = recurse(high_datum, high_candidates, depth + 1)
+        low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
+        families = _child_families(datum, candidates, ready, v, low_datum, high_datum, max_lattice)
+        p_low, p_high = (recurse(child, family, family.closed, depth + 1)
+                         for child, family in zip((low_datum, high_datum), families))
         return concatenate(datum, v, p_low, p_high)
 
-    pres = recurse(datum, candidates, 0)
+    pres = recurse(datum, candidates, _ready(datum, candidates), 0)
     report = verify_presentation(datum, pres)
     if not report.valid:
         raise BuildError("constructed presentation failed verification: "

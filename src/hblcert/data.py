@@ -62,7 +62,7 @@ class HBLDatum:
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(m.rank for m in self.maps)
+        return self.image_dims(Subspace.full(self.dim))
 
     def with_exponents(self, exponents: tuple[Fraction, ...]) -> HBLDatum:
         return HBLDatum(self.dim, self.maps, self.names, tuple(exponents),

@@ -155,7 +155,9 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tu
     random start drawn from `seed`) and T that of the right ones, the log
     ratio at A_i = C_i^T C_i is the scaled maps' at A_i = I plus
     sum tau_i log|det C_i| + log|det T|. Only these logarithms are kept:
-    C_i and T grow without bound on divergent data.
+    C_i and T grow without bound on divergent data. Equal maps scale as one,
+    with their summed exponent: scaled apart, rounding would break their exact
+    parallelism and let the iterate escape to a feasible perturbation.
 
     Stops on a ratio above DIVERGENCE_THRESHOLD or +inf (singular sum):
     diverged; on sum tau_i |B_i B_i^T - I|^2 < SCALING_TOLERANCE: converged;
@@ -166,15 +168,18 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tu
     rng = np.random.default_rng(seed)
     forms = orthonormal_forms(datum)
     eyes = [np.eye(r) for r in datum.ranks]
-    active = [(float(tau), i) for i, (tau, r) in enumerate(zip(datum.exponents, datum.ranks))
-              if tau and r]
+    first: dict[Matrix, int] = {}
+    rep = [first.setdefault(m, i) if tau and r else i
+           for i, (m, tau, r) in enumerate(zip(datum.maps, datum.exponents, datum.ranks))]
+    active = [(float(sum(tau for tau, k in zip(datum.exponents, rep) if k == i)), i)
+              for i in first.values()]
     scaled, offset = list(forms), 0.0
     for t, i in active:
         w = 0.1 * rng.normal(size=eyes[i].shape)
         scaled[i] = (np.tril(w, -1) + np.diag(np.exp(np.diag(w)))) @ forms[i]
         offset += t * float(np.trace(w))
     log_threshold = math.log(DIVERGENCE_THRESHOLD)
-    best = offset + ascent_log_ratio(datum, scaled, eyes)
+    best = offset + ascent_log_ratio(datum, [scaled[k] for k in rep], eyes)
     for _ in range(8 * iterations + 100):
         if best > log_threshold:
             break
@@ -188,10 +193,10 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tu
             left, logdet = _inverse_sqrt(gram)
             offset -= 0.5 * t * logdet
             scaled[i] = left @ b
-        best = max(best, offset + ascent_log_ratio(datum, scaled, eyes))
+        best = max(best, offset + ascent_log_ratio(datum, [scaled[k] for k in rep], eyes))
         if error < SCALING_TOLERANCE:
             break
-    return math.exp(min(best, 700.0)), best > log_threshold
+    return math.exp(min(best, 700.0)), bool(best > log_threshold)
 
 
 @dataclass

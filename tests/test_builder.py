@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +25,15 @@ from hblcert.data import (
     CandidateLattice,
     HBLDatum,
     _is_closed,
+    find_critical,
+    find_violation,
     generate_lattice,
     quotient_datum,
     restrict_datum,
     subspace_slack,
 )
 from hblcert.fixtures import (
+    ALL_FIXTURES,
     fourmap_r6_datum,
     fourmap_r6_forcing_candidates,
     loomis_whitney_datum,
@@ -463,10 +467,26 @@ def _fresh(d: HBLDatum) -> HBLDatum:
     return HBLDatum(d.dim, d.maps, d.names, d.exponents)
 
 
+def _children(datum, lattice, ready, v, max_size):
+    """The children's families at V, with the children they were made for."""
+    low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
+    families = builder._child_families(datum, lattice, ready, v, low_datum, high_datum,
+                                       max_size)
+    return (low_datum, high_datum), families
+
+
+def _from_intervals(families) -> bool:
+    logs = [family.generation_log[0] for family in families]
+    if logs == ["zero", "zero"]:
+        return False
+    assert logs == ["interval [0, V]", "interval [V, H]"]
+    return True
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
 def test_children_read_intervals_off_a_closed_family(hyp_rng):
-    """At every proper V of a closed family L, the children's families are the
+    """At every proper V of a ready family L, the children's families are the
     closures of the split seeds, are closed, and inherit exact image dimensions."""
     rng = random.Random(hyp_rng.randint(0, 10**9))
     m = rng.randint(3, 5)
@@ -478,43 +498,109 @@ def test_children_read_intervals_off_a_closed_family(hyp_rng):
     lattice = generate_lattice(datum, seeds=seeds, max_size=64)
     if not lattice.closed:
         return
+    assert builder._ready(datum, lattice)
     for v in lattice.subspaces:
         if not 0 < v.dim < m:
             continue
-        low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-        families = builder._interval_families(datum, lattice, v, low_datum, high_datum, 64)
-        assert families is not None
-        for child, family, child_seeds in zip((low_datum, high_datum), families,
-                                              builder._split_seeds(lattice, v)):
-            fresh = _fresh(child)
-            expected = generate_lattice(fresh, seeds=child_seeds)
+        children, families = _children(datum, lattice, True, v, 64)
+        _, generated = _children(datum, lattice, False, v, 64)
+        assert _from_intervals(families) and not _from_intervals(generated)
+        for child, family, expected in zip(children, families, generated):
             assert set(family.subspaces) == set(expected.subspaces)
-            assert family.closed and _is_closed(list(family.subspaces))
+            assert family.closed and expected.closed and _is_closed(list(family.subspaces))
+            fresh = _fresh(child)
             for u in family.subspaces:
                 assert child._image_dims[u] == fresh.image_dims(u)
 
 
 def test_children_regenerate_when_the_family_cannot_supply_them():
-    def families(datum, lattice, v, max_size=512):
-        return builder._interval_families(datum, lattice, v, restrict_datum(datum, v)[0],
-                                          quotient_datum(datum, v)[0], max_size)
+    def from_intervals(datum, lattice, v, max_size=512):
+        ready = builder._ready(datum, lattice)
+        return _from_intervals(_children(datum, lattice, ready, v, max_size)[1])
 
     r6 = fourmap_r6_datum()
     unclosed = forcing_lattice()
     assert not unclosed.closed
-    assert families(r6, unclosed, unclosed.subspaces[2]) is None
+    assert not from_intervals(r6, unclosed, unclosed.subspaces[2])
     # Closed, but of the four coordinate-axis kernels only e1 is present.
     lw3 = loomis_whitney_datum(3)
     axes = [[1 if c == j else 0 for c in range(4)] for j in range(4)]
     flag = CandidateLattice.from_subspaces(4, [span(axes[:k], 4) for k in (1, 2, 3)])
     assert flag.closed
-    assert families(lw3, flag, span(axes[:2], 4)) is None
+    assert not builder._ready(lw3, flag)
+    assert not from_intervals(lw3, flag, span(axes[:2], 4))
     # A tau_i = 1 hyperplane outside the family.
     lattice = generate_lattice(lw3)
     hyperplane = span([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4)
     assert hyperplane not in lattice.subspaces
-    assert families(lw3, lattice, hyperplane) is None
+    assert not from_intervals(lw3, lattice, hyperplane)
     # An interval larger than the size cap.
     v = span(axes[:3], 4)
-    assert families(lw3, lattice, v, max_size=7) is None
-    assert families(lw3, lattice, v, max_size=8) is not None
+    assert not from_intervals(lw3, lattice, v, max_size=7)
+    assert from_intervals(lw3, lattice, v, max_size=8)
+
+
+def _random_datum(rng: random.Random) -> HBLDatum | None:
+    """Maps on R^3-R^5 with entries in {-1, 0, 1} and exponents in quarters,
+    the last positive-rank map's exponent solving the scaling equality."""
+    m = rng.randint(3, 5)
+    maps = tuple(random_matrix(rng, rng.randint(1, m), m, -1, 1)
+                 for _ in range(rng.randint(2, 4)))
+    ranks = [mp.rank for mp in maps]
+    if not any(ranks):
+        return None
+    j = max(i for i, r in enumerate(ranks) if r)
+    for _ in range(20):
+        tau = [Fraction(rng.randint(0, 4), 4) for _ in maps]
+        tau[j] = (m - sum(t * r for i, (t, r) in enumerate(zip(tau, ranks)) if i != j)) / ranks[j]
+        if 0 <= tau[j] <= 1:
+            return HBLDatum(m, maps, tuple(f"p{i}" for i in range(len(maps))), tuple(tau))
+    return None
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hyp_rng):
+    """The builder's one gap scan per node agrees with find_violation and
+    find_critical: a violating datum fails naming the first violation's
+    dimension and slack, and every split takes the critical that
+    find_critical lists first."""
+    datum = _random_datum(random.Random(hyp_rng.randint(0, 10**9)))
+    if datum is None:
+        return
+    lattice = generate_lattice(datum, max_size=64)
+    violation = find_violation(datum, lattice)
+    if violation is not None:
+        with pytest.raises(BuildError) as err:
+            build_presentation(datum, lattice)
+        assert str(err.value) == (
+            "candidate subspace violates the dimension inequality "
+            f"(dim {violation.subspace.dim}, slack {violation.slack})")
+        return
+    with mock.patch.object(builder, "_child_families",
+                           wraps=builder._child_families) as spy:
+        try:
+            build_presentation(datum, lattice)
+        except BuildError as err:
+            assert "candidate set insufficient" in str(err)
+    for call in spy.call_args_list:
+        node, family, _, v = call.args[:4]
+        assert find_violation(node, family) is None
+        criticals = find_critical(node, family)
+        if criticals:
+            assert v == criticals[0].subspace
+
+
+# A split reads its children's families off the parent's, so kernels are
+# computed only for the top-level readiness check (one per map) and by the
+# Caratheodory steps; the parent computed those of every child map as well,
+# 109 on lw4 and 67 on r6.
+@pytest.mark.parametrize("name, limit", [("lw4", 14), ("r6", 7)])
+def test_splits_compute_no_kernels(name, limit, monkeypatch):
+    datum = ALL_FIXTURES[name][0]()
+    lattice = generate_lattice(datum)
+    calls = []
+    original = builder.kernel
+    monkeypatch.setattr(builder, "kernel", lambda m: calls.append(m) or original(m))
+    build_presentation(datum, lattice)
+    assert len(calls) <= limit

@@ -1,12 +1,16 @@
 """Source scans: soundness guards must survive `python -O`, which strips
-`assert`, and the package imports nothing beyond its declared dependencies."""
+`assert`, the package imports nothing beyond its declared dependencies, and
+every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "hblcert").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "hblcert").glob("*.py"))
 
 
 def test_sources_found():
@@ -29,3 +33,22 @@ def test_no_scipy_imports(path):
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     found = [name for name in modules if name.split(".")[0] == "scipy"]
     assert not found, f"{path.name}: imports {found}"
+
+
+def test_trace_targets_resolve():
+    # bench/tracing.py wraps these names from outside the package, so a
+    # rename in src/ would otherwise surface only when a traced run starts.
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(owner, cls_name, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert tracing.TARGETS and not missing, missing

@@ -114,7 +114,7 @@ def test_gaussian_ratio_matches_direct_quadrature_dim1():
 
 def test_ascent_bounded_case_reaches_the_sharp_value():
     sup, diverged = gaussian_ascent(loomis_whitney_datum(2), iterations=400, seed=0)
-    assert not diverged
+    assert type(diverged) is bool and not diverged
     assert sup == pytest.approx(1.0, abs=1e-6)
 
 
@@ -127,7 +127,7 @@ def test_ascent_detects_the_dimension_violation():
 def test_ascent_detects_scaling_failure_by_dilation():
     datum = loomis_whitney_datum(2, [1, 1, 1])
     sup, diverged = gaussian_ascent(datum, iterations=400, seed=0)
-    assert diverged and sup > 1e6
+    assert type(diverged) is bool and diverged and sup > 1e6
 
 
 def _permutation(p):
@@ -146,6 +146,29 @@ def test_ascent_detects_the_violation_under_every_relabelling():
             for start in range(3):
                 sup, diverged = gaussian_ascent(moved, iterations=400, seed=start)
                 assert diverged and sup > 1e6, (p, pattern, start, sup)
+
+
+def test_ascent_detects_a_violation_carried_by_equal_maps():
+    # x2 twice at 1/4 each and the identity at 3/4: the line x2 = 0 has slack
+    # 3/4 - 1 < 0. Scaled apart, rounding would break the copies' exact
+    # parallelism and the run could converge to a feasible perturbation.
+    x1, x2 = Matrix.from_rows([[1, 0]]), Matrix.from_rows([[0, 1]])
+    datum = HBLDatum(2, (Matrix.identity(2), x2, x2, x1), ("id", "a", "b", "c"),
+                     (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), Fraction(0)))
+    for start in range(10):
+        sup, diverged = gaussian_ascent(datum, iterations=400, seed=start)
+        assert diverged and sup > 1e6, (start, sup)
+
+
+def test_ascent_keeps_the_sup_when_a_map_is_split_in_two():
+    # pi1 carried twice at 1/4 is Loomis-Whitney on R^3, whose sup is 1.
+    pi = loomis_whitney_datum(2).maps
+    datum = HBLDatum(3, (pi[0], pi[1], pi[2], pi[0]), ("a", "b", "c", "d"),
+                     (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)))
+    for start in range(3):
+        sup, diverged = gaussian_ascent(datum, iterations=400, seed=start)
+        assert not diverged
+        assert abs(sup - 1) <= 1e-9, (start, sup)
 
 
 @pytest.mark.parametrize("name", ["lw2", "lw3", "lw4", "lw5", "r6"])
