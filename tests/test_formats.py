@@ -80,6 +80,21 @@ def test_parse_errors_name_the_problem():
         }))
 
 
+@pytest.mark.parametrize("ids", [("a", "b", "a", "b"), ("a", "b", "a2", "b")])
+def test_parse_presentation_rejects_parallel_duplicate_edges(ids):
+    """The same edge listed twice, or two ids with equal bases joined to one
+    target, give one subspace pair twice; the edge loop's own errors win."""
+    vertices = [{"id": "a", "basis": []}, {"id": "a2", "basis": []},
+                {"id": "b", "basis": [["1"]]}]
+    edges = [{"from": ids[0], "to": ids[1], "theta": ["1"]},
+             {"from": ids[2], "to": ids[3], "theta": ["1"]}]
+    with pytest.raises(ParseError, match="^presentation: parallel duplicate edge$"):
+        parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+    edges.append({"from": "a", "to": "b", "theta": ["1", "1"]})
+    with pytest.raises(ParseError, match=r"edges\[2\]\.theta width 2 != 1"):
+        parse_presentation(json.dumps({"vertices": vertices, "edges": edges}))
+
+
 @pytest.mark.parametrize("theta", [5, "11", None, {"0": "1"}])
 def test_parse_presentation_rejects_theta_that_is_not_a_list(theta):
     text = json.dumps({
