@@ -28,7 +28,6 @@ from hblcert.data import (
     quotient_datum,
     restrict_datum,
 )
-from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import (
     Matrix,
     Subspace,
@@ -280,11 +279,8 @@ def base_case_dim1(datum: HBLDatum) -> Presentation:
     holds, lhs, rhs = check_scaling(datum)
     if not holds:
         raise BuildError(f"scaling equality fails in dimension 1: {lhs} != {rhs}")
-    zero = Subspace.zero(1)
-    full = Subspace.full(1)
-    graph = GraphDecomposition.build(1, [zero, full], [(zero, full)])
-    theta = WeightFunction(datum.n_maps, (tuple(datum.exponents),))
-    return Presentation(graph, theta)
+    zero, full = Subspace.zero(1), Subspace.full(1)
+    return Presentation.from_edges(1, datum.n_maps, [zero, full], {(zero, full): datum.exponents})
 
 
 def concatenate(datum: HBLDatum, v: Subspace, p_low: Presentation,
@@ -304,28 +300,12 @@ def concatenate(datum: HBLDatum, v: Subspace, p_low: Presentation,
     if p_low.graph.ambient != v.dim or p_high.graph.ambient != datum.dim - v.dim:
         raise ValueError("part presentations do not match the split dimensions")
 
-    def low_vertex(w: Subspace) -> Subspace:
-        return image(low_embed, w)
-
-    def high_vertex(w: Subspace) -> Subspace:
-        return image(high_embed, w) + v
-
-    weighted: dict[tuple[Subspace, Subspace], tuple[Fraction, ...]] = {}
-    vertices: set[Subspace] = set()
-    for w in p_low.graph.vertices:
-        vertices.add(low_vertex(w))
-    for w in p_high.graph.vertices:
-        vertices.add(high_vertex(w))
-    for k, (a, b) in enumerate(p_low.graph.edges):
-        key = (low_vertex(p_low.graph.vertices[a]), low_vertex(p_low.graph.vertices[b]))
-        weighted[key] = p_low.theta.values[k]
-    for k, (a, b) in enumerate(p_high.graph.edges):
-        key = (high_vertex(p_high.graph.vertices[a]), high_vertex(p_high.graph.vertices[b]))
-        weighted[key] = p_high.theta.values[k]
-
-    graph = GraphDecomposition.build(datum.dim, vertices, list(weighted))
-    rows = [weighted[(graph.vertices[a], graph.vertices[b])] for (a, b) in graph.edges]
-    return Presentation(graph, WeightFunction(datum.n_maps, tuple(rows)))
+    low = [image(low_embed, w) for w in p_low.graph.vertices]
+    high = [image(high_embed, w) + v for w in p_high.graph.vertices]
+    weights = {(low[a], low[b]): row for (a, b), row in zip(p_low.graph.edges, p_low.theta.values)}
+    weights.update({(high[a], high[b]): row
+                    for (a, b), row in zip(p_high.graph.edges, p_high.theta.values)})
+    return Presentation.from_edges(datum.dim, datum.n_maps, low + high, weights)
 
 
 def convex_combine(terms) -> Presentation:
@@ -349,14 +329,12 @@ def convex_combine(terms) -> Presentation:
     mixed: dict[tuple[Subspace, Subspace], list[Fraction]] = {}
     for c, p in terms:
         vertices.update(p.graph.vertices)
-        for k, (a, b) in enumerate(p.graph.edges):
-            key = (p.graph.vertices[a], p.graph.vertices[b])
-            acc = mixed.setdefault(key, [Fraction(0)] * width)
+        ends = p.graph.vertices
+        for (a, b), row in zip(p.graph.edges, p.theta.values):
+            acc = mixed.setdefault((ends[a], ends[b]), [Fraction(0)] * width)
             for i in range(width):
-                acc[i] += c * p.theta.values[k][i]
-    graph = GraphDecomposition.build(ambient, vertices, list(mixed))
-    rows = [tuple(mixed[(graph.vertices[a], graph.vertices[b])]) for (a, b) in graph.edges]
-    return Presentation(graph, WeightFunction(width, tuple(rows)))
+                acc[i] += c * row[i]
+    return Presentation.from_edges(ambient, width, vertices, mixed)
 
 
 def vertex_count_bound(n_maps: int, dim: int) -> int:

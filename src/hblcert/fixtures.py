@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hblcert.data import HBLDatum
-from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import Matrix, Subspace, span
 from hblcert.presentation import Presentation
 
@@ -40,11 +39,8 @@ def loomis_whitney_presentation(d: int) -> Presentation:
     m = d + 1
     flag = [span([[Fraction(1) if c == j else Fraction(0) for c in range(m)]
                   for j in range(k)], m) for k in range(m + 1)]
-    pairs = [(flag[k], flag[k + 1]) for k in range(m)]
-    graph = GraphDecomposition.build(m, flag, pairs)
-    theta_by_pair = {pair: [Fraction(1, d)] * m for pair in pairs}
-    rows = _theta_rows(graph, theta_by_pair)
-    return Presentation(graph, WeightFunction.from_rows(rows, m))
+    weights = {(flag[k], flag[k + 1]): [Fraction(1, d)] * m for k in range(m)}
+    return Presentation.from_edges(m, m, flag, weights)
 
 
 def fourmap_r6_datum(exponents=None) -> HBLDatum:
@@ -71,21 +67,16 @@ def fourmap_r6_presentation() -> Presentation:
     full = Subspace.full(6)
     half = Fraction(1, 2)
     zero = Fraction(0)
-    weighted_edges = [
-        (v[0], v[1], (half, half, half, half)),
-        (v[1], v[2], (half, half, half, half)),
-        (v[2], v[3], (half, half, half, half)),
-        (v[3], v[4], (half, half, half, half)),
-        (v[4], v5, (half, zero, half, zero)),
-        (v[4], v6, (zero, half, zero, half)),
-        (v5, full, (half, zero, half, zero)),
-        (v6, full, (zero, half, zero, half)),
-    ]
-    vertices = v + [v5, v6, full]
-    graph = GraphDecomposition.build(6, vertices, [(a, b) for a, b, _ in weighted_edges])
-    theta_by_pair = {(a, b): list(t) for a, b, t in weighted_edges}
-    rows = _theta_rows(graph, theta_by_pair)
-    return Presentation(graph, WeightFunction.from_rows(rows, 4))
+    return Presentation.from_edges(6, 4, v + [v5, v6, full], {
+        (v[0], v[1]): (half, half, half, half),
+        (v[1], v[2]): (half, half, half, half),
+        (v[2], v[3]): (half, half, half, half),
+        (v[3], v[4]): (half, half, half, half),
+        (v[4], v5): (half, zero, half, zero),
+        (v[4], v6): (zero, half, zero, half),
+        (v5, full): (half, zero, half, zero),
+        (v6, full): (zero, half, zero, half),
+    })
 
 
 def fourmap_r6_forcing_candidates() -> list[Subspace]:
@@ -93,15 +84,6 @@ def fourmap_r6_forcing_candidates() -> list[Subspace]:
     lines = [span([[Fraction(1) if c == j else Fraction(0) for c in range(6)]], 6)
              for j in range(4)]
     return lines + [Subspace.full(6)]
-
-
-def _theta_rows(graph: GraphDecomposition, theta_by_pair) -> list[list[Fraction]]:
-    """Reorder per-edge weights to the graph's canonical edge order."""
-    rows = []
-    for (a, b) in graph.edges:
-        key = (graph.vertices[a], graph.vertices[b])
-        rows.append(list(theta_by_pair[key]))
-    return rows
 
 
 ALL_FIXTURES = {

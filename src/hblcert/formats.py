@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 
 from hblcert.data import HBLDatum
-from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import Matrix, Subspace, canonicalize
 from hblcert.presentation import Presentation
 
@@ -148,7 +147,7 @@ def parse_presentation(text: str) -> Presentation:
         by_id[vid] = canonicalize(mat)
 
     width = None
-    weighted: list[tuple[Subspace, Subspace, tuple[Fraction, ...]]] = []
+    weights: dict[tuple[Subspace, Subspace], tuple[Fraction, ...]] = {}
     for k, entry in enumerate(edges):
         if not isinstance(entry, dict):
             raise ParseError(f"presentation: edges[{k}] must be an object")
@@ -168,18 +167,12 @@ def parse_presentation(text: str) -> Presentation:
             width = len(theta)
         elif len(theta) != width:
             raise ParseError(f"presentation: edges[{k}].theta width {len(theta)} != {width}")
-        weighted.append((by_id[entry["from"]], by_id[entry["to"]], theta))
+        weights[by_id[entry["from"]], by_id[entry["to"]]] = theta
     if width is None:
         raise ParseError("presentation: needs at least one edge")
-
-    graph = GraphDecomposition.build(ambient, by_id.values(), [(a, b) for a, b, _ in weighted])
-    theta_rows: list[tuple[Fraction, ...] | None] = [None] * len(graph.edges)
-    for a, b, theta in weighted:
-        idx = graph.edge_index[(graph.vertex_index[a], graph.vertex_index[b])]
-        if theta_rows[idx] is not None:
-            raise ParseError("presentation: parallel duplicate edge")
-        theta_rows[idx] = theta
-    return Presentation(graph, WeightFunction(width, tuple(theta_rows)))
+    if len(weights) != len(edges):
+        raise ParseError("presentation: parallel duplicate edge")
+    return Presentation.from_edges(ambient, width, by_id.values(), weights)
 
 
 def serialize_presentation(pres: Presentation) -> str:

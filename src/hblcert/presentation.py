@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 from hblcert.data import HBLDatum
 from hblcert.flowgraph import (
@@ -40,6 +41,16 @@ class Presentation:
     def __post_init__(self) -> None:
         if len(self.theta.values) != len(self.graph.edges):
             raise ValueError("theta does not match the edge list")
+
+    @staticmethod
+    def from_edges(ambient: int, width: int, vertices: Iterable[Subspace],
+                   weights: Mapping[tuple[Subspace, Subspace], Sequence[Fraction]]
+                   ) -> Presentation:
+        """The canonical graph on `vertices` with one edge per (low, high) key
+        of `weights`, each edge carrying its value as theta row."""
+        graph = GraphDecomposition.build(ambient, vertices, weights)
+        rows = tuple(tuple(weights[graph.vertices[a], graph.vertices[b]]) for a, b in graph.edges)
+        return Presentation(graph, WeightFunction(width, rows))
 
 
 def _distinguishing(datum: HBLDatum, graph: GraphDecomposition

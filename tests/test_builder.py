@@ -284,17 +284,27 @@ def test_concatenate_r6_split_has_five_chain_low_part():
     assert sorted(w.dim for w in low_vertices) == [0, 1, 2, 3, 4]
 
 
+def test_concatenate_embeds_each_part_vertex_once(monkeypatch):
+    datum = fourmap_r6_datum()
+    v = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
+              [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
+    low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
+    p_low = build_presentation(low_datum, generate_lattice(low_datum))
+    p_high = build_presentation(high_datum, generate_lattice(high_datum))
+    calls = []
+    original = builder.image
+    monkeypatch.setattr(builder, "image", lambda m, w: calls.append(w) or original(m, w))
+    pres = concatenate(datum, v, p_low, p_high)
+    assert len(calls) == len(p_low.graph.vertices) + len(p_high.graph.vertices)
+    assert verify_presentation(datum, pres).valid
+
+
 def test_concatenate_at_the_zero_subspace_reembeds_the_high_part():
-    from hblcert.flowgraph import GraphDecomposition
     from hblcert.presentation import Presentation
-    from hblcert.flowgraph import WeightFunction
 
     datum = loomis_whitney_datum(2)
     p_high = build_presentation(datum, generate_lattice(datum))
-    trivial = Presentation(
-        GraphDecomposition.build(0, [Subspace.zero(0)], []),
-        WeightFunction.zeros(0, 3),
-    )
+    trivial = Presentation.from_edges(0, 3, [Subspace.zero(0)], {})
     pres = concatenate(datum, Subspace.zero(3), trivial, p_high)
     assert pres == p_high
 

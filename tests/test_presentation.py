@@ -55,6 +55,31 @@ def transport_presentation(pres, t):
     return Presentation(graph, WeightFunction(pres.theta.width, tuple(rows)))
 
 
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_from_edges_ignores_the_order_of_edges_and_vertices(name):
+    pres = ALL_FIXTURES[name][1]()
+    graph = pres.graph
+    pairs = [((graph.vertices[a], graph.vertices[b]), row)
+             for (a, b), row in zip(graph.edges, pres.theta.values)]
+    rng = random.Random(name)
+    for _ in range(4):
+        rng.shuffle(pairs)
+        vertices = list(graph.vertices)
+        rng.shuffle(vertices)
+        assert Presentation.from_edges(graph.ambient, pres.theta.width, vertices,
+                                       dict(pairs)) == pres
+
+
+def test_from_edges_keeps_isolated_vertices_and_needs_every_endpoint():
+    zero, line, full = Subspace.zero(2), span([[1, 0]], 2), Subspace.full(2)
+    weights = {(zero, full): (Fraction(1),)}
+    pres = Presentation.from_edges(2, 1, [full, line, zero], weights)
+    assert pres.graph.vertices == (zero, line, full)
+    assert pres.graph.edges == ((0, 2),)
+    with pytest.raises(ValueError, match="edge endpoint is not a vertex"):
+        Presentation.from_edges(2, 1, [zero, line], weights)
+
+
 def test_summary_weight_r6_diamond_edge():
     datum, pres = fourmap_r6_datum(), fourmap_r6_presentation()
     sigma = summary_weight(datum, pres)
