@@ -188,6 +188,13 @@ def is_balanced(graph: GraphDecomposition, weight: WeightFunction) -> bool:
     return next(unbalanced_vertices(graph, weight), None) is None
 
 
+def _require_balanced(graph: GraphDecomposition, weight: WeightFunction) -> None:
+    """Raise naming the first vertex where in-sum and out-sum differ."""
+    off = next(unbalanced_vertices(graph, weight), None)
+    if off is not None:
+        raise ValueError(f"weight is not balanced at {graph.describe_vertex(off[0])}")
+
+
 def total_mass(graph: GraphDecomposition, weight: WeightFunction) -> tuple[Fraction, ...]:
     """Componentwise sum of the weight over edges outgoing from {0}."""
     _check_sizes(graph, weight)
@@ -226,8 +233,7 @@ def decompose_flow(graph: GraphDecomposition, weight: WeightFunction) -> ChainDe
     _check_sizes(graph, weight)
     if not weight.is_nonnegative():
         raise ValueError("weight has a negative entry")
-    if not is_balanced(graph, weight):
-        raise ValueError("weight is not balanced")
+    _require_balanced(graph, weight)
     values = [list(vec) for vec in weight.values]
     terms: list[ChainTerm] = []
     while True:
@@ -311,12 +317,12 @@ def project_weight(graph: GraphDecomposition, weight: WeightFunction, map_: Matr
                    ) -> WeightFunction:
     """Summed pushforward of a balanced weight onto project_graph(graph, map).
 
-    Balance and total mass are preserved and checked on the result. A
-    rank-zero map is the one degenerate exception: its image graph is the
-    single vertex {0} = H with no edges, so the pushforward is empty and
-    carries no mass.
+    The input must be balanced; balance and total mass are then preserved,
+    and checked on the result. A rank-zero map is the one degenerate
+    exception: its image graph is the single vertex {0} = H with no edges,
+    so the pushforward is empty and carries no mass.
     """
-    _check_sizes(graph, weight)
+    _require_balanced(graph, weight)
     projected, edge_map = project_graph(graph, map_)
     sums = [[Fraction(0)] * weight.width for _ in projected.edges]
     for k, target in enumerate(edge_map):

@@ -134,6 +134,20 @@ def test_project_command(capsys):
     assert report["masses"] == ["1/2", "1/2", "1/2"]
 
 
+@pytest.mark.parametrize("map_index", ["0", "1", "2"])
+def test_project_rejects_an_unbalanced_weight(capsys, tmp_path, map_index):
+    # Under pi2 the bad edge v1 -> v2 collapses, so only an input check sees it.
+    pres = json.loads(pathlib.Path(fixture("lw2.presentation.json")).read_text())
+    pres["edges"][1]["theta"] = ["1", "1/2", "1/2"]
+    path = tmp_path / "unbalanced.presentation.json"
+    path.write_text(json.dumps(pres))
+    code = main(["project", "--data", fixture("lw2.datum.json"),
+                 "--presentation", str(path), "--map-index", map_index])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: weight is not balanced at span{[1 0 0]}" in captured.err
+
+
 def test_gaussian_command_bounded_and_divergent(capsys, tmp_path):
     code, report = run_json(capsys, "gaussian", "--data", fixture("lw2.datum.json"))
     assert code == 0
