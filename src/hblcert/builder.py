@@ -97,10 +97,6 @@ class ExtremeSet:
     points: tuple[tuple[Fraction, ...], ...]
     truncated: bool
 
-    @property
-    def infeasible(self) -> bool:
-        return not self.points and not self.truncated
-
 
 @dataclass(frozen=True)
 class ExtremeDecomposition:
@@ -248,7 +244,7 @@ def _reduce_caratheodory(n: int, terms):
     coeffs = [merged[p] for p in points]
     while len(points) > n + 1:
         # Rows are the points with a trailing 1; a kernel vector is an
-        # affine dependence sum lam_k p_k = 0, sum lam_k = 0.
+        # affine dependence sum lam_k p_k = 0, sum lam_k = 0, so some lam_k > 0.
         mat = Matrix.from_rows([list(p) + [Fraction(1)] for p in points], cols=n + 1)
         dep = kernel(mat.transpose())
         if dep.dim == 0:
@@ -258,11 +254,6 @@ def _reduce_caratheodory(n: int, terms):
         for c, l in zip(coeffs, lam):
             if l > 0 and (step is None or c / l < step):
                 step = c / l
-        if step is None:
-            lam = [-x for x in lam]
-            for c, l in zip(coeffs, lam):
-                if l > 0 and (step is None or c / l < step):
-                    step = c / l
         if step is None:
             raise BuildError("affine dependence with no positive coefficient")
         coeffs = [c - step * l for c, l in zip(coeffs, lam)]

@@ -103,15 +103,13 @@ def _log_ratio(datum: HBLDatum, forms: list[np.ndarray], mats) -> float:
     acc = 0.0
     for tau, b, a in zip(datum.exponents, forms, mats):
         t = float(tau)
-        if b.shape[0] == 0 or t == 0.0:
-            if b.shape[0]:
-                sign, logdet = np.linalg.slogdet(a)
-                if sign <= 0:
-                    raise ValueError("Gaussian input matrix is not positive definite")
+        if b.shape[0] == 0:
             continue
         sign, logdet = np.linalg.slogdet(a)
         if sign <= 0:
             raise ValueError("Gaussian input matrix is not positive definite")
+        if t == 0.0:
+            continue
         acc += t * logdet
         total += t * (b.T @ a @ b)
     sign, logdet = np.linalg.slogdet(total)
@@ -134,9 +132,9 @@ def gaussian_ratio(datum: HBLDatum, g: GaussianInput) -> float:
     return math.inf if lr == math.inf else math.exp(lr)
 
 
-def ascent_log_ratio(datum: HBLDatum, forms, factors) -> float:
-    """_log_ratio at A_i = C_i^T C_i; gaussian_ascent calls it once a step."""
-    return _log_ratio(datum, forms, [c.T @ c for c in factors])
+def ascent_log_ratio(datum: HBLDatum, forms) -> float:
+    """_log_ratio at A_i = I; gaussian_ascent calls it once a step."""
+    return _log_ratio(datum, forms, map(np.eye, datum.ranks))
 
 
 def _inverse_sqrt(s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -179,7 +177,7 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tu
         scaled[i] = (np.tril(w, -1) + np.diag(np.exp(np.diag(w)))) @ forms[i]
         offset += t * float(np.trace(w))
     log_threshold = math.log(DIVERGENCE_THRESHOLD)
-    best = offset + ascent_log_ratio(datum, [scaled[k] for k in rep], eyes)
+    best = offset + ascent_log_ratio(datum, [scaled[k] for k in rep])
     for _ in range(8 * iterations + 100):
         if best > log_threshold:
             break
@@ -193,7 +191,7 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tu
             left, logdet = _inverse_sqrt(gram)
             offset -= 0.5 * t * logdet
             scaled[i] = left @ b
-        best = max(best, offset + ascent_log_ratio(datum, [scaled[k] for k in rep], eyes))
+        best = max(best, offset + ascent_log_ratio(datum, [scaled[k] for k in rep]))
         if error < SCALING_TOLERANCE:
             break
     return math.exp(min(best, 700.0)), bool(best > log_threshold)
@@ -234,12 +232,6 @@ class GridFunction:
 
     def mass(self) -> float:
         return float(self.values.sum()) * self.cell_volume()
-
-    def centers(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        n = self.values.shape[axis]
-        h = (hi - lo) / n
-        return lo + h * (np.arange(n) + 0.5)
 
 
 def write_grid_function(f: GridFunction) -> str:
