@@ -43,16 +43,10 @@ def r6_edge(pres, target_from_dim, to_basis_rows):
 
 
 def transport_presentation(pres, t):
-    moved = {image(t, v) for v in pres.graph.vertices}
-    pairs = []
-    weights = {}
-    for k, (a, b) in enumerate(pres.graph.edges):
-        key = (image(t, pres.graph.vertices[a]), image(t, pres.graph.vertices[b]))
-        pairs.append(key)
-        weights[key] = pres.theta.values[k]
-    graph = GraphDecomposition.build(pres.graph.ambient, moved, pairs)
-    rows = [weights[(graph.vertices[a], graph.vertices[b])] for a, b in graph.edges]
-    return Presentation(graph, WeightFunction(pres.theta.width, tuple(rows)))
+    moved = [image(t, v) for v in pres.graph.vertices]
+    weights = {(moved[a], moved[b]): row
+               for (a, b), row in zip(pres.graph.edges, pres.theta.values)}
+    return Presentation.from_edges(pres.graph.ambient, pres.theta.width, moved, weights)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
