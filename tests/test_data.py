@@ -272,3 +272,53 @@ def test_violation_and_critical_agree_with_fraction_slack(ambient, hyp_rng):
     criticals = find_critical(datum, lattice)
     assert criticals == reference_critical(datum, lattice)
     assert all(r.classification == CRITICAL for r in criticals)
+
+
+def reference_lattice(datum, seeds, max_size):
+    """generate_lattice written plainly: `+`, `&` and list membership by `==`."""
+    subs, log = [], []
+    overflow = False
+
+    def push(s, why):
+        nonlocal overflow
+        if s in subs:
+            return
+        if len(subs) >= max_size:
+            overflow = True
+            return
+        subs.append(s)
+        log.append(why)
+
+    push(Subspace.zero(datum.dim), "zero")
+    push(Subspace.full(datum.dim), "full")
+    for name, m in zip(datum.names, datum.maps):
+        push(kernel(m), f"kernel of {name}")
+    for k, s in enumerate(seeds):
+        push(s, f"seed[{k}]")
+    processed = 0
+    while processed < len(subs) and not overflow:
+        for j in range(2, processed):
+            push(subs[processed] + subs[j], f"sum({j},{processed})")
+            push(subs[processed] & subs[j], f"intersect({j},{processed})")
+            if overflow:
+                break
+        processed += 1
+    return tuple(subs), tuple(log), not overflow
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_generate_lattice_matches_a_plain_closure(data):
+    ambient = data.draw(st.integers(2, 4))
+    vectors = st.lists(st.integers(-1, 1), min_size=ambient, max_size=ambient)
+    maps = tuple(Matrix.from_rows(data.draw(st.lists(vectors, min_size=1, max_size=ambient)),
+                                  cols=ambient)
+                 for _ in range(data.draw(st.integers(1, 3))))
+    datum = HBLDatum(ambient, maps, tuple(f"pi{k}" for k in range(len(maps))),
+                     (Fraction(0),) * len(maps))
+    seeds = [span(data.draw(st.lists(vectors, max_size=ambient)), ambient)
+             for _ in range(data.draw(st.integers(0, 2)))]
+    max_size = data.draw(st.integers(2, 40))
+    lattice = generate_lattice(datum, seeds=seeds, max_size=max_size)
+    assert (lattice.subspaces, lattice.generation_log, lattice.closed) \
+        == reference_lattice(datum, seeds, max_size)
