@@ -189,7 +189,11 @@ def is_balanced(graph: GraphDecomposition, weight: WeightFunction) -> bool:
 
 
 def _require_balanced(graph: GraphDecomposition, weight: WeightFunction) -> None:
-    """Raise naming the first vertex where in-sum and out-sum differ."""
+    """Raise naming the first graph axiom violation, else the first vertex
+    where in-sum and out-sum differ."""
+    problems = validate_graph(graph)
+    if problems:
+        raise ValueError("not a graph decomposition: " + problems[0])
     off = next(unbalanced_vertices(graph, weight), None)
     if off is not None:
         raise ValueError(f"weight is not balanced at {graph.describe_vertex(off[0])}")

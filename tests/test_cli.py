@@ -354,6 +354,52 @@ def test_negative_seed_exits_two(capsys, command, files):
     assert "--seed must be non-negative" in captured.err
 
 
+# A weight balanced on a graph with the cycle a -> b -> a, whose edges jump no
+# dimension; and an R^0 file whose two vertices are both {0}, joined by a loop.
+CYCLIC_DATUM = {"dim": 2, "maps": [{"rows": [["1", "0"], ["0", "1"]]}], "exponents": ["1"]}
+CYCLIC_PRESENTATION = {
+    "vertices": [{"id": "z", "basis": []}, {"id": "a", "basis": [["1", "0"]]},
+                 {"id": "b", "basis": [["0", "1"]]},
+                 {"id": "f", "basis": [["1", "0"], ["0", "1"]]}],
+    "edges": [{"from": "z", "to": "a", "theta": ["1"]}, {"from": "a", "to": "b", "theta": ["2"]},
+              {"from": "b", "to": "a", "theta": ["1"]}, {"from": "b", "to": "f", "theta": ["1"]}],
+}
+LOOP_PRESENTATION = {"vertices": [{"id": "a", "basis": [[]]}, {"id": "b", "basis": []}],
+                     "edges": [{"from": "b", "to": "a", "theta": ["1"]}]}
+
+
+CYCLE_PROBLEM = "not a graph decomposition: edge 1 (span{[0 1]} -> span{[1 0]}) jumps dimension 1 to 1"
+
+
+# No datum has dimension 0, so `project` stops the R^0 file at the ambient check.
+@pytest.mark.parametrize("command, presentation, problem", [
+    ("decompose-flow", CYCLIC_PRESENTATION, CYCLE_PROBLEM),
+    ("project", CYCLIC_PRESENTATION, CYCLE_PROBLEM),
+    ("decompose-flow", LOOP_PRESENTATION,
+     "not a graph decomposition: edge 0 (0 -> 0) jumps dimension 0 to 0"),
+    ("project", LOOP_PRESENTATION, "map domain does not match graph ambient"),
+])
+def test_flow_commands_reject_a_graph_that_is_not_a_decomposition(
+        tmp_path, command, presentation, problem):
+    # In a subprocess with a timeout, since chain extension can walk a cycle forever.
+    (tmp_path / "p.json").write_text(json.dumps(presentation))
+    (tmp_path / "d.json").write_text(json.dumps(CYCLIC_DATUM))
+    argv = [command, "--presentation", "p.json"]
+    if command == "project":
+        argv += ["--data", "d.json", "--map-index", "0"]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    try:
+        result = subprocess.run([sys.executable, "-m", "hblcert.cli", *argv],
+                                capture_output=True, text=True, env=env, cwd=tmp_path,
+                                timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{command} did not stop within 60 s")
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: {problem}\n"
+
+
 def test_exact_commands_never_import_numpy(tmp_path):
     """verify, build and check-data are rational arithmetic only."""
     script = (
