@@ -203,7 +203,7 @@ def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[
         return [(Fraction(1), tau)]
     # A positive integer multiple of the RREF direction: the step lengths
     # shrink by the same factor, so the end points and lam do not change.
-    direction = null._integer_basis[0]
+    direction = null.echelon[0]
 
     def max_step(sign: int) -> Fraction:
         best: Fraction | None = None

@@ -16,14 +16,12 @@ from operator import mul
 
 from hblcert.linalg import (
     Matrix,
-    Rows,
     Subspace,
-    _from_rows,
     _over_common_denominator,
-    _zassenhaus,
     image,
     image_rank,
     kernel,
+    sum_and_intersection,
 )
 
 VIOLATING = "violating"
@@ -130,23 +128,21 @@ class CandidateLattice:
             raise ValueError("duplicate subspaces in candidate lattice")
 
     @staticmethod
-    def from_subspaces(ambient: int, subspaces, closed: bool | None = None) -> CandidateLattice:
+    def from_subspaces(ambient: int, subspaces) -> CandidateLattice:
         subs: list[Subspace] = [Subspace.zero(ambient), Subspace.full(ambient)]
         log = ["zero", "full"]
         for s in subspaces:
             if s not in subs:
                 subs.append(s)
                 log.append("given")
-        if closed is None:
-            closed = _is_closed(subs)
-        return CandidateLattice(tuple(subs), closed, tuple(log))
+        return CandidateLattice(tuple(subs), _is_closed(subs), tuple(log))
 
 
 def _is_closed(subs: list[Subspace]) -> bool:
-    present = {s._integer_basis for s in subs}
-    return all(rows in present
+    present = set(subs)
+    return all(s in present
                for i, a in enumerate(subs) for b in subs[: i + 1]
-               for rows, _ in _zassenhaus(a, b))
+               for s in sum_and_intersection(a, b))
 
 
 def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> CandidateLattice:
@@ -159,22 +155,19 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         raise ValueError("max_size must be at least 2")
     subs: list[Subspace] = []
     log: list[str] = []
-    # Keyed on the normalized integer rows that Subspace hashes, so a
-    # duplicate sum or intersection is dropped before its Fraction basis and
-    # its log entry are formed.
-    seen: set[Rows] = set()
+    seen: set[Subspace] = set()
     overflow = False
 
     def push(s: Subspace, why: str) -> None:
         nonlocal overflow
-        if s._integer_basis in seen:
+        if s in seen:
             return
         if len(subs) >= max_size:
             overflow = True
             return
         subs.append(s)
         log.append(why)
-        seen.add(s._integer_basis)
+        seen.add(s)
 
     push(Subspace.zero(datum.dim), "zero")
     push(Subspace.full(datum.dim), "full")
@@ -193,9 +186,8 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
     while processed < len(subs) and not overflow:
         a = subs[processed]
         for j in range(2, processed):
-            for kind, (rows, pivots) in zip(("sum", "intersect"), _zassenhaus(a, subs[j])):
-                if rows not in seen:
-                    push(_from_rows(datum.dim, rows, pivots), f"{kind}({j},{processed})")
+            for kind, s in zip(("sum", "intersect"), sum_and_intersection(a, subs[j])):
+                push(s, f"{kind}({j},{processed})")
             if overflow:
                 break
         processed += 1

@@ -35,10 +35,6 @@ def parse_rational(text: str, where: str = "rational") -> Fraction:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _load_json(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
@@ -108,10 +104,10 @@ def serialize_datum(datum: HBLDatum) -> str:
         "dim": datum.dim,
         "maps": [
             {"name": name,
-             "rows": [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]}
+             "rows": [[str(x) for x in m.row(i)] for i in range(m.rows)]}
             for name, m in zip(datum.names, datum.maps)
         ],
-        "exponents": [format_rational(t) for t in datum.exponents],
+        "exponents": [str(t) for t in datum.exponents],
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -180,12 +176,12 @@ def serialize_presentation(pres: Presentation) -> str:
     obj = {
         "vertices": [
             {"id": f"v{i}",
-             "basis": [[format_rational(x) for x in row] for row in v.basis_rows()]}
+             "basis": [[str(x) for x in row] for row in v.basis_rows()]}
             for i, v in enumerate(graph.vertices)
         ],
         "edges": [
             {"from": f"v{a}", "to": f"v{b}",
-             "theta": [format_rational(x) for x in pres.theta.values[k]]}
+             "theta": [str(x) for x in pres.theta.values[k]]}
             for k, (a, b) in enumerate(graph.edges)
         ],
     }

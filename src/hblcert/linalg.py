@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
 No floating point enters. Subspaces are kept in a unique canonical form
-(reduced row echelon basis of `fractions.Fraction`s) so that equality of
-spans is plain value equality and subspaces can be hashed, sorted and used
-as graph vertices. Elimination itself runs on integer rows: each input row
-is scaled by the lcm of its denominators, Gauss-Jordan proceeds
-fraction-free (Bareiss, Math. Comp. 22, 1968) with every new row divided by
-its content, and only the finished rows are divided by their pivots.
+(reduced row echelon rows scaled to primitive integers with positive pivots)
+so that equality of spans is plain value equality and subspaces can be
+hashed, sorted and used as graph vertices. Elimination runs on integer rows:
+each input row is scaled by the lcm of its denominators, and Gauss-Jordan
+proceeds fraction-free (Bareiss, Math. Comp. 22, 1968) with every new row
+divided by its content. A subspace's `fractions.Fraction` basis, its rows
+divided by their pivots, is formed only when something reads it.
 """
 
 from __future__ import annotations
@@ -224,37 +225,46 @@ def norm_sq(v: Sequence[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient, stored as the unique RREF basis of its span.
+    """A subspace of Q^ambient, stored as the unique echelon form of its span.
 
-    Equal spans produce identical values, so `==`, `hash` and sorting all
-    operate on the subspace itself rather than on one of its presentations.
-    The zero subspace has a basis with no rows.
+    `echelon` holds the reduced row echelon rows scaled to primitive integers
+    with positive pivots. Equal spans produce identical values, so `==`,
+    `hash` and sorting all operate on the subspace itself rather than on one
+    of its presentations. The zero subspace has no rows. The `Fraction`
+    basis with leading ones is formed only when read.
     """
 
     ambient: int
-    basis: Matrix
+    echelon: Rows
 
     def __post_init__(self) -> None:
-        if self.basis.cols != self.ambient:
-            raise ValueError("basis width does not match ambient dimension")
+        if any(len(row) != self.ambient for row in self.echelon):
+            raise ValueError("echelon row width does not match ambient dimension")
 
     @staticmethod
     def zero(ambient: int) -> Subspace:
-        return Subspace(ambient, Matrix.zeros(0, ambient))
+        return Subspace(ambient, ())
 
     @staticmethod
     def full(ambient: int) -> Subspace:
-        return Subspace(ambient, Matrix.identity(ambient))
+        return Subspace(ambient, tuple(tuple(int(i == j) for j in range(ambient))
+                                       for i in range(ambient)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.echelon)
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
     def is_full(self) -> bool:
         return self.dim == self.ambient
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The RREF basis: each row of `echelon` divided by its pivot entry."""
+        flat = tuple(x for row in _leading_ones(self.echelon, self.pivots) for x in row)
+        return Matrix(self.dim, self.ambient, flat)
 
     @property
     def sort_key(self) -> tuple:
@@ -265,34 +275,15 @@ class Subspace:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        # Basis is already in RREF; pivots are the leading-one columns.
-        out = []
-        for i in range(self.dim):
-            row = self.basis.row(i)
-            out.append(next(j for j, x in enumerate(row) if x != 0))
-        return tuple(out)
-
-    @cached_property
-    def _integer_basis(self) -> Rows:
-        """Primitive integer multiples of the basis rows.
-
-        Their pivots are positive, so these rows are a function of the
-        basis alone; subspaces built by elimination get them set directly.
-        """
-        return tuple(tuple(_integer_row(row)) for row in self.basis_rows())
-
-    def __hash__(self) -> int:
-        # The integer rows and the basis determine each other, so this agrees
-        # with equality, and it is far cheaper than hashing Fractions.
-        return hash((self.ambient, self._integer_basis))
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.echelon)
 
     def __add__(self, other: Subspace) -> Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch in subspace sum")
-        return _canonical([*self._integer_basis, *other._integer_basis], self.ambient)
+        return _canonical([*self.echelon, *other.echelon], self.ambient)
 
     def __and__(self, other: Subspace) -> Subspace:
-        return _from_rows(self.ambient, *_zassenhaus(self, other)[1])
+        return sum_and_intersection(self, other)[1]
 
     def __le__(self, other: Subspace) -> bool:
         return (self + other) == other
@@ -334,25 +325,16 @@ class Subspace:
 def _normalized(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
     """Echelon rows as primitive integer rows with positive pivots.
 
-    These rows depend on the span alone, so they can key a subspace before,
-    or instead of, its Fraction basis being formed.
+    These rows depend on the span alone: they are a subspace's `echelon`.
     """
     return tuple(tuple(_primitive(row if row[p] > 0 else [-x for x in row]))
                  for row, p in zip(rows, pivots))
 
 
-def _from_rows(ambient: int, rows: Rows, pivots: Sequence[int]) -> Subspace:
-    """The subspace with these normalized echelon rows."""
-    flat = tuple(x for row in _leading_ones(rows, pivots) for x in row)
-    sub = Subspace(ambient, Matrix(len(rows), ambient, flat))
-    object.__setattr__(sub, "_integer_basis", rows)
-    return sub
-
-
 def _canonical(rows: Sequence[Sequence[int]], ambient: int) -> Subspace:
     """Canonical subspace spanned by integer rows."""
     reduced, pivots = _echelon(rows, ambient)
-    return _from_rows(ambient, _normalized(reduced, pivots), pivots)
+    return Subspace(ambient, _normalized(reduced, pivots))
 
 
 def canonicalize(generators: Matrix) -> Subspace:
@@ -374,7 +356,7 @@ def _image_rows(map_: Matrix, v: Subspace) -> list[list[int]]:
     if map_.cols != v.ambient:
         raise ValueError("map domain does not match subspace ambient")
     scaled = map_._scaled[1]
-    return [[sum(map(mul, row, b)) for row in scaled] for b in v._integer_basis]
+    return [[sum(map(mul, row, b)) for row in scaled] for b in v.echelon]
 
 
 def image(map_: Matrix, v: Subspace) -> Subspace:
@@ -407,9 +389,8 @@ def kernel(map_: Matrix) -> Subspace:
     return _canonical(rows, cols)
 
 
-def _zassenhaus(u: Subspace, w: Subspace
-                ) -> tuple[tuple[Rows, list[int]], tuple[Rows, list[int]]]:
-    """Normalized echelon rows and pivots of U + W and of U cap W.
+def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
+    """U + W and U cap W from one Zassenhaus elimination.
 
     The RREF of the rows [u, u] (u in U) and [w, 0] (w in W), over 2m
     columns, splits in two: the rows with a pivot left of column m have as
@@ -420,16 +401,9 @@ def _zassenhaus(u: Subspace, w: Subspace
         raise ValueError("ambient mismatch in subspace sum and intersection")
     m = u.ambient
     zeros = (0,) * m
-    rows = [b + b for b in u._integer_basis] + [b + zeros for b in w._integer_basis]
+    rows = [b + b for b in u.echelon] + [b + zeros for b in w.echelon]
     reduced, pivots = _echelon(rows, 2 * m)
     k = bisect_left(pivots, m)
-    total_pivots = pivots[:k]
     meet_pivots = [p - m for p in pivots[k:]]
-    return ((_normalized([row[:m] for row in reduced[:k]], total_pivots), total_pivots),
-            (_normalized([row[m:] for row in reduced[k:]], meet_pivots), meet_pivots))
-
-
-def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
-    """U + W and U cap W from one Zassenhaus elimination."""
-    total, meet = _zassenhaus(u, w)
-    return _from_rows(u.ambient, *total), _from_rows(u.ambient, *meet)
+    return (Subspace(m, _normalized([row[:m] for row in reduced[:k]], pivots[:k])),
+            Subspace(m, _normalized([row[m:] for row in reduced[k:]], meet_pivots)))
