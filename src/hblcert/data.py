@@ -187,7 +187,8 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         a = subs[processed]
         for j in range(2, processed):
             for kind, s in zip(("sum", "intersect"), sum_and_intersection(a, subs[j])):
-                push(s, f"{kind}({j},{processed})")
+                if s not in seen:  # no log entry is formed for a duplicate
+                    push(s, f"{kind}({j},{processed})")
             if overflow:
                 break
         processed += 1
