@@ -381,7 +381,7 @@ CYCLE_PROBLEM = "not a graph decomposition: edge 1 (span{[0 1]} -> span{[1 0]}) 
 ])
 def test_flow_commands_reject_a_graph_that_is_not_a_decomposition(
         tmp_path, command, presentation, problem):
-    # In a subprocess with a timeout, since chain extension can walk a cycle forever.
+    # In a subprocess with a timeout: a command that never stops fails instead of hanging.
     (tmp_path / "p.json").write_text(json.dumps(presentation))
     (tmp_path / "d.json").write_text(json.dumps(CYCLIC_DATUM))
     argv = [command, "--presentation", "p.json"]
