@@ -374,9 +374,9 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
         low: dict[Subspace, tuple[int, ...]] = {}
         high: dict[Subspace, tuple[int, ...]] = {}
         for u in candidates.subspaces:
-            if u.dim <= v.dim and u <= v:
+            if u <= v:
                 low[image(low_retract, u)] = datum.image_dims(u)
-            if u.dim >= v.dim and v <= u:
+            if v <= u:
                 high[image(high_retract, u & vperp)] = tuple(map(sub, datum.image_dims(u), base))
         if len(low) <= max_size and len(high) <= max_size:
             low_datum._image_dims.update(low)

@@ -21,6 +21,7 @@ from hblcert.linalg import (
     image,
     image_rank,
     kernel,
+    quotient_rank,
     sum_and_intersection,
 )
 
@@ -138,11 +139,86 @@ class CandidateLattice:
         return CandidateLattice(tuple(subs), _is_closed(subs), tuple(log))
 
 
+class _Inclusions:
+    """The inclusion order of a family of distinct subspaces, as bitmasks.
+
+    Bit k of up[i] says subs[i] <= subs[k], bit k of down[i] says
+    subs[k] <= subs[i], and bydim[d] has the bit of each member of dimension
+    d. The masks of a member are complete once it is related to every other.
+    """
+
+    def __init__(self, ambient: int) -> None:
+        self.subs: list[Subspace] = []
+        self.up: list[int] = []
+        self.down: list[int] = []
+        self.bydim = [0] * (ambient + 1)
+
+    def add(self, s: Subspace) -> None:
+        bit = 1 << len(self.subs)
+        self.subs.append(s)
+        self.up.append(bit)
+        self.down.append(bit)
+        self.bydim[s.dim] |= bit
+
+    def relate(self, i: int, others: range) -> None:
+        """Record how subs[i] compares with each subs[k], k in others.
+
+        Distinct members of equal dimension are incomparable.
+        """
+        a = self.subs[i]
+        da = a.dim
+        for k in others:
+            b = self.subs[k]
+            db = b.dim
+            if da < db:
+                if a <= b:
+                    self.up[i] |= 1 << k
+                    self.down[k] |= 1 << i
+            elif db < da and b <= a:
+                self.up[k] |= 1 << i
+                self.down[i] |= 1 << k
+
+    def closes(self, i: int, j: int) -> bool:
+        """Whether subs[i] + subs[j] and subs[i] & subs[j] are both members.
+
+        Exact once i and j are related to every member. Let l be the lowest
+        dimension of a member above A and B, and h the highest of one below
+        both. Each member above both contains A + B, so l >= dim(A + B), with
+        equality exactly when A + B is a member; dually h <= dim(A & B).
+        Hence both are members exactly when l + h = dim A + dim B and
+        r = dim(A + B) - dim A equals l - dim A. When A and B are not
+        comparable, l > dim A, dim B > h, and r >= max(1, dim B - dim A + 1);
+        as r <= l - dim A, no rank is computed when those two bounds meet.
+        """
+        up, down, bydim = self.up, self.down, self.bydim
+        if (up[i] | down[i]) >> j & 1:
+            return True  # comparable: the sum and the meet are the pair itself
+        a, b = self.subs[i], self.subs[j]
+        da, db = a.dim, b.dim
+        above, below = up[i] & up[j], down[i] & down[j]
+        for lowest in range(max(da, db) + 1, len(bydim)):
+            if above & bydim[lowest]:
+                break
+        else:
+            return False
+        for highest in range(min(da, db) - 1, -1, -1):
+            if below & bydim[highest]:
+                break
+        else:
+            return False
+        if lowest + highest != da + db:
+            return False
+        r = lowest - da
+        return r == max(1, db - da + 1) or quotient_rank(a, b) == r
+
+
 def _is_closed(subs: list[Subspace]) -> bool:
-    present = set(subs)
-    return all(s in present
-               for i, a in enumerate(subs) for b in subs[: i + 1]
-               for s in sum_and_intersection(a, b))
+    """Whether every pairwise sum and intersection of the family is a member."""
+    order = _Inclusions(subs[0].ambient)
+    for i, s in enumerate(subs):
+        order.add(s)
+        order.relate(i, range(i))
+    return all(order.closes(i, j) for i in range(len(subs)) for j in range(i))
 
 
 def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> CandidateLattice:
@@ -153,10 +229,12 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    subs: list[Subspace] = []
+    order = _Inclusions(datum.dim)
+    subs = order.subs
     log: list[str] = []
     seen: set[Subspace] = set()
     overflow = False
+    processed = related = 0
 
     def push(s: Subspace, why: str) -> None:
         nonlocal overflow
@@ -165,7 +243,8 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         if len(subs) >= max_size:
             overflow = True
             return
-        subs.append(s)
+        order.add(s)
+        order.relate(len(subs) - 1, range(related))
         log.append(why)
         seen.add(s)
 
@@ -181,11 +260,18 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
     # Each unordered pair is examined exactly once, when its later element
     # becomes the processed one. Pairs with {0} (index 0), H (index 1) or the
     # element itself only give back subspaces already present, so they are
-    # skipped: pushing those would change nothing.
-    processed = 0
+    # skipped: pushing those would change nothing. So is a pair whose sum and
+    # meet the inclusion order already holds. That test needs the masks of
+    # both members complete: each member is related to every later one when
+    # its turn comes, and each new one to those whose turn has come, which
+    # costs O(processed * |L|) comparisons, not O(|L|^2), when the cap is hit.
     while processed < len(subs) and not overflow:
+        order.relate(processed, range(processed + 1, len(subs)))
+        related = processed + 1
         a = subs[processed]
         for j in range(2, processed):
+            if order.closes(processed, j):
+                continue
             for kind, s in zip(("sum", "intersect"), sum_and_intersection(a, subs[j])):
                 if s not in seen:  # no log entry is formed for a duplicate
                     push(s, f"{kind}({j},{processed})")

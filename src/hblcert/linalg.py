@@ -250,7 +250,7 @@ class Subspace:
         return Subspace(ambient, tuple(tuple(int(i == j) for j in range(ambient))
                                        for i in range(ambient)))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.echelon)
 
@@ -286,7 +286,17 @@ class Subspace:
         return sum_and_intersection(self, other)[1]
 
     def __le__(self, other: Subspace) -> bool:
-        return (self + other) == other
+        """U <= W: every echelon row of U is annihilated by the rows of W-perp.
+
+        U <= W also puts each pivot of U among the pivots of W, a first filter
+        that takes no product.
+        """
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch in subspace comparison")
+        if self.dim > other.dim or not set(self.pivots).issubset(other.pivots):
+            return False
+        perp = other.perp().echelon
+        return not any(sum(map(mul, p, x)) for x in self.echelon for p in perp)
 
     def perp(self) -> Subspace:
         """Orthogonal complement w.r.t. the standard inner product."""
@@ -295,8 +305,9 @@ class Subspace:
     @cached_property
     def _perp(self) -> Subspace:
         # Computed once: a split reads V-perp in the quotient, the children's
-        # families and the concatenation.
-        return kernel(self.basis)
+        # families and the concatenation, and every inclusion test U <= V
+        # reads V-perp. The echelon rows are already reduced.
+        return _null_space(self.echelon, self.pivots, self.ambient)
 
     def projector(self) -> Matrix:
         """Orthogonal projector onto this subspace: B^T (B B^T)^-1 B."""
@@ -371,8 +382,11 @@ def image_rank(map_: Matrix, v: Subspace) -> int:
 
 def kernel(map_: Matrix) -> Subspace:
     """Null space of the map, in canonical form."""
-    cols = map_.cols
-    reduced, pivots = _echelon(map_._scaled[1], cols)
+    return _null_space(*_echelon(map_._scaled[1], map_.cols), map_.cols)
+
+
+def _null_space(reduced: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Subspace:
+    """Null space of integer rows in which each pivot column is zero outside its row."""
     pivot_set = set(pivots)
     rows = []
     for f in range(cols):
@@ -387,6 +401,16 @@ def kernel(map_: Matrix) -> Subspace:
             v[p] = -row[f] * (scale // row[p])
         rows.append(v)
     return _canonical(rows, cols)
+
+
+def quotient_rank(u: Subspace, w: Subspace) -> int:
+    """dim(U + W) - dim U, without forming U + W: the rank of the echelon rows
+    of W in coordinates of Q^m / U, one pairing with each row of U-perp."""
+    if u.ambient != w.ambient:
+        raise ValueError("ambient mismatch in subspace quotient rank")
+    perp = u.perp().echelon
+    return len(_echelon([[sum(map(mul, p, x)) for p in perp] for x in w.echelon],
+                        u.ambient - u.dim)[1])
 
 
 def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:

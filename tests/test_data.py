@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hblcert import data as data_module
 from hblcert.data import (
     CRITICAL,
     CandidateLattice,
     HBLDatum,
+    _is_closed,
     check_scaling,
     find_critical,
     find_violation,
@@ -18,10 +20,15 @@ from hblcert.data import (
     subspace_slack,
     transform_datum,
 )
-from hblcert.fixtures import fourmap_r6_datum, loomis_whitney_datum
+from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datum
 from hblcert.linalg import Matrix, Subspace, image, kernel, span
 
-from conftest import random_invertible, random_matrix, random_subspace
+from conftest import (
+    random_invertible,
+    random_matrix,
+    random_signed_permutation,
+    random_subspace,
+)
 
 
 def test_scaling_examples():
@@ -322,3 +329,92 @@ def test_generate_lattice_matches_a_plain_closure(data):
     lattice = generate_lattice(datum, seeds=seeds, max_size=max_size)
     assert (lattice.subspaces, lattice.generation_log, lattice.closed) \
         == reference_lattice(datum, seeds, max_size)
+    assert _is_closed(list(lattice.subspaces)) == reference_closed(lattice.subspaces)
+
+
+def reference_closed(subspaces):
+    """Every pairwise sum and intersection is a member."""
+    return all(a + b in subspaces and a & b in subspaces for a in subspaces for b in subspaces)
+
+
+def assert_matches_reference(datum, seeds=(), max_size=512):
+    lattice = generate_lattice(datum, seeds=seeds, max_size=max_size)
+    assert (lattice.subspaces, lattice.generation_log, lattice.closed) \
+        == reference_lattice(datum, seeds, max_size)
+    return lattice
+
+
+# A duplicate kernel or product is dropped before the cap is consulted, so it
+# never makes a family that has every member report itself truncated.
+@pytest.mark.parametrize("maps, max_size, closed", [
+    ([[[1, 0], [0, 1]]], 2, True),                      # the kernel is {0}
+    ([[[1, 0], [0, 1]]], 3, True),
+    ([[[1, 0, 0], [0, 1, 0]]] * 2, 2, False),           # the first kernel is new
+    ([[[1, 0, 0], [0, 1, 0]]] * 2, 3, True),            # the second is not
+])
+def test_a_duplicate_does_not_count_against_the_cap(maps, max_size, closed):
+    ambient = len(maps[0][0])
+    datum = HBLDatum(ambient, tuple(Matrix.from_rows(m) for m in maps),
+                     tuple(f"pi{k}" for k in range(len(maps))), (Fraction(0),) * len(maps))
+    assert assert_matches_reference(datum, max_size=max_size).closed is closed
+
+
+def test_a_duplicate_product_at_the_cap_leaves_the_lattice_closed():
+    lattice = assert_matches_reference(loomis_whitney_datum(2), max_size=8)
+    assert lattice.closed and len(lattice.subspaces) == 8
+
+
+def permutation_matrix(perm):
+    return Matrix.from_rows([[int(c == p) for c in range(len(perm))] for p in perm])
+
+
+def relabelled(datum, perm):
+    t = permutation_matrix(perm)
+    return transform_datum(datum, t, [Matrix.identity(m.rows) for m in datum.maps])
+
+
+def signed_r6():
+    """The R^6 datum moved by a signed permutation, with the moved seed span{e1..e4}."""
+    rng = random.Random(6)
+    t = random_signed_permutation(rng, 6)
+    r6 = fourmap_r6_datum()
+    moved = transform_datum(r6, t, [random_signed_permutation(rng, m.rows) for m in r6.maps])
+    return moved, (image(t, span([[int(c == j) for c in range(6)] for j in range(4)], 6)),)
+
+
+# The sizes the build benchmark closes: R^5 and R^6 with 32 to 89 members.
+@pytest.mark.parametrize("case", [
+    lambda: (relabelled(loomis_whitney_datum(4), (3, 0, 4, 1, 2)), ()),
+    lambda: (relabelled(loomis_whitney_datum(5), (2, 4, 0, 5, 1, 3)), ()),
+    signed_r6,
+], ids=["lw4-relabelled", "lw5-relabelled", "r6-signed"])
+def test_closure_at_the_benchmark_sizes_matches_a_plain_closure(case):
+    datum, seeds = case()
+    assert assert_matches_reference(datum, seeds).closed
+
+
+def test_a_cap_between_a_sum_and_its_intersection():
+    # The first pair whose sum and intersection are both new: a cap one past
+    # its sum stops the closure between the two.
+    datum, seeds = signed_r6()
+    log = generate_lattice(datum, seeds).generation_log
+    k = next(k for k in range(len(log) - 1) if log[k].startswith("sum(")
+             and log[k + 1] == "intersect" + log[k][len("sum"):])
+    lattice = assert_matches_reference(datum, seeds, max_size=k + 1)
+    assert not lattice.closed and lattice.generation_log[-1] == log[k]
+
+
+# A pair is eliminated only when the inclusion order cannot show that its sum
+# and intersection are both present, so every call adds a member. Eliminating
+# every pair took 435, 1,891 and 4,371 calls on these three.
+@pytest.mark.parametrize("name", ["lw4", "lw5", "r6"])
+def test_closure_eliminates_only_for_new_subspaces(name, monkeypatch):
+    datum = ALL_FIXTURES[name][0]()
+    seeds = [span([[int(c == j) for c in range(6)] for j in range(4)], 6)] if name == "r6" else []
+    calls = []
+    original = data_module.sum_and_intersection
+    monkeypatch.setattr(data_module, "sum_and_intersection",
+                        lambda u, w: calls.append(1) or original(u, w))
+    lattice = generate_lattice(datum, seeds=seeds)
+    generated = sum(why.startswith(("sum(", "intersect(")) for why in lattice.generation_log)
+    assert lattice.closed and 0 < len(calls) <= generated

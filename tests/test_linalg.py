@@ -14,6 +14,7 @@ from hblcert.linalg import (
     canonicalize,
     image,
     kernel,
+    quotient_rank,
     span,
     sum_and_intersection,
 )
@@ -149,6 +150,25 @@ def test_intersection_duality(ambient, hyp_rng):
     assert (u & w) == (u.perp() + w.perp()).perp()
     assert u.perp().perp() == u
     assert u.dim + u.perp().dim == ambient
+
+
+@given(st.integers(1, 5), st.randoms(use_true_random=False),
+       st.sampled_from(["random", "zero", "full", "equal", "above", "below"]))
+@settings(max_examples=200, deadline=None)
+def test_inclusion_and_quotient_rank_match_the_sum(ambient, hyp_rng, kind):
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    u = random_subspace(rng, ambient)
+    other = random_subspace(rng, ambient)
+    w = {"random": other, "zero": Subspace.zero(ambient), "full": Subspace.full(ambient),
+         "equal": u, "above": u + other, "below": u & other}[kind]
+    for a, b in ((u, w), (w, u)):
+        assert (a <= b) == ((a + b) == b)
+        assert quotient_rank(a, b) == (a + b).dim - a.dim
+    assert u.perp() == kernel(u.basis)
+    with pytest.raises(ValueError):
+        u <= Subspace.full(ambient + 1)
+    with pytest.raises(ValueError):
+        quotient_rank(u, Subspace.zero(ambient + 1))
 
 
 def reference_rref(rows, cols):
