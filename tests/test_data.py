@@ -350,22 +350,18 @@ def zero_exponent_datum(*maps):
 # A duplicate kernel or product is dropped before the cap is consulted, so it
 # never makes a family that has every member report itself truncated.
 @pytest.mark.parametrize("datum, max_size, closed", [
-    (zero_exponent_datum([[1, 0], [0, 1]]), 2, True),              # the kernel is {0}
+    (zero_exponent_datum([[1, 0], [0, 1]]), 2, True),                # the kernel is {0}
     (zero_exponent_datum([[1, 0], [0, 1]]), 3, True),
     (zero_exponent_datum(*[[[1, 0, 0], [0, 1, 0]]] * 2), 2, False),  # the first kernel is new
     (zero_exponent_datum(*[[[1, 0, 0], [0, 1, 0]]] * 2), 3, True),   # the second is not
-    (loomis_whitney_datum(2), 8, True),                         # every later product repeats
+    (loomis_whitney_datum(2), 8, True),                              # later products repeat
 ], ids=["injective-2", "injective-3", "repeated-2", "repeated-3", "lw2-8"])
 def test_a_duplicate_does_not_count_against_the_cap(datum, max_size, closed):
     assert assert_matches_reference(datum, max_size=max_size).closed is closed
 
 
-def permutation_matrix(perm):
-    return Matrix.from_rows([[int(c == p) for c in range(len(perm))] for p in perm])
-
-
 def relabelled(datum, perm):
-    t = permutation_matrix(perm)
+    t = Matrix.from_rows([[int(c == p) for c in range(len(perm))] for p in perm])
     return transform_datum(datum, t, [Matrix.identity(m.rows) for m in datum.maps])
 
 
