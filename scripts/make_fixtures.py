@@ -17,9 +17,9 @@ def main() -> None:
         (root / f"{name}.datum.json").write_text(serialize_datum(make_datum()))
         (root / f"{name}.presentation.json").write_text(serialize_presentation(make_pres()))
     lines = ["# coordinate lines whose constraints pin the exponents"]
-    for k in range(4):
-        entries = ["1" if j == k else "0" for j in range(6)]
-        lines.append(" ".join(entries))
+    for v in fixtures.fourmap_r6_forcing_candidates():
+        if not v.is_full():
+            lines += [" ".join(map(str, row)) for row in v.basis_rows()]
     (root / "r6_forcing.candidates.txt").write_text("\n".join(lines) + "\n")
     print(f"wrote fixtures to {root}")
 

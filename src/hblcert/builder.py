@@ -71,12 +71,6 @@ class PolytopeRow:
         den, nums = _over_common_denominator(tau)
         return Fraction(sum(map(mul, self.coeffs, nums)), den)
 
-    def satisfied(self, tau) -> bool:
-        return self._holds(_over_common_denominator(tau))
-
-    def tight(self, tau) -> bool:
-        return self._gap(_over_common_denominator(tau)) == 0
-
 
 @dataclass(frozen=True)
 class ExponentPolytope:
@@ -159,14 +153,6 @@ def enumerate_extremes(poly: ExponentPolytope) -> ExtremeSet:
 
 def _tight_rank(poly: ExponentPolytope, gaps: list[int]) -> int:
     return len(_echelon([r.coeffs for r, gap in zip(poly.rows, gaps) if gap == 0], poly.n)[1])
-
-
-def is_extreme(poly: ExponentPolytope, tau) -> bool:
-    """tau is a vertex iff its tight rows span the full exponent space."""
-    if poly.member(tau) is not None:
-        raise ValueError("tau is not a member of the polytope")
-    scaled = _over_common_denominator(tau)
-    return _tight_rank(poly, [row._gap(scaled) for row in poly.rows]) == poly.n
 
 
 def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:

@@ -23,7 +23,7 @@ from hblcert.data import (
     find_violation,
     generate_lattice,
 )
-from hblcert.flowgraph import decompose_flow, project_graph, project_weight, total_mass
+from hblcert.flowgraph import decompose_flow, pushforward, total_mass
 from hblcert.presentation import export_dot, verify_and_bound
 
 
@@ -88,7 +88,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "problems": list(report.problems),
         "sigma": [str(x) for x in report.sigma],
         "sigma_mass": str(report.sigma_mass),
-        "map_masses": [str(c.mass) for c in report.map_checks],
+        "map_masses": [str(x) for x in report.map_masses],
     }
     if report.valid:
         out["bound"] = _certificate_dict(cert, pres)
@@ -213,8 +213,7 @@ def _cmd_project(args) -> tuple[int, dict]:
     i = args.map_index
     if not (0 <= i < datum.n_maps):
         raise formats.ParseError(f"--map-index {i} out of range for {datum.n_maps} maps")
-    projected, edge_map = project_graph(pres.graph, datum.maps[i])
-    weight = project_weight(pres.graph, pres.theta, datum.maps[i])
+    projected, edge_map, weight = pushforward(pres.graph, pres.theta, datum.maps[i])
     out = {
         "command": "project",
         "verdict": "ok",
@@ -224,7 +223,7 @@ def _cmd_project(args) -> tuple[int, dict]:
             {"from": a, "to": b, "weight": [str(x) for x in weight.values[k]]}
             for k, (a, b) in enumerate(projected.edges)
         ],
-        "edge_map": [None if e is None else e for e in edge_map],
+        "edge_map": list(edge_map),
         "masses": [str(x) for x in total_mass(projected, weight)],
     }
     return 0, out

@@ -317,17 +317,19 @@ def project_graph(graph: GraphDecomposition, map_: Matrix
     return projected, tuple(edge_map)
 
 
-def project_weight(graph: GraphDecomposition, weight: WeightFunction, map_: Matrix
-                   ) -> WeightFunction:
-    """Summed pushforward of a balanced weight onto project_graph(graph, map).
+def pushforward(graph: GraphDecomposition, weight: WeightFunction, map_: Matrix
+                ) -> tuple[GraphDecomposition, tuple[int | None, ...], WeightFunction]:
+    """project_graph(graph, map) and the summed pushforward of a balanced
+    weight onto it.
 
     The input must be balanced; balance and total mass are then preserved,
     and checked on the result. A rank-zero map is the one degenerate
     exception: its image graph is the single vertex {0} = H with no edges,
     so the pushforward is empty and carries no mass.
     """
-    _require_balanced(graph, weight)
+    # A map of the wrong domain is reported before any problem of the graph.
     projected, edge_map = project_graph(graph, map_)
+    _require_balanced(graph, weight)
     sums = [[Fraction(0)] * weight.width for _ in projected.edges]
     for k, target in enumerate(edge_map):
         if target is not None:
@@ -337,4 +339,10 @@ def project_weight(graph: GraphDecomposition, weight: WeightFunction, map_: Matr
         raise ValueError("projected weight lost balance")
     if projected.ambient > 0 and total_mass(projected, result) != total_mass(graph, weight):
         raise ValueError("projected weight changed total mass")
-    return result
+    return projected, edge_map, result
+
+
+def project_weight(graph: GraphDecomposition, weight: WeightFunction, map_: Matrix
+                   ) -> WeightFunction:
+    """The weight of pushforward(graph, weight, map)."""
+    return pushforward(graph, weight, map_)[2]

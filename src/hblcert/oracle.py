@@ -234,28 +234,6 @@ class GridFunction:
         return float(self.values.sum()) * self.cell_volume()
 
 
-def write_grid_function(f: GridFunction) -> str:
-    """Header "dims res... lo hi lo hi ...", then row-major values."""
-    head = [str(f.dims)] + [str(n) for n in f.resolution]
-    for lo, hi in f.bounds:
-        head += [repr(float(lo)), repr(float(hi))]
-    body = " ".join(repr(float(x)) for x in f.values.ravel())
-    return " ".join(head) + "\n" + body + "\n"
-
-
-def read_grid_function(text: str) -> GridFunction:
-    lines = text.strip().split("\n", 1)
-    head = lines[0].split()
-    dims = int(head[0])
-    res = tuple(int(x) for x in head[1 : 1 + dims])
-    raw = [float(x) for x in head[1 + dims :]]
-    if len(raw) != 2 * dims:
-        raise ValueError("grid header has the wrong number of bounds")
-    bounds = tuple((raw[2 * k], raw[2 * k + 1]) for k in range(dims))
-    values = np.array([float(x) for x in lines[1].split()]) if len(lines) > 1 else np.array([])
-    return GridFunction(bounds, values.reshape(res))
-
-
 def _coordinate_axes(v: Subspace) -> tuple[int, ...]:
     """Axis set of a coordinate subspace; raises if V is not one."""
     axes = []

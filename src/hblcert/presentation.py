@@ -78,22 +78,8 @@ def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
 
 
 @dataclass(frozen=True)
-class MapCheck:
-    name: str
-    nonnegative: bool
-    balanced: bool
-    mass: Fraction
-    expected_mass: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.nonnegative and self.balanced and self.mass == self.expected_mass
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    graph_violations: tuple[str, ...]
-    map_checks: tuple[MapCheck, ...]
+    map_masses: tuple[Fraction, ...]
     sigma: tuple[Fraction, ...]
     sigma_balanced: bool
     sigma_mass: Fraction
@@ -120,37 +106,31 @@ def _verify(datum: HBLDatum, pres: Presentation
             f"{STRUCTURE}: theta width {pres.theta.width} != {datum.n_maps} maps"
         )
     if problems:
-        return VerificationReport((), (), (), False, Fraction(0), tuple(problems), False), [], []
+        return VerificationReport((), (), False, Fraction(0), tuple(problems), False), [], []
 
     graph = pres.graph
-    graph_violations = tuple(validate_graph(graph))
-    for v in graph_violations:
+    for v in validate_graph(graph):
         problems.append(f"{GRAPH}: {v}")
 
     masses = total_mass(graph, pres.theta)
     unbalanced = list(unbalanced_vertices(graph, pres.theta))
-    map_checks = []
     for i, name in enumerate(datum.names):
-        nonneg = all(row[i] >= 0 for row in pres.theta.values)
-        off = [(k, into[i], outof[i]) for k, into, outof in unbalanced if into[i] != outof[i]]
-        check = MapCheck(name, nonneg, not off, masses[i], datum.exponents[i])
-        map_checks.append(check)
-        if not nonneg:
+        if any(row[i] < 0 for row in pres.theta.values):
             problems.append(f"{THETA_NEGATIVE}: map {name} has a negative weight")
-        for k, into, outof in off:
+        for k, into, outof in unbalanced:
+            if into[i] != outof[i]:
+                problems.append(
+                    f"{THETA_BALANCE}: map {name} unbalanced at {graph.describe_vertex(k)} "
+                    f"(in {into[i]}, out {outof[i]})"
+                )
+        if masses[i] != datum.exponents[i]:
             problems.append(
-                f"{THETA_BALANCE}: map {name} unbalanced at {graph.describe_vertex(k)} "
-                f"(in {into}, out {outof})"
-            )
-        if check.mass != check.expected_mass:
-            problems.append(
-                f"{THETA_MASS}: map {name} has total mass {check.mass}, expected {check.expected_mass}"
+                f"{THETA_MASS}: map {name} has total mass {masses[i]}, expected {datum.exponents[i]}"
             )
 
     if any(v.ambient != graph.ambient for v in graph.vertices):
         # validate_graph has named these vertices; the maps cannot take them.
-        report = VerificationReport(graph_violations, tuple(map_checks), (), False,
-                                    Fraction(0), tuple(problems), False)
+        report = VerificationReport(masses, (), False, Fraction(0), tuple(problems), False)
         return report, [], []
 
     images, dist = _distinguishing(datum, graph)
@@ -166,8 +146,7 @@ def _verify(datum: HBLDatum, pres: Presentation
         problems.append(f"{SIGMA_MASS}: summary weight has total mass {sigma_mass}, expected 1")
 
     report = VerificationReport(
-        graph_violations=graph_violations,
-        map_checks=tuple(map_checks),
+        map_masses=masses,
         sigma=sigma.component(0),
         sigma_balanced=not sigma_off,
         sigma_mass=sigma_mass,

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from hblcert import cli, formats
+from hblcert import cli, flowgraph, formats
 from hblcert.cli import main
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -132,6 +132,25 @@ def test_project_command(capsys):
     assert code == 0
     assert report["edge_map"] == [0, 1, None]
     assert report["masses"] == ["1/2", "1/2", "1/2"]
+
+
+@pytest.mark.parametrize("map_index", ["0", "1", "2", "3"])
+def test_project_pushes_the_graph_forward_once(capsys, monkeypatch, map_index):
+    real = flowgraph.project_graph
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    # Patch every package module that binds the name, however it was imported.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hblcert" and getattr(module, "project_graph", None) is real:
+            monkeypatch.setattr(module, "project_graph", spy)
+    code, _ = run_json(capsys, "project", "--data", fixture("r6.datum.json"),
+                       "--presentation", fixture("r6.presentation.json"),
+                       "--map-index", map_index)
+    assert code == 0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("map_index", ["0", "1", "2"])

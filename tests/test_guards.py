@@ -1,10 +1,12 @@
 """Source scans: soundness guards must survive `python -O`, which strips
-`assert`, the package imports nothing beyond its declared dependencies, and
-every function the benchmark's tracer wraps exists."""
+`assert`, the package imports nothing beyond its declared dependencies,
+every function the benchmark's tracer wraps exists, and every public name
+of the package has a caller outside the tests."""
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,49 @@ def test_trace_targets_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert tracing.TARGETS and not missing, missing
+
+
+def _trees() -> dict[Path, ast.Module]:
+    paths = [p for d in ("src", "bench", "scripts") for p in sorted((ROOT / d).rglob("*.py"))]
+    return {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+
+
+def _names(node: ast.AST) -> list[str]:
+    """Every name a node reads: bare names, attributes and imported names."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.append(sub.name.split(".")[-1])
+    return found
+
+
+def _attributes(node: ast.AST) -> list[str]:
+    return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
+
+
+def test_every_public_name_has_a_caller():
+    # A public function, class or method of the package must be used by the
+    # package, the benchmark or the scripts, not only by tests; the exported
+    # API (hblcert.__all__) is exempt, and so are the methods of its classes.
+    exported = set(importlib.import_module("hblcert").__all__)
+    trees = _trees()
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    read = Counter(name for tree in trees.values() for name in _attributes(tree))
+    unused = []
+    for path in SOURCES:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in exported and named[node.name] - _names(node).count(node.name) <= 0:
+                unused.append(f"{path.name}: {node.name}")
+            if not isinstance(node, ast.ClassDef) or node.name in exported:
+                continue
+            for meth in node.body:
+                if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_") \
+                        and read[meth.name] - _attributes(meth).count(meth.name) <= 0:
+                    unused.append(f"{path.name}: {node.name}.{meth.name}")
+    assert not unused, f"no caller outside tests: {unused}"

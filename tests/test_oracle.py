@@ -24,8 +24,6 @@ from hblcert.oracle import (
     grid_factorize,
     orthonormal_forms,
     quadrature_check,
-    read_grid_function,
-    write_grid_function,
 )
 from hblcert.presentation import bound_constant
 
@@ -295,16 +293,6 @@ def test_quadrature_zero_function_reports_zero_ratio():
     lhs, rhs, ratio = quadrature_check(datum, 1.0, [zero] * 3,
                                        box=((0.0, 1.0),) * 3, resolution=8)
     assert (lhs, rhs, ratio) == (0.0, 0.0, 0.0)
-
-
-def test_grid_function_file_round_trip():
-    rng = np.random.default_rng(2)
-    f = GridFunction(((0.0, 1.0), (-1.0, 3.0)), rng.uniform(size=(4, 6)))
-    text = write_grid_function(f)
-    g = read_grid_function(text)
-    assert g.bounds == f.bounds
-    assert np.array_equal(g.values, f.values)
-    assert write_grid_function(g) == text
 
 
 def test_gaussian_domination_for_all_fixtures():
