@@ -15,6 +15,7 @@ family can only cause an explicit failure, never a wrong certificate.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
@@ -22,11 +23,11 @@ from operator import mul, sub
 from hblcert.data import (
     CandidateLattice,
     HBLDatum,
-    _scaled_slack,
     check_scaling,
     generate_lattice,
     quotient_datum,
     restrict_datum,
+    subspace_slack,
 )
 from hblcert.linalg import (
     Matrix,
@@ -58,32 +59,26 @@ class PolytopeRow:
     equality: bool
     provenance: str
 
-    def _gap(self, scaled: tuple[int, tuple[int, ...]]) -> int:
-        """D * (coeffs . tau - rhs), for tau = n / D given as scaled = (D, n)."""
-        den, nums = scaled
-        return sum(map(mul, self.coeffs, nums)) - self.rhs * den
-
-    def _holds(self, scaled: tuple[int, tuple[int, ...]]) -> bool:
-        gap = self._gap(scaled)
-        return gap == 0 if self.equality else gap >= 0
-
-    def evaluate(self, tau) -> Fraction:
-        den, nums = _over_common_denominator(tau)
-        return Fraction(sum(map(mul, self.coeffs, nums)), den)
-
 
 @dataclass(frozen=True)
 class ExponentPolytope:
     n: int
     rows: tuple[PolytopeRow, ...]
 
+    def gaps(self, tau) -> tuple[int, Iterator[int]]:
+        """D, the common denominator of tau, and lazily D * (coeffs . tau - rhs) per row."""
+        den, nums = _over_common_denominator(tau)
+        return den, (sum(map(mul, row.coeffs, nums)) - row.rhs * den for row in self.rows)
+
+    def _violated(self, gaps: Iterable[int]) -> tuple[PolytopeRow, int] | None:
+        """The first row the gaps violate, with its gap, or None."""
+        return next(((row, gap) for row, gap in zip(self.rows, gaps)
+                     if gap < 0 or (row.equality and gap > 0)), None)
+
     def member(self, tau) -> PolytopeRow | None:
         """None if tau satisfies every row, else the first violated row."""
-        scaled = _over_common_denominator(tau)
-        for row in self.rows:
-            if not row._holds(scaled):
-                return row
-        return None
+        violated = self._violated(self.gaps(tau)[1])
+        return None if violated is None else violated[0]
 
 
 @dataclass(frozen=True)
@@ -151,10 +146,6 @@ def enumerate_extremes(poly: ExponentPolytope) -> ExtremeSet:
     return ExtremeSet(tuple(sorted(points)), truncated)
 
 
-def _tight_rank(poly: ExponentPolytope, gaps: list[int]) -> int:
-    return len(_echelon([r.coeffs for r, gap in zip(poly.rows, gaps) if gap == 0], poly.n)[1])
-
-
 def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
     """Exact convex decomposition of a member point into at most n+1 vertices.
 
@@ -163,12 +154,12 @@ def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
     the reconstruction sum c_k tau_k = tau is verified before returning.
     """
     tau = tuple(Fraction(t) for t in tau)
-    violated = poly.member(tau)
+    den, gaps = poly.gaps(tau)
+    violated = poly._violated(gaps)
     if violated is not None:
-        raise ValueError(
-            f"tau violates constraint {violated.provenance}: "
-            f"{violated.evaluate(tau)} vs {violated.rhs}"
-        )
+        row, gap = violated
+        raise ValueError(f"tau violates constraint {row.provenance}: "
+                         f"{row.rhs + Fraction(gap, den)} vs {row.rhs}")
     raw = _decompose_point(poly, tau)
     terms = _reduce_caratheodory(poly.n, raw)
     total = sum((c for c, _ in terms), Fraction(0))
@@ -181,8 +172,8 @@ def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
 
 
 def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    scaled = _over_common_denominator(tau)
-    gaps = [row._gap(scaled) for row in poly.rows]
+    den, lazy = poly.gaps(tau)
+    gaps = list(lazy)
     tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
     null = kernel(Matrix.from_rows(tight, cols=poly.n)) if tight else Subspace.full(poly.n)
     if null.dim == 0:
@@ -198,7 +189,7 @@ def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[
                 continue
             speed = sign * sum(map(mul, row.coeffs, direction))
             if speed < 0:
-                limit = Fraction(gap, -speed * scaled[0])
+                limit = Fraction(gap, -speed * den)
                 if best is None or limit < best:
                     best = limit
         if best is None:
@@ -404,15 +395,17 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
 
         poly = polytope_from_candidates(datum, candidates)
         tau = datum.exponents
-        scaled = _over_common_denominator(tau)
-        gaps = [row._gap(scaled) for row in poly.rows]
-        # Rows open with the positive-dimensional candidates; a gap is D * slack.
-        rows = list(zip((v for v in candidates.subspaces if v.dim), gaps))
-        for v, gap in rows:
-            if gap < 0:
-                raise BuildError("candidate subspace violates the dimension inequality "
-                                 f"(dim {v.dim}, slack {Fraction(gap, scaled[0])})")
-        if _tight_rank(poly, gaps) < poly.n:
+        den, lazy = poly.gaps(tau)
+        gaps = list(lazy)
+        # Rows open with the positive-dimensional candidates V (rhs dim V, gap
+        # D * slack(V)); H's row holds by scaling and the box rows for any datum.
+        violated = poly._violated(gaps)
+        if violated is not None:
+            row, gap = violated
+            raise BuildError("candidate subspace violates the dimension inequality "
+                             f"(dim {row.rhs}, slack {Fraction(gap, den)})")
+        tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
+        if len(_echelon(tight, poly.n)[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
             decomp = caratheodory(poly, tau)
             parts = []
@@ -422,6 +415,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 parts.append((c, sub))
             return convex_combine(parts)
 
+        rows = zip((v for v in candidates.subspaces if v.dim), gaps)
         criticals = [v for v, gap in rows if gap == 0 and v.dim < datum.dim]
         if criticals:
             v = min(criticals, key=lambda s: s.sort_key)
@@ -431,7 +425,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             for i, t in enumerate(tau):
                 if t == 1 and datum.ranks[i] > 0:
                     cand = _codim1_critical(datum, i)
-                    if _scaled_slack(datum, cand, scaled) == 0:
+                    if subspace_slack(datum, cand).slack == 0:
                         v = cand
                         log(f"{indent}tau{i + 1}=1 branch: codim-1 critical subspace")
                         break

@@ -85,29 +85,25 @@ class SlackReport:
 
 def check_scaling(datum: HBLDatum) -> tuple[bool, Fraction, Fraction]:
     """Scaling equality dim H = sum_i tau_i rank(pi_i); returns (holds, lhs, rhs)."""
-    lhs = Fraction(datum.dim)
-    rhs = sum(
-        (t * r for t, r in zip(datum.exponents, datum.ranks)), Fraction(0)
-    )
-    return lhs == rhs, lhs, rhs
+    slack = subspace_slack(datum, Subspace.full(datum.dim)).slack
+    return slack == 0, Fraction(datum.dim), datum.dim + slack
 
 
 def subspace_slack(datum: HBLDatum, v: Subspace) -> SlackReport:
     """Exact slack sum_i tau_i dim pi_i(V) - dim V with its classification."""
     if v.ambient != datum.dim:
         raise ValueError("subspace ambient does not match datum dimension")
-    slack = sum(
-        (t * d for t, d in zip(datum.exponents, datum.image_dims(v))), Fraction(0)
-    ) - v.dim
+    den, nums = _over_common_denominator(datum.exponents)  # tau = nums / den
+    gap = sum(map(mul, nums, datum.image_dims(v))) - den * v.dim  # den * slack
     if v.is_full():
         cls = SCALING
-    elif slack < 0:
+    elif gap < 0:
         cls = VIOLATING
-    elif slack == 0 and 0 < v.dim < datum.dim:
+    elif gap == 0 and 0 < v.dim < datum.dim:
         cls = CRITICAL
     else:
         cls = SLACK_POSITIVE
-    return SlackReport(v, slack, cls)
+    return SlackReport(v, Fraction(gap, den), cls)
 
 
 @dataclass(frozen=True)
@@ -281,34 +277,20 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
     return CandidateLattice(tuple(subs), not overflow, tuple(log))
 
 
-def _scaled_slack(datum: HBLDatum, v: Subspace, scaled: tuple[int, tuple[int, ...]]) -> int:
-    """D * slack(V) = sum_i n_i dim pi_i(V) - D dim V, for the exponents tau = n / D.
-
-    One common D for all maps, so this is an integer with the sign of the slack.
-    """
-    den, nums = scaled
-    return sum(map(mul, nums, datum.image_dims(v))) - den * v.dim
-
-
 def find_violation(datum: HBLDatum, candidates: CandidateLattice) -> SlackReport | None:
     """First scaling failure or negative-slack candidate in stored order, if any."""
-    holds, _, _ = check_scaling(datum)
-    if not holds:
-        return subspace_slack(datum, Subspace.full(datum.dim))
-    scaled = _over_common_denominator(datum.exponents)
-    for v in candidates.subspaces:
-        if _scaled_slack(datum, v, scaled) < 0:
-            return subspace_slack(datum, v)
-    return None
+    full = subspace_slack(datum, Subspace.full(datum.dim))
+    if full.slack:
+        return full
+    reports = (subspace_slack(datum, v) for v in candidates.subspaces)
+    return next((r for r in reports if r.slack < 0), None)
 
 
 def find_critical(datum: HBLDatum, candidates: CandidateLattice) -> list[SlackReport]:
     """All zero-slack proper candidates, sorted by dimension then basis."""
-    scaled = _over_common_denominator(datum.exponents)
-    criticals = [subspace_slack(datum, v) for v in candidates.subspaces
-                 if 0 < v.dim < datum.dim and _scaled_slack(datum, v, scaled) == 0]
-    criticals.sort(key=lambda r: r.subspace.sort_key)
-    return criticals
+    reports = (subspace_slack(datum, v) for v in candidates.subspaces)
+    return sorted((r for r in reports if r.classification == CRITICAL),
+                  key=lambda r: r.subspace.sort_key)
 
 
 def restrict_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:

@@ -156,9 +156,6 @@ class Matrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> Matrix:
         ent = tuple(self[i, j] for j in range(self.cols) for i in range(self.rows))
         return Matrix(self.cols, self.rows, ent)
@@ -184,10 +181,6 @@ class Matrix:
             sum((self[i, k] * vec[k] for k in range(self.cols)), Fraction(0))
             for i in range(self.rows)
         )
-
-    @cached_property
-    def rank(self) -> int:
-        return len(_echelon(self._scaled[1], self.cols)[1])
 
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:

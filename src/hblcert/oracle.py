@@ -74,10 +74,10 @@ class GaussianInput:
         return GaussianInput(tuple(np.eye(r) for r in datum.ranks))
 
     @staticmethod
-    def random(datum: HBLDatum, rng: np.random.Generator, spread: float = 1.0) -> GaussianInput:
+    def random(datum: HBLDatum, rng: np.random.Generator) -> GaussianInput:
         mats = []
         for r in datum.ranks:
-            w = rng.normal(scale=spread, size=(r, r))
+            w = rng.normal(size=(r, r))
             mats.append(w @ w.T + 0.1 * np.eye(r))
         return GaussianInput(tuple(mats))
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, canonicalize
+from hblcert.linalg import Matrix, Subspace, canonicalize, kernel
 
 
 def rand_fraction(rng: random.Random, lo: int = -3, hi: int = 3, den: int = 4) -> Fraction:
@@ -58,9 +58,9 @@ def random_flag(rng: random.Random, ambient: int) -> list[Subspace]:
     """Complete flag {0} = V_0 < V_1 < ... < V_m = full space."""
     while True:
         t = random_invertible(rng, ambient, shears=ambient + 3)
-        if t.rank == ambient:
+        if kernel(t).dim == 0:
             break
-    rows = t.row_lists()
+    rows = [t.row(i) for i in range(t.rows)]
     return [canonicalize(Matrix.from_rows(rows[:k], cols=ambient)) if k else Subspace.zero(ambient)
             for k in range(ambient + 1)]
 

@@ -212,17 +212,28 @@ def test_integer_rows_agree_with_fraction_evaluation(hyp_rng):
         if not all(fraction_satisfied(row, tau) for row in poly.rows):
             outside.append(tau)
     for tau in points + outside:
-        for row in poly.rows:
-            assert row.evaluate(tau) == fraction_value(row, tau)
+        den, gaps = poly.gaps(tau)
+        for row, gap in zip(poly.rows, gaps):
+            assert isinstance(gap, int)
+            assert Fraction(gap, den) == fraction_value(row, tau) - row.rhs
         first = next((row for row in poly.rows if not fraction_satisfied(row, tau)), None)
         assert poly.member(tau) is first
         assert (first is None) == (tau not in outside)
 
 
 def test_caratheodory_rejects_non_members():
+    # The message names the first violated row and prints coeffs . tau against its rhs.
     _, poly = lines_and_plane_polytope()
-    with pytest.raises(ValueError, match="violates constraint"):
-        caratheodory(poly, (Fraction(1), Fraction(1), Fraction(1)))
+    cases = [
+        ((1, 1, 1), "tau violates constraint dim-2 candidate: 4 vs 2"),
+        ((Fraction(3, 2), Fraction(1, 2), 0), "tau violates constraint dim-1 candidate: 1/2 vs 1"),
+        ((Fraction(5, 4), Fraction(5, 4), Fraction(-1, 4)),
+         "tau violates constraint tau1 <= 1: -5/4 vs -1"),
+    ]
+    for tau, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            caratheodory(poly, tau)
+        assert str(excinfo.value) == message
 
 
 def test_base_case_examples():
@@ -550,7 +561,7 @@ def _random_datum(rng: random.Random) -> HBLDatum | None:
     m = rng.randint(3, 5)
     maps = tuple(random_matrix(rng, rng.randint(1, m), m, -1, 1)
                  for _ in range(rng.randint(2, 4)))
-    ranks = [mp.rank for mp in maps]
+    ranks = [mp.cols - kernel(mp).dim for mp in maps]
     if not any(ranks):
         return None
     j = max(i for i, r in enumerate(ranks) if r)

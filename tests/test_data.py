@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from hblcert import data as data_module
 from hblcert.data import (
     CRITICAL,
+    SCALING,
+    SLACK_POSITIVE,
+    VIOLATING,
     CandidateLattice,
     HBLDatum,
+    SlackReport,
     _is_closed,
     check_scaling,
     find_critical,
@@ -54,8 +58,11 @@ def test_slack_examples():
 def test_slack_at_full_space_matches_scaling():
     for datum in (fourmap_r6_datum(), loomis_whitney_datum(3),
                   loomis_whitney_datum(2, [1, 1, 1])):
-        _, lhs, rhs = check_scaling(datum)
-        assert subspace_slack(datum, Subspace.full(datum.dim)).slack == rhs - lhs
+        full = Subspace.full(datum.dim)
+        holds, lhs, rhs = check_scaling(datum)
+        assert (lhs, rhs - lhs) == (datum.dim, fraction_slack(datum, full))
+        assert holds == (rhs == lhs)
+        assert subspace_slack(datum, full) == reference_report(datum, full)
 
 
 def test_lattice_for_loomis_whitney_closes_at_eight():
@@ -212,7 +219,7 @@ def test_quotient_maps_match_orthogonal_projections(hyp_rng):
     for new_map, old_map in zip(quotient.maps, maps):
         reference = image(old_map, v).perp().projector() @ old_map @ embedding
         assert kernel(new_map) == kernel(reference)
-        assert new_map.rank == reference.rank
+        assert new_map.cols - kernel(new_map).dim == reference.cols - kernel(reference).dim
         assert image(new_map, w).dim == image(reference, w).dim
 
 
@@ -241,21 +248,56 @@ EXPONENTS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
              Fraction(2, 3), Fraction(3, 4), Fraction(1)]
 
 
+def fraction_slack(datum, v):
+    """sum_i tau_i dim pi_i(V) - dim V, one Fraction product per map."""
+    return sum((t * image(m, v).dim for t, m in zip(datum.exponents, datum.maps)),
+               Fraction(0)) - v.dim
+
+
+def reference_report(datum, v):
+    """subspace_slack written plainly, from fraction_slack."""
+    slack = fraction_slack(datum, v)
+    if v.is_full():
+        cls = SCALING
+    elif slack < 0:
+        cls = VIOLATING
+    elif slack == 0 and v.dim > 0:
+        cls = CRITICAL
+    else:
+        cls = SLACK_POSITIVE
+    return SlackReport(v, slack, cls)
+
+
 def reference_violation(datum, lattice):
     """The scaling failure, else the first negative slack in stored order."""
-    if not check_scaling(datum)[0]:
-        return subspace_slack(datum, Subspace.full(datum.dim))
-    for v in lattice.subspaces:
-        report = subspace_slack(datum, v)
-        if report.slack < 0:
-            return report
-    return None
+    full = reference_report(datum, Subspace.full(datum.dim))
+    if full.slack != 0:
+        return full
+    reports = (reference_report(datum, v) for v in lattice.subspaces)
+    return next((r for r in reports if r.slack < 0), None)
 
 
 def reference_critical(datum, lattice):
     """All zero-slack proper subspaces, sorted by sort_key."""
-    reports = [subspace_slack(datum, v) for v in lattice.subspaces if 0 < v.dim < datum.dim]
+    reports = [reference_report(datum, v) for v in lattice.subspaces if 0 < v.dim < datum.dim]
     return sorted((r for r in reports if r.slack == 0), key=lambda r: r.subspace.sort_key)
+
+
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_slack_agrees_with_fraction_reference(ambient, hyp_rng):
+    # Exponents 1/4, 1/3 and 2/3 have unequal denominators, so the integer
+    # gap of subspace_slack is taken over their common denominator 12.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    maps = tuple(random_matrix(rng, rng.randint(1, ambient), ambient)
+                 for _ in range(rng.randint(1, 4)))
+    exponents = tuple(rng.choice([Fraction(1, 4), Fraction(1, 3), Fraction(2, 3)])
+                      for _ in maps)
+    datum = HBLDatum(ambient, maps, tuple(f"pi{k}" for k in range(len(maps))), exponents)
+    subspaces = [Subspace.zero(ambient), Subspace.full(ambient), *map(kernel, maps)]
+    subspaces += [random_subspace(rng, ambient) for _ in range(4)]
+    for v in subspaces:
+        assert subspace_slack(datum, v) == reference_report(datum, v)
 
 
 @given(st.integers(2, 4), st.randoms(use_true_random=False))
@@ -268,7 +310,7 @@ def test_violation_and_critical_agree_with_fraction_slack(ambient, hyp_rng):
     maps = [random_matrix(rng, rng.randint(1, ambient), ambient)
             for _ in range(rng.randint(1, 3))]
     exponents = [rng.choice(EXPONENTS) for _ in maps]
-    deficit = ambient - sum(t * m.rank for t, m in zip(exponents, maps))
+    deficit = ambient - sum(t * (m.cols - kernel(m).dim) for t, m in zip(exponents, maps))
     maps.append(random_invertible(rng, ambient))
     exponents.append(deficit / ambient if 0 <= deficit <= ambient else rng.choice(EXPONENTS))
     datum = HBLDatum(ambient, tuple(maps), tuple(f"pi{k}" for k in range(len(maps))),

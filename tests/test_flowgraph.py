@@ -19,7 +19,7 @@ from hblcert.flowgraph import (
     total_mass,
     validate_graph,
 )
-from hblcert.linalg import Matrix, Subspace, span
+from hblcert.linalg import Matrix, Subspace, kernel, span
 from hblcert.presentation import summary_weight
 
 from conftest import random_balanced_weight, random_flag_graph, random_matrix
@@ -214,7 +214,7 @@ def test_projection_property():
         graph, flags = random_flag_graph(rng, m, rng.randint(1, 3))
         w = random_balanced_weight(rng, graph, flags, rng.randint(1, 3))
         mat = random_matrix(rng, rng.randint(1, 4), m)
-        while mat.rank == 0:
+        while kernel(mat).dim == m:
             mat = random_matrix(rng, rng.randint(1, 4), m)
         projected, _ = project_graph(graph, mat)
         assert validate_graph(projected) == []

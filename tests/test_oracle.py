@@ -97,7 +97,9 @@ def test_gaussian_ratio_matches_direct_quadrature():
     datum = two_dim_test_datum()
     rng = np.random.default_rng(5)
     for _ in range(3):
-        g = GaussianInput.random(datum, rng, spread=0.6)
+        # Wishart-like draws as GaussianInput.random makes them, at a smaller scale.
+        ws = [rng.normal(scale=0.6, size=(r, r)) for r in datum.ranks]
+        g = GaussianInput(tuple(w @ w.T + 0.1 * np.eye(len(w)) for w in ws))
         expected = _direct_gaussian_quadrature(datum, g.matrices)
         assert gaussian_ratio(datum, g) == pytest.approx(expected, rel=1e-4)
 
