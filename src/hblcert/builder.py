@@ -8,6 +8,9 @@ combined; at an extreme point a critical subspace (zero slack, proper) pivots
 the problem into a restriction to V and a quotient onto V-perp whose
 presentations concatenate; when the top-level family is closed and holds
 the kernels, the children's families are its intervals below and above V.
+A node's polytope and its split at V depend on its maps and family, not on
+its exponents, so each is made once per build and shared by the extreme
+points of the node and by every revisit of a child.
 The top-level result is verified exactly, so an impoverished candidate
 family can only cause an explicit failure, never a wrong certificate.
 """
@@ -146,21 +149,27 @@ def enumerate_extremes(poly: ExponentPolytope) -> ExtremeSet:
     return ExtremeSet(tuple(sorted(points)), truncated)
 
 
-def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
+def caratheodory(poly: ExponentPolytope, tau, *,
+                 gaps: tuple[int, list[int]] | None = None) -> ExtremeDecomposition:
     """Exact convex decomposition of a member point into at most n+1 vertices.
 
     Walks tight-set bisections down to vertices, then trims the combination
     by eliminating affine dependences; every step is rational arithmetic and
     the reconstruction sum c_k tau_k = tau is verified before returning.
+    `gaps`, when given, is D and the list of row gaps of `poly.gaps(tau)`,
+    which a caller that has them passes rather than evaluate the rows again.
     """
     tau = tuple(Fraction(t) for t in tau)
-    den, gaps = poly.gaps(tau)
-    violated = poly._violated(gaps)
+    if gaps is None:
+        den, lazy = poly.gaps(tau)
+        gaps = den, list(lazy)
+    den, row_gaps = gaps
+    violated = poly._violated(row_gaps)
     if violated is not None:
         row, gap = violated
         raise ValueError(f"tau violates constraint {row.provenance}: "
                          f"{row.rhs + Fraction(gap, den)} vs {row.rhs}")
-    raw = _decompose_point(poly, tau)
+    raw = _decompose_point(poly, tau, den, row_gaps)
     terms = _reduce_caratheodory(poly.n, raw)
     total = sum((c for c, _ in terms), Fraction(0))
     recon = tuple(
@@ -171,9 +180,9 @@ def caratheodory(poly: ExponentPolytope, tau) -> ExtremeDecomposition:
     return ExtremeDecomposition(tuple(terms))
 
 
-def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    den, lazy = poly.gaps(tau)
-    gaps = list(lazy)
+def _decompose_point(poly: ExponentPolytope, tau, den: int, gaps: list[int]
+                     ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """Convex weights and vertices of a member point whose row gaps are D * `gaps`."""
     tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
     null = kernel(Matrix.from_rows(tight, cols=poly.n)) if tight else Subspace.full(poly.n)
     if null.dim == 0:
@@ -204,10 +213,10 @@ def _decompose_point(poly: ExponentPolytope, tau) -> list[tuple[Fraction, tuple[
     lo = tuple(t - s_minus * d for t, d in zip(tau, direction))
     lam = s_minus / (s_plus + s_minus)
     out = []
-    for c, point in _decompose_point(poly, hi):
-        out.append((lam * c, point))
-    for c, point in _decompose_point(poly, lo):
-        out.append(((1 - lam) * c, point))
+    for weight, point in ((lam, hi), (1 - lam, lo)):
+        point_den, lazy = poly.gaps(point)
+        for c, vertex in _decompose_point(poly, point, point_den, list(lazy)):
+            out.append((weight * c, vertex))
     return out
 
 
@@ -369,6 +378,12 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
             generate_lattice(high_datum, seeds=high_seeds, max_size=max_size))
 
 
+def _require_scaling(datum: HBLDatum) -> None:
+    holds, lhs, rhs = check_scaling(datum)
+    if not holds:
+        raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
+
+
 def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                        max_lattice: int = 512,
                        trace: list[str] | None = None) -> Presentation:
@@ -383,17 +398,28 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         if trace is not None:
             trace.append(msg)
 
+    # A node's polytope and its split at a V depend on its maps and family,
+    # not on its exponents, so each is made once per call. A node is keyed by
+    # the identity of its maps tuple, which with_exponents shares, and of its
+    # family; the entry holds both, so the ids stay valid while it lives.
+    nodes: dict[tuple[int, int], tuple[tuple[Matrix, ...], CandidateLattice,
+                                       ExponentPolytope, dict]] = {}
+
     def recurse(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
                 depth: int) -> Presentation:
+        # The datum satisfies the scaling equality: the top level and each
+        # Caratheodory vertex are checked before they recurse, and a child of
+        # a split at a critical V has slack zero at its H (V's slack for the
+        # restriction, H's minus V's for the quotient).
         indent = "  " * depth
-        holds, lhs, rhs = check_scaling(datum)
-        if not holds:
-            raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
         if datum.dim == 1:
             log(f"{indent}dim 1 base case")
             return base_case_dim1(datum)
 
-        poly = polytope_from_candidates(datum, candidates)
+        key = (id(datum.maps), id(candidates))
+        if key not in nodes:
+            nodes[key] = (datum.maps, candidates, polytope_from_candidates(datum, candidates), {})
+        _, _, poly, splits = nodes[key]
         tau = datum.exponents
         den, lazy = poly.gaps(tau)
         gaps = list(lazy)
@@ -407,12 +433,13 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
         if len(_echelon(tight, poly.n)[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
-            decomp = caratheodory(poly, tau)
+            decomp = caratheodory(poly, tau, gaps=(den, gaps))
             parts = []
             for c, point in decomp.terms:
                 log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
-                sub = recurse(datum.with_exponents(point), candidates, ready, depth + 1)
-                parts.append((c, sub))
+                vertex = datum.with_exponents(point)
+                _require_scaling(vertex)
+                parts.append((c, recurse(vertex, candidates, ready, depth + 1)))
             return convex_combine(parts)
 
         rows = zip((v for v in candidates.subspaces if v.dim), gaps)
@@ -434,13 +461,20 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                     "candidate set insufficient: extreme exponents admit no "
                     "critical subspace among the candidates"
                 )
-        low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-        families = _child_families(datum, candidates, ready, v, low_datum, high_datum, max_lattice)
-        p_low, p_high = (recurse(child, family, family.closed, depth + 1)
-                         for child, family in zip((low_datum, high_datum), families))
+        split = splits.get(v)
+        if split is None:
+            children = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
+            families = _child_families(datum, candidates, ready, v, *children, max_lattice)
+            split = splits[v] = tuple(zip(children, families))
+        p_low, p_high = (recurse(child.with_exponents(tau), family, family.closed, depth + 1)
+                         for child, family in split)
         return concatenate(datum, v, p_low, p_high)
 
-    pres = recurse(datum, candidates, _ready(datum, candidates), 0)
+    _require_scaling(datum)
+    try:
+        pres = recurse(datum, candidates, _ready(datum, candidates), 0)
+    finally:
+        nodes.clear()  # recurse refers to itself, and that cycle would keep the table
     report = verify_presentation(datum, pres)
     if not report.valid:
         raise BuildError("constructed presentation failed verification: "

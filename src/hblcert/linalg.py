@@ -174,14 +174,6 @@ class Matrix:
                 out.append(Fraction(x, den) if x else _ZERO)
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum((self[i, k] * vec[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """D and the integer rows of D * self, with D the lcm of all denominators.
@@ -204,16 +196,6 @@ class Matrix:
             raise ValueError("singular matrix")
         ent = tuple(reduced[i][n + j] for i in range(n) for j in range(n))
         return Matrix(n, n, ent)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("length mismatch in dot product")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def norm_sq(v: Sequence[Fraction]) -> Fraction:
-    return dot(v, v)
 
 
 @dataclass(frozen=True)

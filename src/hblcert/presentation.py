@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from hblcert.data import HBLDatum
@@ -22,7 +23,7 @@ from hblcert.flowgraph import (
     unbalanced_vertices,
     validate_graph,
 )
-from hblcert.linalg import Matrix, Subspace, dot, image, norm_sq
+from hblcert.linalg import Matrix, Subspace, image
 
 THETA_NEGATIVE = "theta-negative"
 THETA_BALANCE = "theta-balance"
@@ -162,7 +163,7 @@ def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) ->
     With w any nonzero vector of V2 cap V1-perp (one-dimensional, so unique up
     to sign) the value is |P-perp pi_i(w)|^2 / |w|^2, where P-perp projects
     onto the complement of pi_i(V1). The ratio is scale-invariant in w, so the
-    rational basis vector works and no square roots appear.
+    line's primitive integer vector works and no square roots appear.
     """
     a, b = pres.graph.edges[edge]
     v1, v2 = pres.graph.vertices[a], pres.graph.vertices[b]
@@ -173,22 +174,27 @@ def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) ->
     return _norm_squared(m, low, high, _new_direction(v1, v2))
 
 
-def _new_direction(low: Subspace, high: Subspace) -> tuple[Fraction, ...]:
-    """A basis vector of the line high cap low-perp."""
+def _new_direction(low: Subspace, high: Subspace) -> tuple[int, ...]:
+    """A primitive integer vector spanning the line high cap low-perp."""
     line = high & low.perp()
     if line.dim != 1:
         raise ValueError("edge does not raise dimension by one")
-    return line.basis.row(0)
+    return line.echelon[0]
 
 
-def _norm_squared(m: Matrix, low: Subspace, high: Subspace, w: tuple[Fraction, ...]) -> Fraction:
+def _norm_squared(m: Matrix, low: Subspace, high: Subspace, w: tuple[int, ...]) -> Fraction:
     """|P-perp m(w)|^2 / |w|^2, with P-perp projecting off `low` = m(V1).
 
     The residual lies on the image edge's line d = high cap low-perp, so it is
     the projection of m(w) onto d, of squared length (m(w) . d)^2 / |d|^2.
+    With m = M / D in integers this is (sum_r (M_r . w) d_r)^2 / (D^2 |d|^2 |w|^2),
+    one Fraction of integers; scaling w or d does not change the ratio.
     """
     d = _new_direction(low, high)
-    return dot(m.apply(w), d) ** 2 / (norm_sq(d) * norm_sq(w))
+    den, rows = m._scaled
+    along = sum(sum(map(mul, row, w)) * x for row, x in zip(rows, d) if x)
+    return Fraction(along * along,
+                    den * den * sum(x * x for x in d) * sum(x * x for x in w))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,19 @@ from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import Matrix, Subspace, canonicalize, kernel
 
 
+def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
+    """Reference matrix-vector product m(vec), entry by entry in Fractions."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((m[i, k] * vec[k] for k in range(m.cols)), Fraction(0))
+                 for i in range(m.rows))
+
+
+def norm_sq(v) -> Fraction:
+    """Reference squared Euclidean length, in Fractions."""
+    return sum((Fraction(x) * x for x in v), Fraction(0))
+
+
 def rand_fraction(rng: random.Random, lo: int = -3, hi: int = 3, den: int = 4) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, den))
 

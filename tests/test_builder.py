@@ -619,3 +619,28 @@ def test_splits_compute_no_kernels(name, limit, monkeypatch):
     monkeypatch.setattr(builder, "kernel", lambda m: calls.append(m) or original(m))
     build_presentation(datum, lattice)
     assert len(calls) <= limit
+
+
+# Each recursion node's polytope and each split are made once per build. On
+# lw4 the root is not extreme: its Caratheodory vertices share its maps and
+# family, so they share its polytope and splits, and the children of a split
+# are shared likewise. Without the table the build made 13 polytopes and 10
+# quotients.
+def test_node_work_is_done_once_per_build(monkeypatch):
+    datum = loomis_whitney_datum(4)
+    lattice = generate_lattice(datum)
+    calls = {"polytope": 0, "quotient": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(builder, "polytope_from_candidates",
+                        counted("polytope", builder.polytope_from_candidates))
+    monkeypatch.setattr(builder, "quotient_datum", counted("quotient", builder.quotient_datum))
+    for _ in range(2):  # nothing is kept from one build to the next
+        calls.update(polytope=0, quotient=0)
+        assert verify_presentation(datum, build_presentation(datum, lattice)).valid
+        assert calls == {"polytope": 4, "quotient": 4}

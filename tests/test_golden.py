@@ -1,10 +1,11 @@
 """Golden builds: the bytes the builder emits for fixed data are pinned.
 
 Each case builds a candidate lattice and a certificate from a fixed datum and
-hashes four things: the lattice's subspaces and its generation log, the
-serialized certificate, and the factored constant. A change to the exact
-linear algebra that alters any canonical form, any lattice order or any
-verdict shows up here as a changed hash.
+hashes five things: the lattice's subspaces and its generation log, the
+serialized certificate, the factored constant and the builder's trace, the
+lines `hblcert build` prints. A change to the exact linear algebra that
+alters any canonical form, any lattice order or any verdict, or a change to
+the recursion that alters the path it takes, shows up here as a changed hash.
 """
 
 import hashlib
@@ -61,37 +62,44 @@ CASES = {
 }
 
 # sha256 of (lattice subspaces, generation log, serialized certificate,
-# constant factors), recorded from the Fraction Gauss-Jordan implementation.
+# constant factors, build trace). The first four were recorded from the
+# Fraction Gauss-Jordan implementation, the trace before the builder made
+# each node's polytope and split once per build.
 GOLDEN = {
     "lw3": (
         "2183fd8240a04c119eb881e7263125f15296a875cda517f545ba08357783015a",
         "aab0e73562998d3f1a1a5084675ba4f392e9c02d9765187e34e0f284e53b8e30",
         "43aacb6f937aa70cda94df893c2fb8458a5370a186a0c4449ecd4672229326ca",
         "c05db5afc8fd0735fcedec71eb7a7aaa4850eb110d037eeb4ecbbafb4791cd94",
+        "5272aac831896ec531c6375ee03dfc32bf429d3bda6ee22e728e7f6c485ccc42",
     ),
     "lw4": (
         "3fd6c65909c166f43f8ca662a0bdb9713ce9951243715cb31e4c7ef4ecbd77d0",
         "65c64057b7201c2838f553106e5683082f81018c7ea803520a919fddd7582dd6",
         "d512465cda49507bd08bd8c27f72a61b5579c018dce3f1c309e1ceaf0fd02999",
         "1ac31d3df462012d24f615ff9a7224a8cc585b7accd0559d33155fdbc7bc59d7",
+        "77a96aa8e9289d110676abd2097ea06efba58cbed5ef29a40edf25419f527ce9",
     ),
     "lw4-unimodular": (
         "da4f521b5e9d7ddeb6198feaad6e33aa69cb9124581f7fe2f7b6ac0d6f3f313e",
         "65c64057b7201c2838f553106e5683082f81018c7ea803520a919fddd7582dd6",
         "63c392df0e12a54fe4ec6b63d083a76121e852914282cac9aa24051850f0a511",
         "a7be43c1f3735e991b5346578dc20249948c2108f23486b4c519718ef3930bbc",
+        "77a96aa8e9289d110676abd2097ea06efba58cbed5ef29a40edf25419f527ce9",
     ),
     "r6-seeded": (
         "6034eecc52ce844688344448bfeee9987bae0627b623491ebfaf0ed1416cb191",
         "db1675a84f41b2a84e995c806faa10cfef3a0d9eb305148d06826b23690e2e1f",
         "f1bf3ed6a1abf0ba48420e8f0b777cbed93bc07fed02b847e96d3230fa8780f0",
         "7f21a62299fe12eb40b2d97e65387adf1936f766345d1f32f1ce8222155de349",
+        "4386249034541f2fe7fc29de664f97fda4b30641ad0efbb6514911dd377d327f",
     ),
     "subsets-interior": (
         "d548bb0c90147fb669c75ecb1ee681165c3eea0fa8e035baa427998314d8ba1e",
         "3f7f8350a75d3f1b713a64a1986faaa98206c528356dd52d6eca2b1024e130af",
         "fd79640ebbf912549c026ef072f398a36770a11bacb4f22a5ef86f773395ee00",
         "6e38322255075422890ce816e83f41d4192c7651f54258aea4561c09de915eee",
+        "9e26b5d3f5c91cf659a24216df6c193cd428035234df034f1859ec8178a0e794",
     ),
 }
 
@@ -100,19 +108,20 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _hashes(datum: HBLDatum, seeds) -> tuple[str, str, str, str]:
+def _hashes(datum: HBLDatum, seeds) -> tuple[str, ...]:
     return _lattice_hashes(datum, generate_lattice(datum, seeds=seeds))
 
 
-def _lattice_hashes(datum: HBLDatum, lattice: CandidateLattice) -> tuple[str, str, str, str]:
-    pres = build_presentation(datum, lattice)
+def _lattice_hashes(datum: HBLDatum, lattice: CandidateLattice) -> tuple[str, ...]:
+    trace: list[str] = []
+    pres = build_presentation(datum, lattice, trace=trace)
     cert = bound_constant(datum, pres)
     subspaces = "\n".join(
         ";".join(",".join(str(x) for x in row) for row in v.basis_rows())
         for v in lattice.subspaces)
     factors = "\n".join(f"{f.map_index} {f.edge} {f.base} {f.exponent}" for f in cert.factors)
     return (_sha(subspaces), _sha("\n".join(lattice.generation_log)),
-            _sha(serialize_presentation(pres)), _sha(factors))
+            _sha(serialize_presentation(pres)), _sha(factors), _sha("\n".join(trace)))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -146,32 +155,36 @@ FALLBACK_CASES = {
     "tau-one-quotient": (_tau_one_quotient, generate_lattice),
 }
 
-# Same four hashes as GOLDEN, recorded before children of a split could be
-# read off a closed parent family.
+# Same five hashes as GOLDEN. The first four were recorded before children
+# of a split could be read off a closed parent family, the trace as in GOLDEN.
 FALLBACK_GOLDEN = {
     "lw3-flag-without-kernels": (
         "16f4b5a926b2bf2d7e470cdbd61bc6aeb3192cb653f08c1f11a86f0ea187a724",
         "ac8b5b87485878db5e61de0aafd945a851c76ce95531508a9453a77809b025ed",
         "552fca293a8d6d3190bf8cba74cf039e60e37cd64985d6c578673b445871e21e",
         "0d1e047b3d4054deb65fb73b2f7243d103a0cc23a52b9d489dff934c267c8213",
+        "d71ec74d1e21c00195a3d6c4cf89e8f7f8e4b345e939d41f032db901f0d46328",
     ),
     "lw4-truncated": (
         "b0cca1b892feb6fc8df8fdd9c61c151d2063c34ef5545cc40e6234ef830d7226",
         "61b1b0a311125d979abfd332bd38911284b2d547d61e2d9122f0cdeacc6d33ed",
         "bd46f5aff5d9d060b6cebfb7732e644643f608ac9450c980b84a3310a88776e2",
         "f1de691314b885c85763513ff38dc341d3a0fd85c8392ccc1f9ae4a2e5e584ea",
+        "e9b3a460356d9790d3e4c3df22e099506faed73bf3283aeb0b90a49143e9aa73",
     ),
     "r6-forcing-unclosed": (
         "ab683b560422430fb564084a6f7af303e2ae1eda52ce11decf6d82d9a80d66af",
         "5069cb939834dd0cd8e0dfd95d8270efa67ff7f586df4bf18f51d252acd5af54",
         "f1bf3ed6a1abf0ba48420e8f0b777cbed93bc07fed02b847e96d3230fa8780f0",
         "7f21a62299fe12eb40b2d97e65387adf1936f766345d1f32f1ce8222155de349",
+        "4386249034541f2fe7fc29de664f97fda4b30641ad0efbb6514911dd377d327f",
     ),
     "tau-one-quotient": (
         "bd92aa2830c0a68fe2ac50fadeddec99559e223582eecbb05155ec0c122ae70b",
         "99631171eb0ce42c2e85c8bb5445205c2fab4ac998c629e6bc2a7c43cab06d15",
         "b74b400bb5bcff5a1f11d5ddae2e3ae81652dc95e007eaef5cb6308b6a88dd0b",
         "c8765ee2f5976d5f5aba7df62c820bb905bff564226fff25e71017af5be54bb4",
+        "1ecb51c0b080ea7e6ca0958b7738249918694d3e34db6c986297c99d42596375",
     ),
 }
 

@@ -20,7 +20,7 @@ from hblcert.linalg import (
 )
 from hblcert.fixtures import fourmap_r6_datum
 
-from conftest import random_subspace
+from conftest import apply, random_subspace
 
 
 def test_canonicalize_scaling_and_duplicates():
@@ -255,7 +255,7 @@ def test_image_and_image_dims_with_unequal_row_denominators(data):
                      (Fraction(0),) * len(maps))
     v = canonicalize(data.draw(rational_matrices(cols=ambient)))
     for m in maps:
-        assert image(m, v).basis == reference_span([m.apply(b) for b in v.basis_rows()], m.rows)
+        assert image(m, v).basis == reference_span([apply(m, b) for b in v.basis_rows()], m.rows)
         assert_echelon_is_the_primitive_basis(image(m, v))
     assert datum.image_dims(v) == tuple(image(m, v).dim for m in maps)
     shifted = datum.with_exponents((Fraction(1),) * len(maps))
@@ -271,6 +271,6 @@ def test_projector_laws(ambient, hyp_rng):
     assert p @ p == p
     assert p.transpose() == p
     for row in u.basis_rows():
-        assert p.apply(row) == tuple(row)
+        assert apply(p, row) == tuple(row)
     for row in u.perp().basis_rows():
-        assert all(x == 0 for x in p.apply(row))
+        assert all(x == 0 for x in apply(p, row))

@@ -14,7 +14,7 @@ from hblcert.fixtures import (
     loomis_whitney_presentation,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, image, norm_sq, span
+from hblcert.linalg import Matrix, Subspace, image, span
 from hblcert.presentation import (
     Presentation,
     bound_constant,
@@ -26,6 +26,8 @@ from hblcert.presentation import (
 )
 
 from conftest import (
+    apply,
+    norm_sq,
     random_flag_graph,
     random_invertible,
     random_matrix,
@@ -206,8 +208,8 @@ def test_edge_norms_match_orthogonal_projection(hyp_rng):
             low = image(pi, v1)
             if low == image(pi, v2):
                 continue
-            u = pi.apply(w)
-            residual = [x - y for x, y in zip(u, low.projector().apply(u))]
+            u = apply(pi, w)
+            residual = [x - y for x, y in zip(u, apply(low.projector(), u))]
             assert edge_norm_squared(datum, pres, i, k) == norm_sq(residual) / norm_sq(w)
 
 
