@@ -17,7 +17,6 @@ family can only cause an explicit failure, never a wrong certificate.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,16 +36,13 @@ from hblcert.linalg import (
     Subspace,
     _echelon,
     _over_common_denominator,
+    _primitive,
     image,
     kernel,
     span,
     sum_and_intersection,
 )
 from hblcert.presentation import Presentation, verify_presentation
-
-
-# enumerate_extremes examines at most this many subsets of tight rows.
-EXTREME_SUBSET_CAP = 200_000
 
 
 class BuildError(Exception):
@@ -85,12 +81,6 @@ class ExponentPolytope:
 
 
 @dataclass(frozen=True)
-class ExtremeSet:
-    points: tuple[tuple[Fraction, ...], ...]
-    truncated: bool
-
-
-@dataclass(frozen=True)
 class ExtremeDecomposition:
     terms: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # (coefficient, extreme tau)
 
@@ -112,41 +102,41 @@ def polytope_from_candidates(datum: HBLDatum, candidates: CandidateLattice) -> E
     return ExponentPolytope(n, tuple(rows))
 
 
-def _solve_square(rows: list[PolytopeRow], n: int) -> tuple[Fraction, ...] | None:
-    """Exact solution of n tight rows, or None when the system is singular."""
-    reduced, pivots = _echelon([(*r.coeffs, r.rhs) for r in rows], n + 1)
-    if len(reduced) != n or pivots != list(range(n)):
-        return None
-    return tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
+def enumerate_extremes(poly: ExponentPolytope) -> tuple[tuple[Fraction, ...], ...]:
+    """The vertices of the polytope, sorted, by the double-description method.
 
-
-def enumerate_extremes(poly: ExponentPolytope) -> ExtremeSet:
-    """Exact vertex enumeration by solving all n-subsets of tight rows.
-
-    Subsets must contain every equality row; EXTREME_SUBSET_CAP bounds how
-    many subsets are examined and is reported through `truncated`.
+    A point tau is the ray (tau, 1) and a row coeffs . tau >= rhs the cut
+    (coeffs, -rhs) . (x, t) >= 0; an equality row gives two cuts. The cone
+    starts as the orthant x, t >= 0, which holds the cone over the polytope
+    because the polytope has the rows tau >= 0, and the cuts are applied in
+    order, in integers. Each ray keeps the bitmask of the cuts it is tight on,
+    the orthant's first; two rays are adjacent when they share at least
+    n - 1 tight cuts and no third ray is tight on all of them. The polytope
+    has the rows tau <= 1, so every ray left has t > 0 and is a vertex; an
+    empty polytope leaves none.
     """
     n = poly.n
-    eq_rows = [r for r in poly.rows if r.equality]
-    ineq_rows = [r for r in poly.rows if not r.equality]
-    if len(eq_rows) > n:
-        eq_rows = eq_rows[:n]  # extra equalities are either redundant or infeasible
-    need = n - len(eq_rows)
-    points: set[tuple[Fraction, ...]] = set()
-    examined = 0
-    truncated = False
-    for combo in itertools.combinations(range(len(ineq_rows)), need):
-        examined += 1
-        if examined > EXTREME_SUBSET_CAP:
-            truncated = True
-            break
-        rows = eq_rows + [ineq_rows[k] for k in combo]
-        tau = _solve_square(rows, n)
-        if tau is None:
-            continue
-        if poly.member(tau) is None:
-            points.add(tau)
-    return ExtremeSet(tuple(sorted(points)), truncated)
+    orthant = (1 << n + 1) - 1
+    rays = {tuple(int(i == j) for j in range(n + 1)): orthant & ~(1 << i) for i in range(n + 1)}
+    cuts = []
+    for row in poly.rows:
+        cut = (*row.coeffs, -row.rhs)
+        cuts += [cut, tuple(-c for c in cut)] if row.equality else [cut]
+    for bit, cut in enumerate(cuts, n + 1):
+        side = {ray: sum(map(mul, cut, ray)) for ray in rays}
+        kept = {ray: tight | (side[ray] == 0) << bit
+                for ray, tight in rays.items() if side[ray] >= 0}
+        below = [ray for ray in rays if side[ray] < 0]
+        for a in (ray for ray in rays if side[ray] > 0):
+            for b in below:
+                common = rays[a] & rays[b]
+                if common.bit_count() < n - 1 or any(
+                        common & ~tight == 0 for ray, tight in rays.items() if ray not in (a, b)):
+                    continue
+                new = _primitive([side[a] * y - side[b] * x for x, y in zip(a, b)])
+                kept[tuple(new)] = common | 1 << bit
+        rays = kept
+    return tuple(sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays))
 
 
 def caratheodory(poly: ExponentPolytope, tau, *,

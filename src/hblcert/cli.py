@@ -138,18 +138,17 @@ def _cmd_polytope(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
     poly = builder_mod.polytope_from_candidates(datum, candidates)
-    extremes = builder_mod.enumerate_extremes(poly)
+    vertices = builder_mod.enumerate_extremes(poly)
     violated = poly.member(datum.exponents)
     out = {
         "command": "polytope",
-        "verdict": "feasible" if extremes.points else "infeasible",
-        "vertices": [[str(x) for x in p] for p in extremes.points],
-        "truncated": extremes.truncated,
+        "verdict": "feasible" if vertices else "infeasible",
+        "vertices": [[str(x) for x in p] for p in vertices],
         "member": violated is None,
     }
     if violated is not None:
         out["violated_row"] = violated.provenance
-    return (0 if extremes.points else 1), out
+    return (0 if vertices else 1), out
 
 
 def _cmd_build(args) -> tuple[int, dict]:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, canonicalize, kernel
+from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, kernel
 
 
 def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
@@ -15,6 +16,23 @@ def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
         raise ValueError("vector length does not match column count")
     return tuple(sum((m[i, k] * vec[k] for k in range(m.cols)), Fraction(0))
                  for i in range(m.rows))
+
+
+def reference_extremes(poly) -> tuple[tuple[Fraction, ...], ...]:
+    """Reference vertex enumeration: solve every n-subset of rows that holds
+    the equality rows, and keep the solutions that satisfy every row."""
+    n = poly.n
+    eq_rows = [r for r in poly.rows if r.equality][:n]  # more are redundant or infeasible
+    ineq_rows = [r for r in poly.rows if not r.equality]
+    points = set()
+    for combo in itertools.combinations(ineq_rows, n - len(eq_rows)):
+        reduced, pivots = _echelon([(*r.coeffs, r.rhs) for r in eq_rows + list(combo)], n + 1)
+        if len(reduced) != n or pivots != list(range(n)):
+            continue  # singular, or no solution
+        tau = tuple(Fraction(row[n], row[i]) for i, row in enumerate(reduced))
+        if poly.member(tau) is None:
+            points.add(tau)
+    return tuple(sorted(points))
 
 
 def norm_sq(v) -> Fraction:

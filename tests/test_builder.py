@@ -37,11 +37,11 @@ from hblcert.fixtures import (
     fourmap_r6_forcing_candidates,
     loomis_whitney_datum,
 )
-from hblcert.linalg import Matrix, Subspace, kernel, span
+from hblcert.linalg import Matrix, Subspace, _echelon, kernel, span
 from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import bound_constant, verify_presentation
 
-from conftest import random_matrix, random_subspace
+from conftest import random_matrix, random_subspace, reference_extremes
 
 
 def forcing_lattice():
@@ -96,9 +96,7 @@ def test_polytope_trivial_candidates():
 def test_forcing_polytope_has_the_single_announced_vertex():
     datum = fourmap_r6_datum()
     poly = polytope_from_candidates(datum, forcing_lattice())
-    extremes = enumerate_extremes(poly)
-    assert not extremes.truncated
-    assert extremes.points == ((Fraction(1, 2),) * 4,)
+    assert enumerate_extremes(poly) == ((Fraction(1, 2),) * 4,)
 
 
 def test_loomis_whitney_polytope_contains_the_balanced_vertex():
@@ -106,15 +104,13 @@ def test_loomis_whitney_polytope_contains_the_balanced_vertex():
     # exponents are forced: the polytope is that single vertex.
     datum = loomis_whitney_datum(2)
     poly = polytope_from_candidates(datum, generate_lattice(datum))
-    extremes = enumerate_extremes(poly)
-    assert (Fraction(1, 2),) * 3 in extremes.points
+    assert (Fraction(1, 2),) * 3 in enumerate_extremes(poly)
 
 
 def test_single_map_polytope():
     datum = HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),))
     poly = polytope_from_candidates(datum, CandidateLattice.from_subspaces(2, []))
-    extremes = enumerate_extremes(poly)
-    assert extremes.points == ((Fraction(1),),)
+    assert enumerate_extremes(poly) == ((Fraction(1),),)
 
 
 def test_caratheodory_on_an_extreme_point_is_trivial():
@@ -133,7 +129,7 @@ def lines_and_plane_polytope():
 
 def test_caratheodory_midpoint():
     _, poly = lines_and_plane_polytope()
-    assert set(enumerate_extremes(poly).points) == {
+    assert set(enumerate_extremes(poly)) == {
         (Fraction(0), Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(1), Fraction(0)),
     }
@@ -159,7 +155,7 @@ def test_caratheodory_recovers_random_combinations():
     datum = coordinate_subset_datum(2, [(0,), (1,), (0,), (1,)],
                                     [Fraction(1, 2)] * 4)
     poly = polytope_from_candidates(datum, coordinate_lattice(2))
-    vertices = enumerate_extremes(poly).points
+    vertices = enumerate_extremes(poly)
     assert len(vertices) == 4
     for _ in range(20):
         chosen = rng.sample(vertices, 3)
@@ -180,6 +176,52 @@ def test_caratheodory_recovers_random_combinations():
         assert sum(c for c, _ in decomposition.terms) == 1
 
 
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(["coordinate", "signed", "short"]),
+       st.sampled_from(["generated", "capped", "listed"]))
+@settings(max_examples=90, deadline=None)
+def test_vertices_match_the_subset_reference(hyp_rng, maps, family):
+    # "short" maps have total rank below the dimension, so the scaling row
+    # cannot hold with tau <= 1 and the polytope is empty. Four maps on R^3
+    # can generate an infinite lattice, and the reference solves every
+    # n-subset of rows, so even "generated" stops at 16 members.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m = rng.randint(2 if maps == "short" else 1, 3)
+    n = rng.randint(1, m - 1) if maps == "short" else rng.randint(1, 4)
+    if maps == "coordinate":
+        subsets = [tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _ in range(n)]
+        datum = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
+    else:
+        ranks = [1 if maps == "short" else rng.randint(0, m) for _ in range(n)]
+        datum = HBLDatum(m, tuple(random_matrix(rng, r, m, -1, 1) for r in ranks),
+                         tuple(f"p{i}" for i in range(n)), (Fraction(0),) * n)
+    if family == "generated":
+        lattice = generate_lattice(datum, max_size=16)
+    elif family == "capped":
+        lattice = generate_lattice(datum, max_size=rng.randint(2, 6))
+    else:
+        lattice = CandidateLattice.from_subspaces(
+            m, [random_subspace(rng, m) for _ in range(rng.randint(0, 4))])
+    poly = polytope_from_candidates(datum, lattice)
+    vertices = enumerate_extremes(poly)
+    assert vertices == reference_extremes(poly)
+    if maps == "short":
+        assert vertices == ()
+    for vertex in vertices:
+        _, gaps = poly.gaps(vertex)
+        tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
+        assert poly.member(vertex) is None and len(_echelon(tight, n)[1]) == n
+    probes = [tuple(Fraction(rng.randint(0, 4), 4) for _ in range(n))]
+    if vertices:
+        chosen = rng.sample(vertices, rng.randint(1, len(vertices)))
+        weights = [Fraction(rng.randint(1, 5)) for _ in chosen]
+        probes.append(tuple(sum((w * p[i] for w, p in zip(weights, chosen)), Fraction(0))
+                            / sum(weights) for i in range(n)))
+    for tau in probes:
+        if poly.member(tau) is None:
+            assert {p for _, p in caratheodory(poly, tau).terms} <= set(vertices)
+
+
 def fraction_value(row, tau):
     """coeffs . tau, one Fraction product at a time."""
     return sum((Fraction(c) * Fraction(t) for c, t in zip(row.coeffs, tau)), Fraction(0))
@@ -198,7 +240,7 @@ def test_integer_rows_agree_with_fraction_evaluation(hyp_rng):
     subsets = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(n)]
     probe = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
     poly = polytope_from_candidates(probe, coordinate_lattice(m))
-    vertices = list(enumerate_extremes(poly).points)
+    vertices = list(enumerate_extremes(poly))
     points = list(vertices)
     for _ in range(3 if vertices else 0):
         chosen = rng.sample(vertices, rng.randint(1, len(vertices)))
@@ -391,7 +433,7 @@ def test_build_random_coordinate_subset_data():
         probe = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
         lattice = coordinate_lattice(m)
         poly = polytope_from_candidates(probe, lattice)
-        points = enumerate_extremes(poly).points
+        points = enumerate_extremes(poly)
         if not points:
             continue
         # Mix the vertices to get an interior feasible exponent vector.
@@ -417,7 +459,7 @@ def test_built_constant_dominates_gaussian_ratios(hyp_rng):
     subsets = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(n)]
     lattice = coordinate_lattice(m)
     probe = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
-    points = enumerate_extremes(polytope_from_candidates(probe, lattice)).points
+    points = enumerate_extremes(polytope_from_candidates(probe, lattice))
     if not points:
         return  # no feasible exponents, e.g. an uncovered coordinate
     tau = tuple(sum((p[i] for p in points), Fraction(0)) / len(points) for i in range(n))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -85,6 +86,43 @@ def test_polytope_forcing(capsys):
     )
     assert code == 0
     assert report["vertices"] == [["1/2", "1/2", "1/2", "1/2"]]
+    assert report["member"] is True
+
+
+@pytest.mark.parametrize("name, width, value", [
+    ("lw2", 3, "1/2"), ("lw3", 4, "1/3"), ("lw4", 5, "1/4"), ("lw5", 6, "1/5"), ("r6", 4, "1/2"),
+])
+def test_polytope_of_each_fixture_is_its_balanced_vertex(capsys, name, width, value):
+    code, report = run_json(capsys, "polytope", "--data", fixture(f"{name}.datum.json"))
+    assert code == 0
+    assert report == {"command": "polytope", "verdict": "feasible",
+                      "vertices": [[value] * width], "member": True}
+
+
+def test_polytope_of_a_feasible_datum_is_never_empty(capsys, tmp_path):
+    # R^4 with its six coordinate-pair projections at 1/3 and its four
+    # coordinate-axis projections at 0. The polytope has 14 vertices in 10
+    # exponents; a capped search over n-subsets of its rows stopped before
+    # it found one and reported "infeasible" for a member point.
+    def projection(axes):
+        return {"name": "p" + "".join(str(j + 1) for j in axes),
+                "rows": [[str(int(k == j)) for k in range(4)] for j in axes]}
+
+    pairs = list(itertools.combinations(range(4), 2))
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps({
+        "dim": 4,
+        "maps": [projection(p) for p in pairs] + [projection((j,)) for j in range(4)],
+        "exponents": ["1/3"] * 6 + ["0"] * 4,
+    }))
+    code, report = run_json(capsys, "check-data", "--data", str(path))
+    assert code == 0 and report["verdict"] == "feasible"
+    code, report = run_json(capsys, "build", "--data", str(path))
+    assert code == 0 and report["verdict"] == "built"
+    code, report = run_json(capsys, "polytope", "--data", str(path))
+    assert code == 0
+    assert report["verdict"] == "feasible"
+    assert len(report["vertices"]) == 14
     assert report["member"] is True
 
 

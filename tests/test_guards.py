@@ -1,7 +1,8 @@
 """Source scans: soundness guards must survive `python -O`, which strips
 `assert`, the package imports nothing beyond its declared dependencies,
-every function the benchmark's tracer wraps exists, and every public name
-of the package has a caller outside the tests."""
+every function the benchmark's tracer wraps exists, and every public name,
+private module-level function or class and module constant of the package
+has a reader outside the tests."""
 
 import ast
 import importlib
@@ -107,3 +108,34 @@ def test_every_public_name_has_a_caller():
                         and read[meth.name] - _attributes(meth).count(meth.name) <= 0:
                     unused.append(f"{path.name}: {node.name}.{meth.name}")
     assert not unused, f"no caller outside tests: {unused}"
+
+
+def _module_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or
+    the bare-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)]
+
+
+def test_every_private_name_and_constant_is_read():
+    # The public test above skips private functions and classes and every
+    # module constant, so a helper or a cap whose last reader went would stay
+    # unseen. Each must be read by the package, the benchmark or the scripts
+    # somewhere besides its own definition; dunder names are exempt.
+    exported = set(importlib.import_module("hblcert").__all__)
+    trees = _trees()
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unread = []
+    for path in SOURCES:
+        for node in trees[path].body:
+            constant = not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            own = _names(node)
+            for name in _module_names(node):
+                if name.startswith("__") or name in exported:
+                    continue
+                if (constant or name.startswith("_")) and named[name] - own.count(name) <= 0:
+                    unread.append(f"{path.name}: {name}")
+    assert not unread, f"not read outside tests: {unread}"
