@@ -1,18 +1,20 @@
 """Constructs a valid presentation from data satisfying the dimension
 inequalities over a candidate family.
 
-The construction is a recursion on ambient dimension: dimension one is a
-single edge carrying the exponents; a non-extreme exponent vector is split
-into extreme points of the candidate polytope and the results convexly
-combined; at an extreme point a critical subspace (zero slack, proper) pivots
-the problem into a restriction to V and a quotient onto V-perp whose
-presentations concatenate; when the top-level family is closed and holds
-the kernels, the children's families are its intervals below and above V.
-A node's polytope and its split at V depend on its maps and family, not on
-its exponents, so each is made once per build and shared by the extreme
-points of the node and by every revisit of a child.
-The top-level result is verified exactly, so an impoverished candidate
-family can only cause an explicit failure, never a wrong certificate.
+The construction recurses on ambient dimension over nodes (a datum's maps
+with a candidate family) and passes edge tables, (low, high) subspace pair
+-> theta row: dimension one is a single edge carrying the exponents; a
+non-extreme exponent vector is split into extreme points of the candidate
+polytope and their tables convexly combined; at an extreme point a critical
+subspace (zero slack, proper) pivots the problem into a restriction to V and
+a quotient onto V-perp whose tables concatenate; at a V in a ready top-level
+family (data.is_ready) the children's families are its intervals. A node's
+polytope and splits do not depend on its exponents, so its extreme points
+and its revisits share them. The scaling equality is checked once, at the
+top: extreme points lie on the polytope's H row, and the children of a split
+at a critical V inherit it. The one presentation made from the top-level
+table is verified exactly, so an impoverished candidate family can only
+cause an explicit failure, never a wrong certificate.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul, sub
 
 from hblcert.data import (
@@ -27,6 +30,7 @@ from hblcert.data import (
     HBLDatum,
     check_scaling,
     generate_lattice,
+    is_ready,
     quotient_datum,
     restrict_datum,
     subspace_slack,
@@ -47,6 +51,9 @@ from hblcert.presentation import Presentation, verify_presentation
 
 class BuildError(Exception):
     """Raised when no certificate can be constructed; message says why."""
+
+
+EdgeTable = dict[tuple[Subspace, Subspace], tuple[Fraction, ...]]
 
 
 @dataclass(frozen=True)
@@ -239,69 +246,64 @@ def _reduce_caratheodory(n: int, terms):
     return list(zip(coeffs, points))
 
 
-def base_case_dim1(datum: HBLDatum) -> Presentation:
+def base_case_dim1(datum: HBLDatum) -> EdgeTable:
     """Single edge {0} -> H carrying the exponents; needs the scaling equality."""
     if datum.dim != 1:
         raise ValueError("base case needs ambient dimension 1")
     holds, lhs, rhs = check_scaling(datum)
     if not holds:
         raise BuildError(f"scaling equality fails in dimension 1: {lhs} != {rhs}")
-    zero, full = Subspace.zero(1), Subspace.full(1)
-    return Presentation.from_edges(1, datum.n_maps, [zero, full], {(zero, full): datum.exponents})
+    return {(Subspace.zero(1), Subspace.full(1)): datum.exponents}
 
 
-def concatenate(datum: HBLDatum, v: Subspace, p_low: Presentation,
-                p_high: Presentation) -> Presentation:
-    """Splice a presentation of the restriction to V with one of the quotient.
+def _endpoints(edges: EdgeTable) -> dict[Subspace, None]:
+    """The distinct endpoints of the edges, in first-seen order."""
+    return dict.fromkeys(w for edge in edges for w in edge)
+
+
+def concatenate(datum: HBLDatum, v: Subspace, low: EdgeTable, high: EdgeTable) -> EdgeTable:
+    """Splice an edge table of the restriction to V with one of the quotient.
 
     Low vertices embed through the chart of V and high vertices W become
     V + W through the chart of V-perp, the charts restrict_datum and
-    quotient_datum use; edges and weights are inherited. The result is not
-    verified here: build_presentation verifies the top-level result. With
-    V = {0} the low part is the trivial single-vertex presentation and the
-    result is the re-embedded high part.
+    quotient_datum use, each distinct vertex once; edges keep their rows. The
+    result is not verified here. With V = {0} the low table is empty.
     """
     if v.ambient != datum.dim:
         raise ValueError("subspace ambient does not match datum dimension")
+    low_vertices, high_vertices = _endpoints(low), _endpoints(high)
+    if any(w.ambient != v.dim for w in low_vertices) \
+            or any(w.ambient != datum.dim - v.dim for w in high_vertices):
+        raise ValueError("part edge tables do not match the split dimensions")
     low_embed, high_embed = v.chart(), v.perp().chart()
-    if p_low.graph.ambient != v.dim or p_high.graph.ambient != datum.dim - v.dim:
-        raise ValueError("part presentations do not match the split dimensions")
-
-    low = [image(low_embed, w) for w in p_low.graph.vertices]
-    high = [image(high_embed, w) + v for w in p_high.graph.vertices]
-    weights = {(low[a], low[b]): row for (a, b), row in zip(p_low.graph.edges, p_low.theta.values)}
-    weights.update({(high[a], high[b]): row
-                    for (a, b), row in zip(p_high.graph.edges, p_high.theta.values)})
-    return Presentation.from_edges(datum.dim, datum.n_maps, low + high, weights)
+    low_at = {w: image(low_embed, w) for w in low_vertices}
+    high_at = {w: image(high_embed, w) + v for w in high_vertices}
+    edges = {(low_at[a], low_at[b]): row for (a, b), row in low.items()}
+    edges.update({(high_at[a], high_at[b]): row for (a, b), row in high.items()})
+    return edges
 
 
-def convex_combine(terms) -> Presentation:
-    """Union the graphs and mix the weights; absent edges contribute zero.
+def convex_combine(terms) -> EdgeTable:
+    """Union the edge tables and mix the rows; absent edges contribute zero.
 
     Coefficients must be nonnegative and sum to one; callers verify the
     result against the mixed exponents.
     """
-    terms = [(Fraction(c), p) for c, p in terms]
+    terms = [(Fraction(c), edges) for c, edges in terms]
     if not terms:
         raise ValueError("nothing to combine")
     total = sum((c for c, _ in terms), Fraction(0))
     if total != 1 or any(c < 0 for c, _ in terms):
         raise ValueError(f"coefficients must be nonnegative with sum 1, got sum {total}")
-    ambient = terms[0][1].graph.ambient
-    width = terms[0][1].theta.width
-    for _, p in terms:
-        if p.graph.ambient != ambient or p.theta.width != width:
-            raise ValueError("presentations must share ambient and width")
-    vertices: set[Subspace] = set()
-    mixed: dict[tuple[Subspace, Subspace], list[Fraction]] = {}
-    for c, p in terms:
-        vertices.update(p.graph.vertices)
-        ends = p.graph.vertices
-        for (a, b), row in zip(p.graph.edges, p.theta.values):
-            acc = mixed.setdefault((ends[a], ends[b]), [Fraction(0)] * width)
-            for i in range(width):
-                acc[i] += c * row[i]
-    return Presentation.from_edges(ambient, width, vertices, mixed)
+    ambients = {w.ambient for _, edges in terms for w in _endpoints(edges)}
+    widths = {len(row) for _, edges in terms for row in edges.values()}
+    if len(ambients) > 1 or len(widths) > 1:
+        raise ValueError("edge tables must share ambient and width")
+    mixed: EdgeTable = {}
+    for c, edges in terms:
+        for edge, row in edges.items():
+            mixed[edge] = tuple(a + c * x for a, x in zip(mixed.get(edge, (0,) * len(row)), row))
+    return mixed
 
 
 def vertex_count_bound(n_maps: int, dim: int) -> int:
@@ -320,13 +322,6 @@ def _codim1_critical(datum: HBLDatum, i: int) -> Subspace:
     """
     k = kernel(datum.maps[i])
     return k + span(k.perp().basis_rows()[:-1], datum.dim)
-
-
-def _ready(datum: HBLDatum, candidates: CandidateLattice) -> bool:
-    """L is closed and holds {0}, H and every kernel. Then, by closure, its
-    intervals at each V in L hold the children's {0}, H and kernels too."""
-    return candidates.closed and {Subspace.zero(datum.dim), Subspace.full(datum.dim),
-                                  *map(kernel, datum.maps)} <= set(candidates.subspaces)
 
 
 def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
@@ -368,10 +363,17 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
             generate_lattice(high_datum, seeds=high_seeds, max_size=max_size))
 
 
-def _require_scaling(datum: HBLDatum) -> None:
-    holds, lhs, rhs = check_scaling(datum)
-    if not holds:
-        raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
+class _Node:
+    """A datum's maps with their candidate family, whichever the exponents;
+    `ready` is data.is_ready of the family, and `splits` maps V to children."""
+
+    def __init__(self, datum: HBLDatum, family: CandidateLattice, ready: bool) -> None:
+        self.datum, self.family, self.ready = datum, family, ready
+        self.splits: dict[Subspace, tuple[_Node, _Node]] = {}
+
+    @cached_property
+    def poly(self) -> ExponentPolytope:
+        return polytope_from_candidates(self.datum, self.family)
 
 
 def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
@@ -388,29 +390,14 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         if trace is not None:
             trace.append(msg)
 
-    # A node's polytope and its split at a V depend on its maps and family,
-    # not on its exponents, so each is made once per call. A node is keyed by
-    # the identity of its maps tuple, which with_exponents shares, and of its
-    # family; the entry holds both, so the ids stay valid while it lives.
-    nodes: dict[tuple[int, int], tuple[tuple[Matrix, ...], CandidateLattice,
-                                       ExponentPolytope, dict]] = {}
-
-    def recurse(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
-                depth: int) -> Presentation:
-        # The datum satisfies the scaling equality: the top level and each
-        # Caratheodory vertex are checked before they recurse, and a child of
-        # a split at a critical V has slack zero at its H (V's slack for the
-        # restriction, H's minus V's for the quotient).
+    def recurse(node: _Node, tau: tuple[Fraction, ...], depth: int) -> EdgeTable:
         indent = "  " * depth
+        datum = node.datum.with_exponents(tau)
         if datum.dim == 1:
             log(f"{indent}dim 1 base case")
             return base_case_dim1(datum)
 
-        key = (id(datum.maps), id(candidates))
-        if key not in nodes:
-            nodes[key] = (datum.maps, candidates, polytope_from_candidates(datum, candidates), {})
-        _, _, poly, splits = nodes[key]
-        tau = datum.exponents
+        poly = node.poly
         den, lazy = poly.gaps(tau)
         gaps = list(lazy)
         # Rows open with the positive-dimensional candidates V (rhs dim V, gap
@@ -423,48 +410,43 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
         if len(_echelon(tight, poly.n)[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
-            decomp = caratheodory(poly, tau, gaps=(den, gaps))
             parts = []
-            for c, point in decomp.terms:
+            for c, point in caratheodory(poly, tau, gaps=(den, gaps)).terms:
                 log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
-                vertex = datum.with_exponents(point)
-                _require_scaling(vertex)
-                parts.append((c, recurse(vertex, candidates, ready, depth + 1)))
+                parts.append((c, recurse(node, point, depth + 1)))
             return convex_combine(parts)
 
-        rows = zip((v for v in candidates.subspaces if v.dim), gaps)
+        rows = zip((v for v in node.family.subspaces if v.dim), gaps)
         criticals = [v for v, gap in rows if gap == 0 and v.dim < datum.dim]
         if criticals:
             v = min(criticals, key=lambda s: s.sort_key)
             log(f"{indent}critical subspace of dim {v.dim}")
         else:
-            v = None
             for i, t in enumerate(tau):
                 if t == 1 and datum.ranks[i] > 0:
-                    cand = _codim1_critical(datum, i)
-                    if subspace_slack(datum, cand).slack == 0:
-                        v = cand
+                    v = _codim1_critical(datum, i)
+                    if subspace_slack(datum, v).slack == 0:
                         log(f"{indent}tau{i + 1}=1 branch: codim-1 critical subspace")
                         break
-            if v is None:
+            else:
                 raise BuildError(
                     "candidate set insufficient: extreme exponents admit no "
                     "critical subspace among the candidates"
                 )
-        split = splits.get(v)
-        if split is None:
-            children = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-            families = _child_families(datum, candidates, ready, v, *children, max_lattice)
-            split = splits[v] = tuple(zip(children, families))
-        p_low, p_high = (recurse(child.with_exponents(tau), family, family.closed, depth + 1)
-                         for child, family in split)
-        return concatenate(datum, v, p_low, p_high)
+        children = node.splits.get(v)
+        if children is None:
+            low, high = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
+            families = _child_families(datum, node.family, node.ready, v, low, high, max_lattice)
+            children = node.splits[v] = tuple(_Node(child, family, family.closed)
+                                              for child, family in zip((low, high), families))
+        low_edges, high_edges = (recurse(child, tau, depth + 1) for child in children)
+        return concatenate(datum, v, low_edges, high_edges)
 
-    _require_scaling(datum)
-    try:
-        pres = recurse(datum, candidates, _ready(datum, candidates), 0)
-    finally:
-        nodes.clear()  # recurse refers to itself, and that cycle would keep the table
+    holds, lhs, rhs = check_scaling(datum)
+    if not holds:
+        raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
+    edges = recurse(_Node(datum, candidates, is_ready(datum, candidates)), datum.exponents, 0)
+    pres = Presentation.from_edges(datum.dim, datum.n_maps, _endpoints(edges), edges)
     report = verify_presentation(datum, pres)
     if not report.valid:
         raise BuildError("constructed presentation failed verification: "

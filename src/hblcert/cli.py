@@ -3,8 +3,9 @@
 Commands run the library pipelines on datum/presentation/candidate files and
 emit text or JSON reports (DOT for diagram export). Exit status 0 means a
 positive verdict (valid, feasible, dominated), 1 a mathematically negative
-verdict with the report attached, 2 malformed input or usage errors, and 3
-an unexpected internal error, reported on one `error: internal:` line.
+verdict with the report attached, 2 malformed input or usage errors, 3 an
+unexpected internal error, reported on one `error: internal:` line, and 4 a
+`check-data` that finds neither a violation nor a proof of feasibility.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hblcert.data import (
     find_critical,
     find_violation,
     generate_lattice,
+    is_ready,
 )
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
 from hblcert.presentation import export_dot, verify_and_bound
@@ -131,6 +133,13 @@ def _cmd_check_data(args) -> tuple[int, dict]:
             "classification": violation.classification,
             "basis": [[str(x) for x in row] for row in violation.subspace.basis_rows()],
         }
+    elif not is_ready(datum, candidates):
+        try:  # on a family that is not ready, only a certificate proves feasibility
+            builder_mod.build_presentation(datum, candidates, max_lattice=args.max_lattice)
+            out["proof"] = "certificate"
+        except builder_mod.BuildError as exc:
+            out.update(verdict="inconclusive", reason=str(exc))
+            return 4, out
     return (0 if violation is None else 1), out
 
 
@@ -330,8 +339,6 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         rendered = json.dumps(report, indent=2) + "\n"
     elif args.format == "dot":
-        if "dot" not in report:
-            raise formats.ParseError("--format dot is only valid for export-dot")
         rendered = report["dot"]
     else:
         rendered = _render_text(report)
@@ -347,6 +354,8 @@ def main(argv=None) -> int:
         parser.error("--max-lattice must be at least 2")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
+    if args.format == "dot" and args.command != "export-dot":
+        parser.error("--format dot is only valid for export-dot")
     try:
         status, rendered = run(args)
         if args.out and args.command != "build":

@@ -277,6 +277,14 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
     return CandidateLattice(tuple(subs), not overflow, tuple(log))
 
 
+def is_ready(datum: HBLDatum, candidates: CandidateLattice) -> bool:
+    """Closed and holding {0}, H and every kernel, hence the lattice the
+    kernels generate: if the dimension inequalities hold there, they hold
+    everywhere (Bennett-Carbery-Christ-Tao, 2010)."""
+    return candidates.closed and {Subspace.zero(datum.dim), Subspace.full(datum.dim),
+                                  *map(kernel, datum.maps)} <= set(candidates.subspaces)
+
+
 def find_violation(datum: HBLDatum, candidates: CandidateLattice) -> SlackReport | None:
     """First scaling failure or negative-slack candidate in stored order, if any."""
     full = subspace_slack(datum, Subspace.full(datum.dim))

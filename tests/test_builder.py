@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -27,6 +29,7 @@ from hblcert.data import (
     find_critical,
     find_violation,
     generate_lattice,
+    is_ready,
     quotient_datum,
     restrict_datum,
     subspace_slack,
@@ -37,11 +40,30 @@ from hblcert.fixtures import (
     fourmap_r6_forcing_candidates,
     loomis_whitney_datum,
 )
+from hblcert.flowgraph import GraphDecomposition
 from hblcert.linalg import Matrix, Subspace, _echelon, kernel, span
 from hblcert.oracle import GaussianInput, gaussian_ratio
-from hblcert.presentation import bound_constant, verify_presentation
+from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
 from conftest import random_matrix, random_subspace, reference_extremes
+
+
+def edge_table(pres):
+    """The (low, high) subspace pair -> theta row table of a presentation."""
+    ends = pres.graph.vertices
+    return {(ends[a], ends[b]): row for (a, b), row in zip(pres.graph.edges, pres.theta.values)}
+
+
+def vertices_of(edges):
+    return {w for edge in edges for w in edge}
+
+
+def presentation_of(datum, edges):
+    return Presentation.from_edges(datum.dim, datum.n_maps, vertices_of(edges), edges)
+
+
+def built_edges(datum):
+    return edge_table(build_presentation(datum, generate_lattice(datum)))
 
 
 def forcing_lattice():
@@ -279,20 +301,19 @@ def test_caratheodory_rejects_non_members():
 
 
 def test_base_case_examples():
+    edge = (Subspace.zero(1), Subspace.full(1))
     one = HBLDatum(1, (Matrix.identity(1),), ("id",), (Fraction(1),))
-    pres = base_case_dim1(one)
-    assert len(pres.graph.edges) == 1
-    assert pres.theta.values[0] == (Fraction(1),)
+    assert base_case_dim1(one) == {edge: (Fraction(1),)}
+    assert verify_presentation(one, presentation_of(one, base_case_dim1(one))).valid
 
     two = HBLDatum(1, (Matrix.identity(1), Matrix.identity(1)), ("a", "b"),
                    (Fraction(1, 2), Fraction(1, 2)))
-    pres = base_case_dim1(two)
-    assert pres.theta.values[0] == (Fraction(1, 2), Fraction(1, 2))
+    assert base_case_dim1(two) == {edge: (Fraction(1, 2), Fraction(1, 2))}
 
     with_rank0 = HBLDatum(1, (Matrix.identity(1), Matrix.zeros(1, 1)), ("a", "z"),
                           (Fraction(1), Fraction(1)))
-    pres = base_case_dim1(with_rank0)
-    report = verify_presentation(with_rank0, pres)
+    report = verify_presentation(with_rank0, presentation_of(with_rank0,
+                                                             base_case_dim1(with_rank0)))
     assert report.valid
     assert report.sigma == (Fraction(1),)
 
@@ -306,12 +327,10 @@ def test_concatenate_loomis_whitney_split():
     v = span([[1, 0, 0], [0, 1, 0]], 3)
     low_datum, _ = restrict_datum(datum, v)
     high_datum, _ = quotient_datum(datum, v)
-    p_low = build_presentation(low_datum, generate_lattice(low_datum))
-    p_high = build_presentation(high_datum, generate_lattice(high_datum))
-    pres = concatenate(datum, v, p_low, p_high)
-    assert verify_presentation(datum, pres).valid
-    assert len(pres.graph.vertices) \
-        == len(p_low.graph.vertices) + len(p_high.graph.vertices) - 1
+    low, high = built_edges(low_datum), built_edges(high_datum)
+    edges = concatenate(datum, v, low, high)
+    assert verify_presentation(datum, presentation_of(datum, edges)).valid
+    assert len(vertices_of(edges)) == len(vertices_of(low)) + len(vertices_of(high)) - 1
 
 
 def test_concatenate_r6_split_has_five_chain_low_part():
@@ -320,14 +339,12 @@ def test_concatenate_r6_split_has_five_chain_low_part():
               [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
     low_datum, _ = restrict_datum(datum, v)
     high_datum, _ = quotient_datum(datum, v)
-    p_low = build_presentation(low_datum, generate_lattice(low_datum))
-    p_high = build_presentation(high_datum, generate_lattice(high_datum))
-    assert len(p_low.graph.vertices) == 5
-    pres = concatenate(datum, v, p_low, p_high)
-    assert verify_presentation(datum, pres).valid
-    assert len(pres.graph.vertices) \
-        == len(p_low.graph.vertices) + len(p_high.graph.vertices) - 1
-    low_vertices = [w for w in pres.graph.vertices if w <= v]
+    low, high = built_edges(low_datum), built_edges(high_datum)
+    assert len(vertices_of(low)) == 5
+    edges = concatenate(datum, v, low, high)
+    assert verify_presentation(datum, presentation_of(datum, edges)).valid
+    assert len(vertices_of(edges)) == len(vertices_of(low)) + len(vertices_of(high)) - 1
+    low_vertices = [w for w in vertices_of(edges) if w <= v]
     assert sorted(w.dim for w in low_vertices) == [0, 1, 2, 3, 4]
 
 
@@ -336,33 +353,37 @@ def test_concatenate_embeds_each_part_vertex_once(monkeypatch):
     v = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
               [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
     low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-    p_low = build_presentation(low_datum, generate_lattice(low_datum))
-    p_high = build_presentation(high_datum, generate_lattice(high_datum))
+    low, high = built_edges(low_datum), built_edges(high_datum)
     calls = []
     original = builder.image
     monkeypatch.setattr(builder, "image", lambda m, w: calls.append(w) or original(m, w))
-    pres = concatenate(datum, v, p_low, p_high)
-    assert len(calls) == len(p_low.graph.vertices) + len(p_high.graph.vertices)
-    assert verify_presentation(datum, pres).valid
+    edges = concatenate(datum, v, low, high)
+    assert len(calls) == len(vertices_of(low)) + len(vertices_of(high))
+    assert verify_presentation(datum, presentation_of(datum, edges)).valid
 
 
 def test_concatenate_at_the_zero_subspace_reembeds_the_high_part():
-    from hblcert.presentation import Presentation
-
     datum = loomis_whitney_datum(2)
-    p_high = build_presentation(datum, generate_lattice(datum))
-    trivial = Presentation.from_edges(0, 3, [Subspace.zero(0)], {})
-    pres = concatenate(datum, Subspace.zero(3), trivial, p_high)
-    assert pres == p_high
+    high = built_edges(datum)
+    assert concatenate(datum, Subspace.zero(3), {}, high) == high
+    with pytest.raises(ValueError, match="split dimensions"):
+        concatenate(datum, Subspace.zero(3), high, high)
 
 
 def test_convex_combine_trivial_cases():
     datum = loomis_whitney_datum(2)
-    pres = build_presentation(datum, generate_lattice(datum))
-    assert convex_combine([(Fraction(1), pres)]) == pres
-    assert convex_combine([(Fraction(1, 2), pres), (Fraction(1, 2), pres)]) == pres
+    edges = built_edges(datum)
+    assert convex_combine([(Fraction(1), edges)]) == edges
+    assert convex_combine([(Fraction(1, 2), edges), (Fraction(1, 2), edges)]) == edges
+    assert verify_presentation(datum, presentation_of(datum, convex_combine(
+        [(Fraction(1, 3), edges), (Fraction(2, 3), edges)]))).valid
     with pytest.raises(ValueError, match="sum 1"):
-        convex_combine([(Fraction(1, 2), pres)])
+        convex_combine([(Fraction(1, 2), edges)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        convex_combine([(Fraction(3, 2), edges), (Fraction(-1, 2), edges)])
+    with pytest.raises(ValueError, match="share ambient and width"):
+        convex_combine([(Fraction(1, 2), edges),
+                        (Fraction(1, 2), {edge: row[:2] for edge, row in edges.items()})])
 
 
 def test_convex_combine_of_distinct_chains_is_valid():
@@ -383,8 +404,8 @@ def test_convex_combine_of_distinct_chains_is_valid():
                                   base_case_dim1(low_datum),
                                   base_case_dim1(high_datum)))
     mixed = convex_combine([(Fraction(1, 2), chains[0]), (Fraction(1, 2), chains[1])])
-    assert len(mixed.graph.vertices) == 4
-    assert verify_presentation(datum, mixed).valid
+    assert len(vertices_of(mixed)) == 4
+    assert verify_presentation(datum, presentation_of(datum, mixed)).valid
 
 
 def test_build_loomis_whitney():
@@ -555,7 +576,7 @@ def test_children_read_intervals_off_a_closed_family(hyp_rng):
     lattice = generate_lattice(datum, seeds=seeds, max_size=64)
     if not lattice.closed:
         return
-    assert builder._ready(datum, lattice)
+    assert is_ready(datum, lattice)
     for v in lattice.subspaces:
         if not 0 < v.dim < m:
             continue
@@ -572,7 +593,7 @@ def test_children_read_intervals_off_a_closed_family(hyp_rng):
 
 def test_children_regenerate_when_the_family_cannot_supply_them():
     def from_intervals(datum, lattice, v, max_size=512):
-        ready = builder._ready(datum, lattice)
+        ready = is_ready(datum, lattice)
         return _from_intervals(_children(datum, lattice, ready, v, max_size)[1])
 
     r6 = fourmap_r6_datum()
@@ -584,7 +605,7 @@ def test_children_regenerate_when_the_family_cannot_supply_them():
     axes = [[1 if c == j else 0 for c in range(4)] for j in range(4)]
     flag = CandidateLattice.from_subspaces(4, [span(axes[:k], 4) for k in (1, 2, 3)])
     assert flag.closed
-    assert not builder._ready(lw3, flag)
+    assert not is_ready(lw3, flag)
     assert not from_intervals(lw3, flag, span(axes[:2], 4))
     # A tau_i = 1 hyperplane outside the family.
     lattice = generate_lattice(lw3)
@@ -648,10 +669,10 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
             assert v == criticals[0].subspace
 
 
-# A split reads its children's families off the parent's, so kernels are
-# computed only for the top-level readiness check (one per map) and by the
-# Caratheodory steps; the parent computed those of every child map as well,
-# 109 on lw4 and 67 on r6.
+# A split reads its children's families off the parent's, so the builder
+# computes kernels only in the Caratheodory steps (9 on lw4, 3 on r6), and
+# data.is_ready one per map for the top-level readiness check; a builder that
+# computed those of every child map made 109 on lw4 and 67 on r6.
 @pytest.mark.parametrize("name, limit", [("lw4", 14), ("r6", 7)])
 def test_splits_compute_no_kernels(name, limit, monkeypatch):
     datum = ALL_FIXTURES[name][0]()
@@ -666,8 +687,8 @@ def test_splits_compute_no_kernels(name, limit, monkeypatch):
 # Each recursion node's polytope and each split are made once per build. On
 # lw4 the root is not extreme: its Caratheodory vertices share its maps and
 # family, so they share its polytope and splits, and the children of a split
-# are shared likewise. Without the table the build made 13 polytopes and 10
-# quotients.
+# are shared likewise. Without the nodes' caches the build made 13 polytopes
+# and 10 quotients.
 def test_node_work_is_done_once_per_build(monkeypatch):
     datum = loomis_whitney_datum(4)
     lattice = generate_lattice(datum)
@@ -686,3 +707,43 @@ def test_node_work_is_done_once_per_build(monkeypatch):
         calls.update(polytope=0, quotient=0)
         assert verify_presentation(datum, build_presentation(datum, lattice)).valid
         assert calls == {"polytope": 4, "quotient": 4}
+
+
+# The recursion passes edge tables, and only the top-level table becomes a
+# presentation; building one per node made 27 graphs on lw4 and 19 on r6.
+@pytest.mark.parametrize("name", ["lw4", "r6"])
+def test_build_makes_one_graph(name, monkeypatch):
+    datum = ALL_FIXTURES[name][0]()
+    lattice = generate_lattice(datum)
+    calls = []
+    original = GraphDecomposition.build
+    monkeypatch.setattr(GraphDecomposition, "build",
+                        staticmethod(lambda *args: calls.append(args) or original(*args)))
+    for _ in range(2):
+        calls.clear()
+        assert verify_presentation(datum, build_presentation(datum, lattice)).valid
+        assert len(calls) == 1
+
+
+# The node tree holds every polytope and child datum of a build; nothing may
+# keep it alive in a reference cycle once the build returns, or it would
+# wait for the cycle collector.
+@pytest.mark.parametrize("name", ["lw4", "r6"])
+def test_build_frees_its_node_tree_by_reference_counting(name, monkeypatch):
+    datum = ALL_FIXTURES[name][0]()
+    lattice = generate_lattice(datum)
+    made = []
+    original = builder.polytope_from_candidates
+
+    def recording(d, family):
+        poly = original(d, family)
+        made.append(weakref.ref(poly))
+        return poly
+
+    monkeypatch.setattr(builder, "polytope_from_candidates", recording)
+    gc.disable()
+    try:
+        build_presentation(datum, lattice)
+        assert made and not [ref for ref in made if ref() is not None]
+    finally:
+        gc.enable()

@@ -1,15 +1,27 @@
+import contextlib
+import io
 import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hblcert import cli, flowgraph, formats
+from hblcert.builder import build_presentation
 from hblcert.cli import main
+from hblcert.data import HBLDatum, find_violation, generate_lattice, is_ready
+from hblcert.linalg import kernel
+
+from conftest import random_matrix
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SCHEMA = json.loads(
@@ -76,6 +88,91 @@ def test_check_data_scaling_failure(capsys, tmp_path):
     code, report = run_json(capsys, "check-data", "--data", str(path))
     assert code == 1
     assert report["scaling"] == {"holds": False, "lhs": "3", "rhs": "6"}
+
+
+def lw2_with_exponents(tmp_path, exponents):
+    datum = json.loads((FIXTURE_DIR / "lw2.datum.json").read_text())
+    datum["exponents"] = exponents
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    return str(path)
+
+
+def test_check_data_needs_a_proof_when_the_family_is_not_ready(capsys, tmp_path):
+    # lw2 at (1, 1/4, 1/4) violates at ker pi_1 = span{e1} with slack -1/2,
+    # which neither {0, H} (a cap of 2, or a file of comments) nor the build
+    # on that family can see; the family a cap of 3 generates holds e1.
+    path = lw2_with_exponents(tmp_path, ["1", "1/4", "1/4"])
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# no subspace\n")
+    for family in (["--max-lattice", "2"], ["--candidates", str(comments)]):
+        code, report = run_json(capsys, "check-data", "--data", path, *family)
+        assert code == 4 and report["verdict"] == "inconclusive"
+        assert report["lattice"]["size"] == 2 and "proof" not in report
+    assert report["reason"] == \
+        "candidate subspace violates the dimension inequality (dim 1, slack -1/2)"
+    code, report = run_json(capsys, "check-data", "--data", path, "--max-lattice", "3")
+    assert code == 1 and report["violation"]["slack"] == "-1/2"
+    # r6 with its forcing candidates: not closed, but the build certifies it.
+    code, report = run_json(capsys, "check-data", "--data", fixture("r6.datum.json"),
+                            "--candidates", fixture("r6_forcing.candidates.txt"))
+    assert code == 0 and report["verdict"] == "feasible"
+    assert report["proof"] == "certificate" and report["lattice"]["closed"] is False
+    # A ready family needs no certificate, and the report has no proof key.
+    code, report = run_json(capsys, "check-data", "--data", fixture("r6.datum.json"))
+    assert code == 0 and report["verdict"] == "feasible" and "proof" not in report
+
+
+def _small_random_datum(rng: random.Random) -> HBLDatum | None:
+    """Two or three maps on R^2 or R^3 with entries in {-1, 0, 1} and
+    exponents in quarters, the last positive-rank map's solving the scaling
+    equality."""
+    m = rng.randint(2, 3)
+    maps = tuple(random_matrix(rng, rng.randint(1, m), m, -1, 1)
+                 for _ in range(rng.randint(2, 3)))
+    ranks = [mp.cols - kernel(mp).dim for mp in maps]
+    if not any(ranks):
+        return None
+    j = max(i for i, r in enumerate(ranks) if r)
+    tau = [Fraction(rng.randint(0, 4), 4) for _ in maps]
+    tau[j] = (m - sum(t * r for i, (t, r) in enumerate(zip(tau, ranks)) if i != j)) / ranks[j]
+    if not 0 <= tau[j] <= 1:
+        return None
+    return HBLDatum(m, maps, tuple(f"p{i}" for i in range(len(maps))), tuple(tau))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_check_data_says_feasible_only_with_a_proof(hyp_rng):
+    """At every lattice cap, "feasible" comes from a ready family or a built
+    certificate, and never disagrees with a closed lattice's verdict."""
+    datum = _small_random_datum(random.Random(hyp_rng.randint(0, 10**9)))
+    if datum is None:
+        return
+    full = generate_lattice(datum, max_size=32)
+    violated = find_violation(datum, full) is not None
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "datum.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(formats.serialize_datum(datum))
+        for cap in range(2, min(len(full.subspaces), 12) + 2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["check-data", "--data", path, "--max-lattice", str(cap),
+                             "--format", "json"])
+            report = json.loads(out.getvalue())
+            jsonschema.validate(report, SCHEMA)
+            verdict = report["verdict"]
+            assert code == {"feasible": 0, "violation": 1, "inconclusive": 4}[verdict]
+            lattice = generate_lattice(datum, max_size=cap)
+            if verdict == "feasible":
+                assert not violated
+                if "proof" in report:
+                    build_presentation(datum, lattice, max_lattice=cap)
+                else:
+                    assert is_ready(datum, lattice)
+            elif verdict == "violation":
+                assert violated or not full.closed
 
 
 def test_polytope_forcing(capsys):
@@ -265,6 +362,22 @@ def test_export_dot_format(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "1/2*" in out
+
+
+@pytest.mark.parametrize("command, files", [
+    ("build", ["--data", fixture("lw2.datum.json")]),
+    ("verify", ["--data", fixture("lw2.datum.json"),
+                "--presentation", fixture("lw2.presentation.json")]),
+])
+def test_format_dot_is_rejected_before_the_command_runs(capsys, tmp_path, command, files):
+    # build writes its --out file itself, so a late rejection left one behind.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--out", str(out), "--format", "dot"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--format dot is only valid for export-dot" in captured.err
+    assert not out.exists()
 
 
 def test_malformed_input_exits_two(capsys, tmp_path):
