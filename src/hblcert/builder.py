@@ -382,9 +382,12 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     """Recursive certificate construction; the output always verifies.
 
     Raises BuildError when the scaling equality fails, a candidate violates
-    the dimension inequality, or no critical subspace can be found among the
-    candidates (candidate set insufficient).
+    the dimension inequality at the datum's exponents, or the candidates are
+    insufficient: a child violates it below a Caratheodory vertex, or no
+    critical subspace can be found among them.
     """
+
+    exponents = datum.exponents
 
     def log(msg: str) -> None:
         if trace is not None:
@@ -404,9 +407,16 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         # D * slack(V)); H's row holds by scaling and the box rows for any datum.
         violated = poly._violated(gaps)
         if violated is not None:
+            # At the datum's exponents a violation lifts to the datum itself;
+            # below a Caratheodory vertex it only shows that the family missed
+            # the subspace that cuts the vertex off.
             row, gap = violated
-            raise BuildError("candidate subspace violates the dimension inequality "
-                             f"(dim {row.rhs}, slack {Fraction(gap, den)})")
+            reason = ("candidate subspace violates the dimension inequality "
+                      f"(dim {row.rhs}, slack {Fraction(gap, den)})")
+            if tau != exponents:
+                at = ", ".join(map(str, tau))
+                reason = f"candidate set insufficient: at exponents ({at}), a {reason}"
+            raise BuildError(reason)
         tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
         if len(_echelon(tight, poly.n)[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")

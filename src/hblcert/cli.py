@@ -333,11 +333,23 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict(value):
+    """`value` with each non-finite float, which strict JSON cannot hold, as
+    its str() ("inf", "-inf" or "nan"), which float() reads back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def run(args: argparse.Namespace) -> tuple[int, str]:
     """Execute one command; returns (exit status, rendered report)."""
     status, report = _COMMANDS[args.command](args)
     if args.format == "json":
-        rendered = json.dumps(report, indent=2) + "\n"
+        rendered = json.dumps(_strict(report), indent=2, allow_nan=False) + "\n"
     elif args.format == "dot":
         rendered = report["dot"]
     else:

@@ -3,11 +3,12 @@
 No floating point enters. Subspaces are kept in a unique canonical form
 (reduced row echelon rows scaled to primitive integers with positive pivots)
 so that equality of spans is plain value equality and subspaces can be
-hashed, sorted and used as graph vertices. Elimination runs on integer rows:
-each input row is scaled by the lcm of its denominators, and Gauss-Jordan
-proceeds fraction-free (Bareiss, Math. Comp. 22, 1968) with every new row
-divided by its content. A subspace's `fractions.Fraction` basis, its rows
-divided by their pivots, is formed only when something reads it.
+hashed, sorted and used as graph vertices. A matrix is stored as a
+denominator and integer rows, in lowest terms, so equal matrices are equal
+values too. Every operation runs on integer rows: Gauss-Jordan proceeds
+fraction-free (Bareiss, Math. Comp. 22, 1968) with every new row divided by
+its content. The `fractions.Fraction` entries of a matrix, and so the basis
+of a subspace, are formed only when something reads them.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def _over_common_denominator(values: Sequence[Fraction | int]) -> tuple[int, tup
     """(D, n) with values[k] = n[k] / D, D the lcm of the denominators."""
     den = lcm(*(x.denominator for x in values))
     return den, tuple(x.numerator * (den // x.denominator) for x in values)
-
-
-def _integer_row(row: Sequence[Fraction | int]) -> Sequence[int]:
-    """Primitive integer multiple of a rational row."""
-    return _primitive(_over_common_denominator(row)[1])
 
 
 def _echelon(rows: Sequence[Sequence[int]], cols: int
@@ -86,43 +82,27 @@ def _echelon(rows: Sequence[Sequence[int]], cols: int
     return rows[:r], pivots
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _leading_ones(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[list[Fraction]]:
-    """Each row divided by its pivot entry."""
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append([_ZERO if not x else _ONE if x == p else Fraction(x, p) for x in row])
-    return out
-
-
-def _rref(rows: Sequence[Sequence[Fraction | int]], cols: int
-          ) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with leading-one pivots.
-
-    Returns the nonzero rows and the pivot column of each.
-    """
-    reduced, pivots = _echelon([_integer_row(r) for r in rows], cols)
-    return _leading_ones(reduced, pivots), pivots
-
-
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense rational matrix, stored as ints / den.
+
+    `den` is the least common denominator of the entries and `ints` the
+    integer rows of den * M; together they are in lowest terms, so `==` and
+    `hash` compare values. One factor serves the whole matrix: scaling rows
+    separately would change the map, and so its images. The `Fraction`
+    entries, row-major, are formed only when read.
+    """
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    den: int
+    ints: Rows
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.ints) != self.rows or any(len(r) != self.cols for r in self.ints):
+            raise ValueError(f"matrix needs {self.rows} rows of {self.cols} entries")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> Matrix:
@@ -137,17 +117,21 @@ class Matrix:
         for r in rows:
             if len(r) != cols:
                 raise ValueError("ragged matrix rows")
-        flat = tuple(frac(x) for r in rows for x in r)
-        return Matrix(len(rows), cols, flat)
+        den, flat = _over_common_denominator([frac(x) for r in rows for x in r])
+        return Matrix(len(rows), cols, den, tuple(flat[i * cols:(i + 1) * cols]
+                                                   for i in range(len(rows))))
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        ent = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n))
-        return Matrix(n, n, ent)
+        return _reduced(1, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, cols, (Fraction(0),) * (rows * cols))
+        return _reduced(1, [[0] * cols] * rows, cols)
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for row in self.ints for x in row)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -157,45 +141,37 @@ class Matrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def transpose(self) -> Matrix:
-        ent = tuple(self[i, j] for j in range(self.cols) for i in range(self.rows))
-        return Matrix(self.cols, self.rows, ent)
+        return _reduced(self.den, list(zip(*self.ints)) or [()] * self.cols, self.rows)
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        da, a = self._scaled
-        db, b = other._scaled
-        den = da * db
-        cols = list(zip(*b)) if b else [()] * other.cols
-        out = []
-        for ra in a:
-            for cb in cols:
-                x = sum(map(mul, ra, cb))
-                out.append(Fraction(x, den) if x else _ZERO)
-        return Matrix(self.rows, other.cols, tuple(out))
-
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """D and the integer rows of D * self, with D the lcm of all denominators.
-
-        One common factor for the whole matrix: scaling rows separately
-        would change the map, and so its images.
-        """
-        den, flat = _over_common_denominator(self.entries)
-        c = self.cols
-        return den, tuple(flat[i * c:(i + 1) * c] for i in range(self.rows))
+        cols = list(zip(*other.ints)) or [()] * other.cols
+        return _reduced(self.den * other.den,
+                        [[sum(map(mul, ra, cb)) for cb in cols] for ra in self.ints], other.cols)
 
     def inverse(self) -> Matrix:
+        """Gauss-Jordan on [den * M | I]: row i ends [p_i e_i | r_i] with
+        (den * M)^-1 row i = r_i / p_i, so M^-1 row i = den * r_i / p_i."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-               for i in range(n)]
-        reduced, pivots = _rref(aug, 2 * n)
-        if pivots[:n] != list(range(n)) or len(reduced) != n:
+        aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self.ints)]
+        reduced, pivots = _echelon(aug, 2 * n)
+        if pivots[:n] != list(range(n)):
             raise ValueError("singular matrix")
-        ent = tuple(reduced[i][n + j] for i in range(n) for j in range(n))
-        return Matrix(n, n, ent)
+        den = lcm(*(row[i] for i, row in enumerate(reduced)))
+        return _reduced(den, [[x * self.den * (den // row[i]) for x in row[n:]]
+                              for i, row in enumerate(reduced)], n)
+
+
+def _reduced(den: int, ints: Sequence[Sequence[int]], cols: int) -> Matrix:
+    """The matrix ints / den, for den > 0, in lowest terms."""
+    g = gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
+    if g > 1:
+        den //= g
+        ints = [[x // g for x in row] for row in ints]
+    return Matrix(len(ints), cols, den, tuple(map(tuple, ints)))
 
 
 @dataclass(frozen=True)
@@ -237,9 +213,14 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The RREF basis: each row of `echelon` divided by its pivot entry."""
-        flat = tuple(x for row in _leading_ones(self.echelon, self.pivots) for x in row)
-        return Matrix(self.dim, self.ambient, flat)
+        """The RREF basis: each row of `echelon` divided by its pivot entry.
+
+        Its denominator is the lcm of the pivot entries, in lowest terms
+        already, because the echelon rows are primitive.
+        """
+        den = lcm(*(row[p] for row, p in zip(self.echelon, self.pivots)))
+        return _reduced(den, [[x * (den // row[p]) for x in row]
+                              for row, p in zip(self.echelon, self.pivots)], self.ambient)
 
     @property
     def sort_key(self) -> tuple:
@@ -302,10 +283,8 @@ class Subspace:
         With E = chart(), retraction() @ E is the identity and
         E @ retraction() restricts to the identity on the subspace itself.
         """
-        rows = []
-        for p in self.pivots:
-            rows.append([Fraction(1) if j == p else Fraction(0) for j in range(self.ambient)])
-        return Matrix.from_rows(rows, cols=self.ambient)
+        return _reduced(1, [[int(j == p) for j in range(self.ambient)] for p in self.pivots],
+                        self.ambient)
 
 
 def _normalized(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
@@ -325,24 +304,18 @@ def _canonical(rows: Sequence[Sequence[int]], ambient: int) -> Subspace:
 
 def canonicalize(generators: Matrix) -> Subspace:
     """Row space of `generators` in canonical RREF form."""
-    return _canonical([_integer_row(generators.row(i)) for i in range(generators.rows)],
-                      generators.cols)
+    return _canonical(generators.ints, generators.cols)
 
 
 def span(vectors: Iterable[Sequence[Scalar]], ambient: int) -> Subspace:
     """Subspace spanned by the given vectors of Q^ambient."""
-    rows = [[frac(x) for x in v] for v in vectors]
-    for r in rows:
-        if len(r) != ambient:
-            raise ValueError("vector length does not match ambient dimension")
-    return canonicalize(Matrix.from_rows(rows, cols=ambient))
+    return canonicalize(Matrix.from_rows(list(vectors), cols=ambient))
 
 
 def _image_rows(map_: Matrix, v: Subspace) -> list[list[int]]:
     if map_.cols != v.ambient:
         raise ValueError("map domain does not match subspace ambient")
-    scaled = map_._scaled[1]
-    return [[sum(map(mul, row, b)) for row in scaled] for b in v.echelon]
+    return [[sum(map(mul, row, b)) for row in map_.ints] for b in v.echelon]
 
 
 def image(map_: Matrix, v: Subspace) -> Subspace:
@@ -357,7 +330,7 @@ def image_rank(map_: Matrix, v: Subspace) -> int:
 
 def kernel(map_: Matrix) -> Subspace:
     """Null space of the map, in canonical form."""
-    return _null_space(*_echelon(map_._scaled[1], map_.cols), map_.cols)
+    return _null_space(*_echelon(map_.ints, map_.cols), map_.cols)
 
 
 def _null_space(reduced: Sequence[Sequence[int]], pivots: Sequence[int], cols: int) -> Subspace:

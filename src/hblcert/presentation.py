@@ -191,7 +191,7 @@ def _norm_squared(m: Matrix, low: Subspace, high: Subspace, w: tuple[int, ...]) 
     one Fraction of integers; scaling w or d does not change the ratio.
     """
     d = _new_direction(low, high)
-    den, rows = m._scaled
+    den, rows = m.den, m.ints
     along = sum(sum(map(mul, row, w)) * x for row, x in zip(rows, d) if x)
     return Fraction(along * along,
                     den * den * sum(x * x for x in d) * sum(x * x for x in w))

@@ -18,6 +18,12 @@ def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
                  for i in range(m.rows))
 
 
+def product(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    """Reference matrix product a b, entry by entry in Fractions."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
 def reference_extremes(poly) -> tuple[tuple[Fraction, ...], ...]:
     """Reference vertex enumeration: solve every n-subset of rows that holds
     the equality rows, and keep the solutions that satisfy every row."""

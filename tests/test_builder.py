@@ -432,6 +432,21 @@ def test_build_rejects_violating_exponents():
         build_presentation(datum, generate_lattice(datum))
 
 
+def test_build_names_a_violation_below_a_vertex_as_an_insufficient_family():
+    # lw3 at 1/3 is feasible and builds from its full lattice, but families
+    # capped at 4 miss a subspace that cuts off the vertex (1/2, 0, 0, 1);
+    # the violation the build meets there is not one of the datum.
+    datum = loomis_whitney_datum(3)
+    capped = generate_lattice(datum, max_size=4)
+    assert find_violation(datum, capped) is None
+    with pytest.raises(BuildError) as err:
+        build_presentation(datum, capped, max_lattice=4)
+    assert str(err.value) == (
+        "candidate set insufficient: at exponents (1/2, 0, 0, 1), a candidate "
+        "subspace violates the dimension inequality (dim 1, slack -1/2)")
+    assert verify_presentation(datum, build_presentation(datum, generate_lattice(datum))).valid
+
+
 def test_build_rejects_scaling_failure():
     datum = loomis_whitney_datum(2, [1, 1, 1])
     with pytest.raises(BuildError, match="scaling"):

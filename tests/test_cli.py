@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -40,9 +41,13 @@ def run_cli(capsys, *args):
     return code, captured.out
 
 
+def strict_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
 def run_json(capsys, *args):
     code, out = run_cli(capsys, *args, "--format", "json")
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=strict_constant)
     jsonschema.validate(report, SCHEMA)
     return code, report
 
@@ -101,7 +106,8 @@ def lw2_with_exponents(tmp_path, exponents):
 def test_check_data_needs_a_proof_when_the_family_is_not_ready(capsys, tmp_path):
     # lw2 at (1, 1/4, 1/4) violates at ker pi_1 = span{e1} with slack -1/2,
     # which neither {0, H} (a cap of 2, or a file of comments) nor the build
-    # on that family can see; the family a cap of 3 generates holds e1.
+    # on that family can see: the build meets a violation only below the
+    # vertex (1, 0, 1/2) and says so. The family a cap of 3 generates holds e1.
     path = lw2_with_exponents(tmp_path, ["1", "1/4", "1/4"])
     comments = tmp_path / "comments.txt"
     comments.write_text("# no subspace\n")
@@ -110,7 +116,8 @@ def test_check_data_needs_a_proof_when_the_family_is_not_ready(capsys, tmp_path)
         assert code == 4 and report["verdict"] == "inconclusive"
         assert report["lattice"]["size"] == 2 and "proof" not in report
     assert report["reason"] == \
-        "candidate subspace violates the dimension inequality (dim 1, slack -1/2)"
+        "candidate set insufficient: at exponents (1, 0, 1/2), a candidate " \
+        "subspace violates the dimension inequality (dim 1, slack -1/2)"
     code, report = run_json(capsys, "check-data", "--data", path, "--max-lattice", "3")
     assert code == 1 and report["violation"]["slack"] == "-1/2"
     # r6 with its forcing candidates: not closed, but the build certifies it.
@@ -329,6 +336,29 @@ def test_gaussian_command_diverges_on_a_common_kernel(capsys, tmp_path):
     assert code == 1
     assert report["verdict"] == "diverged"
     assert report["sup_estimate"] > 1e6
+
+
+def test_json_reports_write_non_finite_floats_as_strings(capsys, tmp_path):
+    # Two equal maps at exponent 1 on R^2: at the identity the left side is
+    # infinite, a float that strict JSON has no token for.
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "maps": [{"name": "p", "rows": [["1", "0"]]}, {"name": "q", "rows": [["1", "0"]]}],
+        "exponents": ["1", "1"],
+    }))
+    code, report = run_json(capsys, "gaussian", "--data", str(path))
+    assert code == 1 and report["identity_ratio"] == "inf"
+    assert float(report["identity_ratio"]) == math.inf
+    # quadrature's ratios take the same path.
+    trials = [{"lhs": 1.0, "rhs": 0.0, "ratio": math.inf},
+              {"lhs": 0.0, "rhs": 0.0, "ratio": math.nan}]
+    report = cli._strict({"command": "quadrature", "verdict": "exceeded",
+                          "bound_value": 1.0, "worst_ratio": -math.inf, "trials": trials})
+    report = json.loads(json.dumps(report, allow_nan=False), parse_constant=strict_constant)
+    jsonschema.validate(report, SCHEMA)
+    assert [t["ratio"] for t in report["trials"]] == ["inf", "nan"]
+    assert report["worst_ratio"] == "-inf" and float(report["worst_ratio"]) == -math.inf
 
 
 def test_quadrature_command(capsys):

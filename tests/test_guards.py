@@ -1,8 +1,9 @@
 """Source scans: soundness guards must survive `python -O`, which strips
 `assert`, the package imports nothing beyond its declared dependencies,
-every function the benchmark's tracer wraps exists, and every public name,
+every function the benchmark's tracer wraps exists, every public name,
 private module-level function or class and module constant of the package
-has a reader outside the tests."""
+has a reader outside the tests, and no module but linalg reads a private
+attribute of Matrix or Subspace."""
 
 import ast
 import importlib
@@ -139,3 +140,17 @@ def test_every_private_name_and_constant_is_read():
                 if (constant or name.startswith("_")) and named[name] - own.count(name) <= 0:
                     unread.append(f"{path.name}: {name}")
     assert not unread, f"not read outside tests: {unread}"
+
+
+def test_no_module_reads_private_matrix_or_subspace_attributes():
+    # A Matrix or Subspace is read through its public form (den and ints,
+    # echelon and basis); a private attribute, such as a cached second form,
+    # is linalg's own, so no other module may read one.
+    linalg = importlib.import_module("hblcert.linalg")
+    private = {name for cls in (linalg.Matrix, linalg.Subspace) for name in vars(cls)
+               if name.startswith("_") and not name.startswith("__")}
+    found = [f"{path.name}:{node.lineno} .{node.attr}" for path in SOURCES
+             if path.name != "linalg.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, f"private Matrix or Subspace attributes read outside linalg: {found}"

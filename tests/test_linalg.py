@@ -10,7 +10,6 @@ from hblcert.data import HBLDatum
 from hblcert.linalg import (
     Matrix,
     Subspace,
-    _rref,
     canonicalize,
     image,
     kernel,
@@ -20,7 +19,7 @@ from hblcert.linalg import (
 )
 from hblcert.fixtures import fourmap_r6_datum
 
-from conftest import apply, random_subspace
+from conftest import apply, product, random_subspace
 
 
 def test_canonicalize_scaling_and_duplicates():
@@ -226,8 +225,31 @@ def assert_echelon_is_the_primitive_basis(s):
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_fraction_gauss_jordan(mat):
     rows = [mat.row(i) for i in range(mat.rows)]
-    assert _rref(rows, mat.cols) == reference_rref(rows, mat.cols)
     assert canonicalize(mat).basis == reference_span(rows, mat.cols)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matrix_is_one_denominator_over_integer_rows(data):
+    mat = data.draw(rational_matrices())
+    rows = [mat.row(i) for i in range(mat.rows)]
+    flat = [x for row in mat.ints for x in row]
+    assert mat.den == lcm(*(x.denominator for row in rows for x in row))
+    assert gcd(mat.den, *flat) == 1
+    assert [x for row in rows for x in row] == [Fraction(x, mat.den) for x in flat]
+    copy = Matrix.from_rows(rows, cols=mat.cols)
+    assert copy == mat and hash(copy) == hash(mat)
+    assert mat.transpose().transpose() == mat
+    other = data.draw(rational_matrices(rows=mat.cols))
+    assert mat @ other == Matrix.from_rows(product(mat, other), cols=other.cols)
+    n = data.draw(st.integers(1, 5))
+    square = data.draw(rational_matrices(rows=n, cols=n))
+    if kernel(square).dim:
+        with pytest.raises(ValueError, match="singular"):
+            square.inverse()
+    else:
+        inverse = square.inverse()
+        assert square @ inverse == inverse @ square == Matrix.identity(n)
 
 
 @given(st.data())
