@@ -53,6 +53,10 @@ class BuildError(Exception):
     """Raised when no certificate can be constructed; message says why."""
 
 
+class InsufficientCandidates(BuildError):
+    """The candidate family was too small to decide: a larger one may build."""
+
+
 EdgeTable = dict[tuple[Subspace, Subspace], tuple[Fraction, ...]]
 
 
@@ -381,10 +385,11 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                        trace: list[str] | None = None) -> Presentation:
     """Recursive certificate construction; the output always verifies.
 
-    Raises BuildError when the scaling equality fails, a candidate violates
-    the dimension inequality at the datum's exponents, or the candidates are
-    insufficient: a child violates it below a Caratheodory vertex, or no
-    critical subspace can be found among them.
+    Raises BuildError when the scaling equality fails or a candidate violates
+    the dimension inequality at the datum's exponents, and its subclass
+    InsufficientCandidates when the candidates are insufficient: a child
+    violates it below a Caratheodory vertex, or no critical subspace can be
+    found among them.
     """
 
     exponents = datum.exponents
@@ -413,10 +418,11 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             row, gap = violated
             reason = ("candidate subspace violates the dimension inequality "
                       f"(dim {row.rhs}, slack {Fraction(gap, den)})")
-            if tau != exponents:
-                at = ", ".join(map(str, tau))
-                reason = f"candidate set insufficient: at exponents ({at}), a {reason}"
-            raise BuildError(reason)
+            if tau == exponents:
+                raise BuildError(reason)
+            at = ", ".join(map(str, tau))
+            raise InsufficientCandidates(
+                f"candidate set insufficient: at exponents ({at}), a {reason}")
         tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
         if len(_echelon(tight, poly.n)[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
@@ -439,7 +445,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                         log(f"{indent}tau{i + 1}=1 branch: codim-1 critical subspace")
                         break
             else:
-                raise BuildError(
+                raise InsufficientCandidates(
                     "candidate set insufficient: extreme exponents admit no "
                     "critical subspace among the candidates"
                 )

@@ -4,8 +4,9 @@ Commands run the library pipelines on datum/presentation/candidate files and
 emit text or JSON reports (DOT for diagram export). Exit status 0 means a
 positive verdict (valid, feasible, dominated), 1 a mathematically negative
 verdict with the report attached, 2 malformed input or usage errors, 3 an
-unexpected internal error, reported on one `error: internal:` line, and 4 a
-`check-data` that finds neither a violation nor a proof of feasibility.
+unexpected internal error, reported on one `error: internal:` line, and 4 an
+inconclusive verdict: a `check-data` that finds neither a violation nor a
+proof of feasibility, or a `build` whose candidate family is insufficient.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from hblcert.data import (
     is_ready,
 )
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
-from hblcert.presentation import export_dot, verify_and_bound
+from hblcert.presentation import bound_constant, export_dot, verify_presentation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +84,7 @@ def _load_candidates(args, datum) -> CandidateLattice:
 def _cmd_verify(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     pres = _load_presentation(args)
-    report, cert = verify_and_bound(datum, pres)
+    report = verify_presentation(datum, pres)
     out = {
         "command": "verify",
         "verdict": "valid" if report.valid else "invalid",
@@ -93,11 +94,12 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "map_masses": [str(x) for x in report.map_masses],
     }
     if report.valid:
-        out["bound"] = _certificate_dict(cert, pres)
+        out["bound"] = _certificate_dict(datum, pres)
     return (0 if report.valid else 1), out
 
 
-def _certificate_dict(cert, pres) -> dict:
+def _certificate_dict(datum, pres) -> dict:
+    cert = bound_constant(datum, pres)
     return {
         "value": cert.value,
         "exact_one": cert.exact_one,
@@ -169,8 +171,11 @@ def _cmd_build(args) -> tuple[int, dict]:
             datum, candidates, max_lattice=args.max_lattice, trace=trace
         )
     except builder_mod.BuildError as exc:
-        return 1, {"command": "build", "verdict": "failed", "reason": str(exc),
-                   "trace": trace}
+        # A larger family may yet build; only other failures are a "no".
+        insufficient = isinstance(exc, builder_mod.InsufficientCandidates)
+        return (4 if insufficient else 1), {
+            "command": "build", "verdict": "inconclusive" if insufficient else "failed",
+            "reason": str(exc), "trace": trace}
     text = formats.serialize_presentation(pres)
     out = {
         "command": "build",
@@ -190,12 +195,12 @@ def _cmd_build(args) -> tuple[int, dict]:
 def _cmd_bound(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     pres = _load_presentation(args)
-    report, cert = verify_and_bound(datum, pres)
+    report = verify_presentation(datum, pres)
     if not report.valid:
         return 1, {"command": "bound", "verdict": "invalid",
                    "problems": list(report.problems)}
     return 0, {"command": "bound", "verdict": "ok",
-               "bound": _certificate_dict(cert, pres)}
+               "bound": _certificate_dict(datum, pres)}
 
 
 def _cmd_decompose_flow(args) -> tuple[int, dict]:
@@ -262,10 +267,11 @@ def _cmd_quadrature(args) -> tuple[int, dict]:
 
     datum = _load_datum(args)
     pres = _load_presentation(args)
-    report, cert = verify_and_bound(datum, pres)
+    report = verify_presentation(datum, pres)
     if not report.valid:
         return 1, {"command": "quadrature", "verdict": "invalid",
                    "problems": list(report.problems)}
+    cert = bound_constant(datum, pres)
     rng = np.random.default_rng(args.seed)
     trials = []
     worst = 0.0

@@ -3,9 +3,9 @@
 A presentation pairs a graph decomposition with one nonnegative balanced
 weight per map. It certifies finiteness of the HBL constant for a datum when
 every per-map weight has total mass equal to its exponent and the summary
-weight (the per-edge sum over maps that move the edge's endpoints to unequal
-images) is balanced with total mass one. The certificate also induces an
-explicit constant, kept in exact factored form.
+weight (the per-edge sum over maps under which the edge's endpoints have
+images of unequal dimension) is balanced with total mass one. The
+certificate also induces an explicit constant, kept in exact factored form.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ class Presentation:
         return Presentation(graph, WeightFunction(width, rows))
 
 
-def _distinguishing(datum: HBLDatum, graph: GraphDecomposition
-                    ) -> tuple[list[list[Subspace]], list[tuple[int, ...]]]:
-    """Vertex images images[i][k] = pi_i(vertex k), and for each edge the map
-    indices under which its endpoints have unequal images."""
-    images = [[image(m, v) for v in graph.vertices] for m in datum.maps]
-    dist = [tuple(i for i in range(datum.n_maps) if images[i][a] != images[i][b])
-            for (a, b) in graph.edges]
-    return images, dist
+def _distinguishing(datum: HBLDatum, graph: GraphDecomposition) -> list[tuple[int, ...]]:
+    """For each edge V1 -> V2, the map indices i with dim pi_i(V1) != dim pi_i(V2),
+    read off the datum's image-dimension table. On a nested edge, where
+    pi_i(V1) is inside pi_i(V2), these are the maps that move its endpoints
+    to unequal images."""
+    dims = [datum.image_dims(v) for v in graph.vertices]
+    return [tuple(i for i, (low, high) in enumerate(zip(dims[a], dims[b])) if low != high)
+            for a, b in graph.edges]
 
 
 def _summary(theta: WeightFunction, dist: list[tuple[int, ...]]) -> WeightFunction:
@@ -75,7 +75,7 @@ def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
         raise ValueError("datum dimension does not match graph ambient")
     if pres.theta.width != datum.n_maps:
         raise ValueError("theta width does not match the number of maps")
-    return _summary(pres.theta, _distinguishing(datum, pres.graph)[1])
+    return _summary(pres.theta, _distinguishing(datum, pres.graph))
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ class VerificationReport:
 
 def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationReport:
     """Full certificate check; every failure lands in the report, none raise."""
-    return _verify(datum, pres)[0]
-
-
-def _verify(datum: HBLDatum, pres: Presentation
-            ) -> tuple[VerificationReport, list[list[Subspace]], list[tuple[int, ...]]]:
-    """The verification report, with the vertex images and distinguishing maps
-    it was computed from (empty on a structure or vertex-ambient mismatch)."""
     problems: list[str] = []
     if datum.dim != pres.graph.ambient:
         problems.append(
@@ -107,7 +100,7 @@ def _verify(datum: HBLDatum, pres: Presentation
             f"{STRUCTURE}: theta width {pres.theta.width} != {datum.n_maps} maps"
         )
     if problems:
-        return VerificationReport((), (), False, Fraction(0), tuple(problems), False), [], []
+        return VerificationReport((), (), False, Fraction(0), tuple(problems), False)
 
     graph = pres.graph
     for v in validate_graph(graph):
@@ -131,11 +124,9 @@ def _verify(datum: HBLDatum, pres: Presentation
 
     if any(v.ambient != graph.ambient for v in graph.vertices):
         # validate_graph has named these vertices; the maps cannot take them.
-        report = VerificationReport(masses, (), False, Fraction(0), tuple(problems), False)
-        return report, [], []
+        return VerificationReport(masses, (), False, Fraction(0), tuple(problems), False)
 
-    images, dist = _distinguishing(datum, graph)
-    sigma = _summary(pres.theta, dist)
+    sigma = _summary(pres.theta, _distinguishing(datum, graph))
     sigma_off = list(unbalanced_vertices(graph, sigma))
     for k, (into,), (outof,) in sigma_off:
         problems.append(
@@ -146,7 +137,7 @@ def _verify(datum: HBLDatum, pres: Presentation
     if sigma_mass != 1:
         problems.append(f"{SIGMA_MASS}: summary weight has total mass {sigma_mass}, expected 1")
 
-    report = VerificationReport(
+    return VerificationReport(
         map_masses=masses,
         sigma=sigma.component(0),
         sigma_balanced=not sigma_off,
@@ -154,7 +145,6 @@ def _verify(datum: HBLDatum, pres: Presentation
         problems=tuple(problems),
         valid=not problems,
     )
-    return report, images, dist
 
 
 def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) -> Fraction:
@@ -229,42 +219,34 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
     Factors with theta_i(e) = 0 contribute 1 and are omitted. Requires a
     valid presentation.
     """
-    report, cert = verify_and_bound(datum, pres)
-    if cert is None:
-        raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
-    return cert
-
-
-def verify_and_bound(datum: HBLDatum, pres: Presentation
-                     ) -> tuple[VerificationReport, BoundCertificate | None]:
-    """The verification report and, when it is valid, the certificate
-    constant, both from one verification pass."""
-    report, images, dist = _verify(datum, pres)
+    report = verify_presentation(datum, pres)
     if not report.valid:
-        return report, None
-    graph = pres.graph
+        raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
+    graph, theta = pres.graph, pres.theta
     factors = []
-    for k, (a, b) in enumerate(graph.edges):
-        weighted = [i for i in dist[k] if pres.theta.values[k][i] != 0]
+    for k, ((a, b), maps) in enumerate(zip(graph.edges, _distinguishing(datum, graph))):
+        weighted = [i for i in maps if theta.values[k][i] != 0]
         if not weighted:
             continue
-        w = _new_direction(graph.vertices[a], graph.vertices[b])
+        v1, v2 = graph.vertices[a], graph.vertices[b]
+        w = _new_direction(v1, v2)
         for i in weighted:
-            base = _norm_squared(datum.maps[i], images[i][a], images[i][b], w)
-            factors.append(BoundFactor(i, k, base, -pres.theta.values[k][i] / 2))
+            m = datum.maps[i]
+            base = _norm_squared(m, image(m, v1), image(m, v2), w)
+            factors.append(BoundFactor(i, k, base, -theta.values[k][i] / 2))
     factors.sort(key=lambda f: (f.map_index, f.base, f.exponent, f.edge))
     value = 1.0
     for f in factors:
         value *= float(f.base) ** float(f.exponent)
     exact_one = all(f.base == 1 for f in factors)
-    return report, BoundCertificate(tuple(factors), value, exact_one)
+    return BoundCertificate(tuple(factors), value, exact_one)
 
 
 def export_dot(datum: HBLDatum, pres: Presentation) -> str:
     """Deterministic DOT rendering; starred entries mark distinguishing maps."""
     graph = pres.graph
     try:
-        dist = _distinguishing(datum, graph)[1]
+        dist = _distinguishing(datum, graph)
     except ValueError:
         dist = [()] * len(graph.edges)
     lines = ["digraph presentation {", "  rankdir=LR;"]

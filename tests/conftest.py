@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, kernel
+from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, image, kernel
 
 
 def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
@@ -39,6 +39,16 @@ def reference_extremes(poly) -> tuple[tuple[Fraction, ...], ...]:
         if poly.member(tau) is None:
             points.add(tau)
     return tuple(sorted(points))
+
+
+def reference_summary(datum, pres) -> tuple[tuple[Fraction], ...]:
+    """Reference summary weight: per edge, theta_i(e) summed over the maps
+    under which the endpoints' image subspaces are unequal."""
+    graph = pres.graph
+    return tuple(
+        (sum((row[i] for i, m in enumerate(datum.maps)
+              if image(m, graph.vertices[a]) != image(m, graph.vertices[b])), Fraction(0)),)
+        for (a, b), row in zip(graph.edges, pres.theta.values))
 
 
 def norm_sq(v) -> Fraction:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hblcert import builder
 from hblcert.builder import (
     BuildError,
+    InsufficientCandidates,
     base_case_dim1,
     build_presentation,
     caratheodory,
@@ -439,7 +440,7 @@ def test_build_names_a_violation_below_a_vertex_as_an_insufficient_family():
     datum = loomis_whitney_datum(3)
     capped = generate_lattice(datum, max_size=4)
     assert find_violation(datum, capped) is None
-    with pytest.raises(BuildError) as err:
+    with pytest.raises(InsufficientCandidates) as err:
         build_presentation(datum, capped, max_lattice=4)
     assert str(err.value) == (
         "candidate set insufficient: at exponents (1/2, 0, 0, 1), a candidate "
@@ -666,6 +667,7 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
     if violation is not None:
         with pytest.raises(BuildError) as err:
             build_presentation(datum, lattice)
+        assert not isinstance(err.value, InsufficientCandidates)
         assert str(err.value) == (
             "candidate subspace violates the dimension inequality "
             f"(dim {violation.subspace.dim}, slack {violation.slack})")
@@ -675,6 +677,7 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
         try:
             build_presentation(datum, lattice)
         except BuildError as err:
+            assert isinstance(err, InsufficientCandidates)
             assert "candidate set insufficient" in str(err)
     for call in spy.call_args_list:
         node, family, _, v = call.args[:4]

@@ -244,6 +244,31 @@ def test_build_writes_a_verifiable_presentation(capsys, tmp_path):
     assert code2 == 0 and report2["verdict"] == "valid"
 
 
+def test_build_with_an_insufficient_family_is_inconclusive(capsys):
+    # lw3 at 1/3 is feasible; families capped at 4 miss the subspace that
+    # cuts off a vertex below it, so a larger family may yet build.
+    args = ("build", "--data", fixture("lw3.datum.json"), "--max-lattice", "4")
+    code, report = run_json(capsys, *args)
+    assert code == 4 and report["verdict"] == "inconclusive"
+    assert report["reason"] == \
+        "candidate set insufficient: at exponents (1/2, 0, 0, 1), a candidate " \
+        "subspace violates the dimension inequality (dim 1, slack -1/2)"
+    assert report["trace"][0] == "tau ('1/3', '1/3', '1/3', '1/3') not extreme; splitting"
+    code, out = run_cli(capsys, *args)
+    assert code == 4 and out.startswith("build: inconclusive\nreason: ")
+
+
+@pytest.mark.parametrize("exponents, reason", [
+    (["1", "1", "1"], "scaling equality fails: 3 != 6"),
+    (["3/4", "3/4", "0"],
+     "candidate subspace violates the dimension inequality (dim 1, slack -1/4)"),
+])
+def test_build_that_is_refuted_at_the_datum_fails(capsys, tmp_path, exponents, reason):
+    code, report = run_json(capsys, "build", "--data", lw2_with_exponents(tmp_path, exponents))
+    assert code == 1 and report["verdict"] == "failed"
+    assert report["reason"] == reason
+
+
 def test_bound_command(capsys):
     code, report = run_json(
         capsys, "bound",

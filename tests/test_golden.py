@@ -9,12 +9,14 @@ the recursion that alters the path it takes, shows up here as a changed hash.
 """
 
 import hashlib
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from hblcert.builder import build_presentation
+from hblcert.cli import main
 from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, transform_datum
 from hblcert.fixtures import (
     ALL_FIXTURES,
@@ -281,3 +283,202 @@ def test_problem_strings_are_byte_identical(name):
     report = verify_presentation(*PROBLEM_CASES[name]())
     assert not report.valid
     assert _sha("\n".join(report.problems)) == PROBLEM_GOLDEN[name]
+
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+# The exact commands on each shipped fixture. `gaussian` and `quadrature` are
+# left out: their numpy floats may differ between platforms.
+CLI_RUNS = {
+    f"{command}/{name}/{fmt}": (command, name, fmt)
+    for command in ("verify", "bound", "check-data", "polytope", "build",
+                    "decompose-flow", "project", "export-dot")
+    for name in ("lw2", "lw3", "lw4", "lw5", "r6")
+    for fmt in ("text", "json") + (("dot",) if command == "export-dot" else ())
+}
+
+# sha256 of "<exit status>\n<stdout>" for each run, recorded before the
+# distinguishing maps were read off the datum's image-dimension table.
+CLI_GOLDEN = {
+    "bound/lw2/json":
+        "81e7a1b45a828cef73384fc82a2c53fee7388ba794bb15529b87595a154dee35",
+    "bound/lw2/text":
+        "c3e864d4f1df96b7266a52368bffdcb0ccc9b2ed4c86638f6cdc25332cac674a",
+    "bound/lw3/json":
+        "04fad4906fa5bd9edb7d317bd3a250a977bbbfb9320128bc988125d85779eb8d",
+    "bound/lw3/text":
+        "678192dd6e630d44a5767fde4d9d43828b4483c173e0d2f8517a3d6cfd9a8655",
+    "bound/lw4/json":
+        "cab3c5d3779ae529b69685cffdc716cd9afaff2497a61cf294fcc16d364b8dbf",
+    "bound/lw4/text":
+        "a9422daa2ba4fe4362e1a2e369ffe6878dd304aec3533064a025d7111c9ab0b1",
+    "bound/lw5/json":
+        "5ae1f35fafb2edef68e16e84b353ee4a2d3ffa31225a8bce844595d030be6ca0",
+    "bound/lw5/text":
+        "63adacfbaa71c53e71a1ab694a62a247d697a1ea3d2711cb135b0eb71f5282ed",
+    "bound/r6/json":
+        "cedbd9e3ed7938ae96e14a63f046fae3956805b3f301ea5d524e71f85f7c1564",
+    "bound/r6/text":
+        "2af116c3562becde5bc2457021f1508f0fc7cd8e6a04175fe7c3c8f3e0464a5e",
+    "build/lw2/json":
+        "19b06f4e9e1a88167fc96c48d6d1e67d081f92dbc0df15e5f83f9ed0c82be937",
+    "build/lw2/text":
+        "b1b4dd02d5b3468ca3af4982a471745db75157c1257db2a580db066a6e33420b",
+    "build/lw3/json":
+        "61e1130f68309ebfa9ba699b3e01b0fa621f4e70411e1d3668b52b527430251c",
+    "build/lw3/text":
+        "346470e68afa0536dce6a64cecd46b0f8b8b6def9a17dfa7d39e9558007b75e5",
+    "build/lw4/json":
+        "90af4a7058097cf3d0268dacbd2ce4810a47d0b1c722466959f5b99da147008f",
+    "build/lw4/text":
+        "9f108465341a5ead3c88aa5ebad8b424a128f997143cf850ef1135af4d6273a8",
+    "build/lw5/json":
+        "5d6545171d10be5dfa011fbff6c4bd083ea9d57e20489620094523d195c5c095",
+    "build/lw5/text":
+        "3cc380126e8d34075eb9d6e439a4c2889bff32fbd9c521f56d8da178b52689d9",
+    "build/r6/json":
+        "55833a2a9dc0c88fb468a2d0a18baa4c6648c087c8f88cc6ac12f444fd7d3d14",
+    "build/r6/text":
+        "66a911c40993acfac57a1bddbc37c5ea44b343f6239a60980419338e0367c545",
+    "check-data/lw2/json":
+        "2f827eb80aa42eb0c908d9424ea31a6e3955bc0d1c7ba9e48f818816bd2f5b10",
+    "check-data/lw2/text":
+        "954c18e06c8fbdbc89f88180451748e573c16597f678a408e66cda460fa9b83f",
+    "check-data/lw3/json":
+        "4673e3b62934d4d3c87b5b0b8a6ed8d55093f51072e77a790f7c3d227277afdd",
+    "check-data/lw3/text":
+        "b0cdca7344c80020b3f8a6af1ec4d9ae542b657dd432fd7add2ca44afd53841c",
+    "check-data/lw4/json":
+        "03b839223ee3124e5f40ec8a21840184e4f0378800fddcce5ea3cf3b85031391",
+    "check-data/lw4/text":
+        "188017b0756a8b8507855e28f8ee5cd451853fc2294f105e74d6bfdc2de233f2",
+    "check-data/lw5/json":
+        "7735bd9bfc2de1cce9073925961fd454ae9a1f37d2c776a198aaf8a08ad42b36",
+    "check-data/lw5/text":
+        "b8d68523cedad575f9735a507677236acb94165d7f100417762c62e95148c61d",
+    "check-data/r6/json":
+        "8f12e38fec734583e21c94bc5a89ef37ac4d71e7f6ac552af0fe1b0e291bac2f",
+    "check-data/r6/text":
+        "96b9f01a5c89c7dc9623bfe50e50cb75e6326c1b957af81d785a141beabce519",
+    "decompose-flow/lw2/json":
+        "7c6da217a37bc2802bae3f8672077c2beebdf66210db952a014ad208d5272957",
+    "decompose-flow/lw2/text":
+        "b45f9bba0507a7f55f32e1854336d5f4f17486ea75732f9b8b626a01dabcf2de",
+    "decompose-flow/lw3/json":
+        "bdd404fe123fc0fc7a977078af276caf81ee5cfab2b91dfab2d6d3b760398106",
+    "decompose-flow/lw3/text":
+        "b4c53ffdafc6cf0bc414679976f9b3ccbdfaf974cab4bcc08c5e20d9b350a93f",
+    "decompose-flow/lw4/json":
+        "77867d5f0ab7b6dbcc6f827fdf3aa38da939010a0ee31a5062f56a51b380e3ab",
+    "decompose-flow/lw4/text":
+        "255b3c0d49c73994041484773c014aad4f49dc582666c1d4d0badb897110b56c",
+    "decompose-flow/lw5/json":
+        "2a901b049f917a3ff2fa2102acf20a1bc6444e691057892b100f406728ceeaa7",
+    "decompose-flow/lw5/text":
+        "1aee39b565ba96074897eb80f000fbc10169f0151eaf0b252d012a718da2f1c9",
+    "decompose-flow/r6/json":
+        "d1af7b36dc87c81572a8b20230cacb546d7a034a5571303448017a8dc4bcd414",
+    "decompose-flow/r6/text":
+        "fb0f1e6717b69b110ebeec558a39682b459a4ea9a4a5325bccbf4ab97ac60d70",
+    "export-dot/lw2/dot":
+        "7fb7889c7dc6ab7fbe3417302858c0edd0b1ba8370a588c48630cdeccec9ff6e",
+    "export-dot/lw2/json":
+        "c3450691d6d64223250e0f300db78cdbe1740352021ba46ef74fe40b6d52cbf6",
+    "export-dot/lw2/text":
+        "05717a67afec924e3209a90ff73fc1142df5ac238567d111737481b65efcee57",
+    "export-dot/lw3/dot":
+        "0f6091c1e31e837d79ce2fb4deceb53e13ef7205eccb978c5a4e75f2819c7fca",
+    "export-dot/lw3/json":
+        "ab82eec9308dd69d79a1c7e9f239a1b9ba5d4f1ae0202a53346fe7200537d448",
+    "export-dot/lw3/text":
+        "9b443e3d663ce32b8bcdb559d7f593e972c7e40703e36b7450309320260e2127",
+    "export-dot/lw4/dot":
+        "db4e341f36a90782afe61f0c18a0b864099bb0a02811bd42eddb2061db28fb17",
+    "export-dot/lw4/json":
+        "9303dd0db1e99c3616ce4e4caf1ed5514e994ec33cb66a273b67fd85cf32d4a4",
+    "export-dot/lw4/text":
+        "51250d5995f927bae2ead4ef856eabd0096ac1b98eeb6fdfbe577d6cfcfc38d1",
+    "export-dot/lw5/dot":
+        "7aa906d8848803d5150fbc2fe2cf3192c44b17bb84a4e01f817a4ebd5cb00d8a",
+    "export-dot/lw5/json":
+        "7f61f1f6a3c066f880d4ab528a95d8af86ab68d0fad8300641491f237ee10a61",
+    "export-dot/lw5/text":
+        "344feaa774dcc590879bd1d87a53dd1121328a123c2b710f2fb476487986e7d9",
+    "export-dot/r6/dot":
+        "ce8e78cee1986855049d3748d06583b79c562381df5307aa85eca84b9de5e1d1",
+    "export-dot/r6/json":
+        "289f3be8c7cc05f6437f7782e85df71e92b7de78e689217732e5df4d37eb144d",
+    "export-dot/r6/text":
+        "47c0c0112d7490d8ca06b4b9860425ef683799786ba0f2b54d7ded93ba365971",
+    "polytope/lw2/json":
+        "6ff973d0000281b504a16643a33d0aec3d0437cb534ad8ce30d3080f02fcc5b4",
+    "polytope/lw2/text":
+        "4fd924a8c872c8ac0986a2156aca0f5891f09cecd1bf2327cd562727fc3214bd",
+    "polytope/lw3/json":
+        "cf4ee194a1e5c7c1630c3ca96b9e28890f6459874626b7fbbabefa3c0dca7dc0",
+    "polytope/lw3/text":
+        "ed5d9c20a9da167c38f48115f597af10c76d915687be991b31ce4809d1d05e0d",
+    "polytope/lw4/json":
+        "414d40b984fe4e59b769cdc2272062dff59132877262b67c5e18c3ec42254df7",
+    "polytope/lw4/text":
+        "6ff8140a36d0b88fa78192f719430da417c8525249c5572193eb0d52997d98ed",
+    "polytope/lw5/json":
+        "0927099863aa895a3932da7237769c49744d2b6299f75bd605af486bc2f232f4",
+    "polytope/lw5/text":
+        "ae85969bed43131a391979ce18ef0752786f044acde6e24d865ab7ea040d242e",
+    "polytope/r6/json":
+        "8161f24b1f14523f00552f5f7ba05bb65442a4de93d7b5023c54faa9128f04c5",
+    "polytope/r6/text":
+        "98bd081012048f9727d8b6883b515c22da42161be5facf7eabacd5920accd736",
+    "project/lw2/json":
+        "e657d430037a65fb9ca65058a1ce460a9bea5aea53497bfe634102114fd668d5",
+    "project/lw2/text":
+        "ea6fd938e5a5e8d3dd1ae283dfbbfaa5b92a06e98bc931e76f98b17543c8879a",
+    "project/lw3/json":
+        "d58f37512952756041cc06909402b1c1d759b58fcbeea9eb1ad1d22916b9289d",
+    "project/lw3/text":
+        "4a9e5681a04ac64099c414609312f34ff445b2d11a60953635737258dd9d7993",
+    "project/lw4/json":
+        "41b2f0b3ff9343811b3f70976b91b0792072f259e9b5ae8e14b66f216f050e6b",
+    "project/lw4/text":
+        "f6df4e590c71f60ae9f50cc19399d82b5d455abc216643676f5d5af96d96a580",
+    "project/lw5/json":
+        "9bdf851a3210e367cc88dd68e23f7a387c88413ab5d1b05d7253a368d524151d",
+    "project/lw5/text":
+        "ebda0b16a772e74c3fcc7ef43c23b6e95162d5ca954635720c2043b179df52d1",
+    "project/r6/json":
+        "0529be2e3bb182640e942b2474a7fc553f1743cfa3a3ddb26a9b5f4f4584bef0",
+    "project/r6/text":
+        "654169d198d21fa7f9b45a96b74c1560bbc09a90356765151cdc8680617579cb",
+    "verify/lw2/json":
+        "876977fae2b91cc1d721d26e6bd683a1feafa856ecd198df642314c0b90a5891",
+    "verify/lw2/text":
+        "4e34fe86277e61bd22ef34bf51a31287979a518aeabc20c94da8b0955fe1ce5e",
+    "verify/lw3/json":
+        "a6778ba5b41668363a4d452e9b0de1d2208dfb134f7e37770a180ade7c85c21d",
+    "verify/lw3/text":
+        "a23e7e4104d111ad605bbefbca5839dd46c592316d57ddddf41ffec53fecb83c",
+    "verify/lw4/json":
+        "85702d661cd4ea1494a263ae38b037da47ae823b1f50674deeae125e26998ef9",
+    "verify/lw4/text":
+        "82b97718da25beae3e027e88aa83b0edc01ef1f70fcb28b0a6ba73615520fdb2",
+    "verify/lw5/json":
+        "a8150b403d8f0181213d6a534b0e4b3955c1f64cf8391368d1ce7ba92945f78f",
+    "verify/lw5/text":
+        "40183b3d040391e3d3f987be2111117b8a0260df4c8b437a5eb24bdfcb6ae8ab",
+    "verify/r6/json":
+        "9214410fad402822929e15ce1bf8f6a5fd6b9fc614d723d82ed41d280e55937a",
+    "verify/r6/text":
+        "0b55cdc934b712b3f91f752fc136ae400f0cdfd3accaa203a4ad19d3d2c092e8",
+}
+
+
+@pytest.mark.parametrize("run", sorted(CLI_RUNS))
+def test_cli_reports_are_byte_identical(capsys, run):
+    command, name, fmt = CLI_RUNS[run]
+    argv = [command, "--data", str(FIXTURE_DIR / f"{name}.datum.json"),
+            "--presentation", str(FIXTURE_DIR / f"{name}.presentation.json"), "--format", fmt]
+    if command == "project":
+        argv += ["--map-index", "0"]
+    status = main(argv)
+    assert _sha(f"{status}\n{capsys.readouterr().out}") == CLI_GOLDEN[run]

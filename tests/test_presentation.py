@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hblcert.data import HBLDatum, transform_datum
+from hblcert import data, formats, presentation
+from hblcert.builder import build_presentation
+from hblcert.data import HBLDatum, generate_lattice, transform_datum
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -21,17 +24,18 @@ from hblcert.presentation import (
     edge_norm_squared,
     export_dot,
     summary_weight,
-    verify_and_bound,
     verify_presentation,
 )
 
 from conftest import (
     apply,
     norm_sq,
+    random_balanced_weight,
     random_flag_graph,
     random_invertible,
     random_matrix,
     random_signed_permutation,
+    reference_summary,
 )
 
 
@@ -213,19 +217,51 @@ def test_edge_norms_match_orthogonal_projection(hyp_rng):
             assert edge_norm_squared(datum, pres, i, k) == norm_sq(residual) / norm_sq(w)
 
 
-def test_verify_and_bound_is_one_pass_of_both():
+def test_verification_forms_no_image(monkeypatch):
+    # Distinguishing maps come from the datum's image-dimension table, so a
+    # verification forms no image subspace, and a second one of the same
+    # datum computes no rank either.
+    calls = Counter()
+    for module, name in ((presentation, "image"), (data, "image_rank")):
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
     for make_datum, make_pres in ALL_FIXTURES.values():
         datum, pres = make_datum(), make_pres()
-        report, cert = verify_and_bound(datum, pres)
-        assert report == verify_presentation(datum, pres)
-        assert cert == bound_constant(datum, pres)
-    datum, pres = fourmap_r6_datum(), fourmap_r6_presentation()
-    rows = [list(v) for v in pres.theta.values]
-    rows[0][0] += Fraction(1, 4)
-    bad = Presentation(pres.graph, WeightFunction.from_rows(rows, 4))
-    report, cert = verify_and_bound(datum, bad)
-    assert cert is None
-    assert report == verify_presentation(datum, bad)
+        calls.clear()
+        assert verify_presentation(datum, pres).valid
+        assert calls["image"] == 0
+        calls.clear()
+        verify_presentation(datum, pres)
+        assert not calls
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_dimension_rule_equals_image_rule(hyp_rng):
+    """On nested endpoints V1 <= V2, pi(V1) != pi(V2) exactly when their
+    dimensions differ, so the summary weight read off the image-dimension
+    table equals the one that compares image subspaces."""
+    m, n = hyp_rng.randint(2, 4), hyp_rng.randint(1, 3)
+    graph, flags = random_flag_graph(hyp_rng, m, hyp_rng.randint(1, 3))
+    maps = tuple(random_matrix(hyp_rng, hyp_rng.randint(1, m), m) for _ in range(n))
+    datum = HBLDatum(m, maps, tuple(f"p{i}" for i in range(n)), (Fraction(0),) * n)
+    pres = Presentation(graph, random_balanced_weight(hyp_rng, graph, flags, n))
+    assert summary_weight(datum, pres).values == reference_summary(datum, pres)
+
+
+@pytest.mark.parametrize("name", ["lw2", "lw3", "r6"])
+def test_built_certificate_reports_alike_on_a_fresh_datum(name):
+    # The builder's datum has filled its table while building; a parsed copy
+    # starts with an empty one. Both must give the same report and constant.
+    text = formats.serialize_datum(ALL_FIXTURES[name][0]())
+    datum = formats.parse_datum(text)
+    pres = build_presentation(datum, generate_lattice(datum))
+    fresh = formats.parse_datum(text)
+    report = verify_presentation(fresh, pres)
+    assert report.valid and report == verify_presentation(datum, pres)
+    assert bound_constant(fresh, pres) == bound_constant(datum, pres)
 
 
 def test_edge_norm_requires_distinguishing_map():
