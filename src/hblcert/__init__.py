@@ -5,8 +5,6 @@ from hblcert.data import (
     CandidateLattice,
     HBLDatum,
     check_scaling,
-    find_critical,
-    find_violation,
     generate_lattice,
     quotient_datum,
     restrict_datum,
@@ -40,9 +38,8 @@ __all__ = [
     "HBLDatum", "Matrix", "Presentation", "Subspace", "VerificationReport",
     "WeightFunction", "bound_constant", "build_presentation", "canonicalize",
     "check_scaling", "decompose_flow", "edge_norm_squared", "export_dot",
-    "find_critical", "find_violation", "generate_lattice", "image",
-    "is_balanced", "kernel", "project_graph", "project_weight",
-    "quotient_datum", "restrict_datum", "span", "subspace_slack",
+    "generate_lattice", "image", "is_balanced", "kernel", "project_graph",
+    "project_weight", "quotient_datum", "restrict_datum", "span", "subspace_slack",
     "summary_weight", "total_mass", "transform_datum", "validate_graph",
     "verify_presentation",
 ]

@@ -62,12 +62,14 @@ EdgeTable = dict[tuple[Subspace, Subspace], tuple[Fraction, ...]]
 
 @dataclass(frozen=True)
 class PolytopeRow:
-    """The constraint coeffs . tau >= rhs (== rhs if `equality`), in integers."""
+    """The constraint coeffs . tau >= rhs (== rhs if `equality`), in integers;
+    `subspace` is a dimension row's candidate V, None for a box row."""
 
     coeffs: tuple[int, ...]
     rhs: int
     equality: bool
     provenance: str
+    subspace: Subspace | None
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,21 @@ class ExponentPolytope:
         den, nums = _over_common_denominator(tau)
         return den, (sum(map(mul, row.coeffs, nums)) - row.rhs * den for row in self.rows)
 
-    def _violated(self, gaps: Iterable[int]) -> tuple[PolytopeRow, int] | None:
+    def violated(self, gaps: Iterable[int]) -> tuple[PolytopeRow, int] | None:
         """The first row the gaps violate, with its gap, or None."""
         return next(((row, gap) for row, gap in zip(self.rows, gaps)
                      if gap < 0 or (row.equality and gap > 0)), None)
 
+    def criticals(self, gaps: Iterable[int]) -> list[PolytopeRow]:
+        """The rows of the critical subspaces, least `sort_key` first: the
+        candidate rows of gap zero but H's."""
+        return sorted((row for row, gap in zip(self.rows, gaps)
+                       if gap == 0 and row.subspace is not None and not row.equality),
+                      key=lambda row: row.subspace.sort_key)
+
     def member(self, tau) -> PolytopeRow | None:
         """None if tau satisfies every row, else the first violated row."""
-        violated = self._violated(self.gaps(tau)[1])
+        violated = self.violated(self.gaps(tau)[1])
         return None if violated is None else violated[0]
 
 
@@ -97,19 +106,20 @@ class ExtremeDecomposition:
 
 
 def polytope_from_candidates(datum: HBLDatum, candidates: CandidateLattice) -> ExponentPolytope:
-    """One >=-row per proper candidate, an =-row for H, and box rows 0<=tau<=1."""
+    """One >=-row per proper candidate, in the family's order, an =-row for H,
+    then box rows 0<=tau<=1; the gap of V's row is D times the slack of V."""
     n = datum.n_maps
     rows: list[PolytopeRow] = []
     for v in candidates.subspaces:
         if v.dim == 0:
             continue  # vacuous row
         rows.append(PolytopeRow(datum.image_dims(v), v.dim, v.is_full(),
-                                f"dim-{v.dim} candidate"))
+                                f"dim-{v.dim} candidate", v))
     for i in range(n):
         unit = tuple(1 if j == i else 0 for j in range(n))
-        rows.append(PolytopeRow(unit, 0, False, f"tau{i + 1} >= 0"))
+        rows.append(PolytopeRow(unit, 0, False, f"tau{i + 1} >= 0", None))
         neg = tuple(-1 if j == i else 0 for j in range(n))
-        rows.append(PolytopeRow(neg, -1, False, f"tau{i + 1} <= 1"))
+        rows.append(PolytopeRow(neg, -1, False, f"tau{i + 1} <= 1", None))
     return ExponentPolytope(n, tuple(rows))
 
 
@@ -165,7 +175,7 @@ def caratheodory(poly: ExponentPolytope, tau, *,
         den, lazy = poly.gaps(tau)
         gaps = den, list(lazy)
     den, row_gaps = gaps
-    violated = poly._violated(row_gaps)
+    violated = poly.violated(row_gaps)
     if violated is not None:
         row, gap = violated
         raise ValueError(f"tau violates constraint {row.provenance}: "
@@ -337,10 +347,11 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
     U <= V} in the chart of V and [V, H] = {U in L : V <= U} carried by
     U -> U cap V-perp into the chart of V-perp: closed (the second by the
     modular law), ready, and with the parent's image dimensions dim pi_i(U)
-    and dim pi_i(U) - dim pi_i(V) filling the children's tables. Otherwise,
-    or when an interval exceeds max_size, generate_lattice closes the seeds
-    U cap V and (U + V) cap V-perp of each U in L; such a family holds
-    {0}, H and every kernel, so it is ready exactly when closed.
+    and dim pi_i(U) - dim pi_i(V) filling the children's tables; an interval
+    is no larger than L, and max_size caps generation, not a given family.
+    Otherwise generate_lattice closes the seeds U cap V and (U + V) cap V-perp
+    of each U in L, capped at max_size; such a family holds {0}, H and every
+    kernel, so it is ready exactly when closed.
     """
     vperp = v.perp()
     low_retract, high_retract = v.retraction(), vperp.retraction()
@@ -353,11 +364,10 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
                 low[image(low_retract, u)] = datum.image_dims(u)
             if v <= u:
                 high[image(high_retract, u & vperp)] = tuple(map(sub, datum.image_dims(u), base))
-        if len(low) <= max_size and len(high) <= max_size:
-            low_datum._image_dims.update(low)
-            high_datum._image_dims.update(high)
-            return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
-                    CandidateLattice(tuple(high), True, ("interval [V, H]",) * len(high)))
+        low_datum._image_dims.update(low)
+        high_datum._image_dims.update(high)
+        return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
+                CandidateLattice(tuple(high), True, ("interval [V, H]",) * len(high)))
     low_seeds, high_seeds = [], []
     for u in candidates.subspaces:
         total, meet = sum_and_intersection(u, v)
@@ -408,9 +418,9 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         poly = node.poly
         den, lazy = poly.gaps(tau)
         gaps = list(lazy)
-        # Rows open with the positive-dimensional candidates V (rhs dim V, gap
-        # D * slack(V)); H's row holds by scaling and the box rows for any datum.
-        violated = poly._violated(gaps)
+        # H's row holds by scaling and the box rows for any datum, so a
+        # violated row is a candidate V's, with gap D * slack(V).
+        violated = poly.violated(gaps)
         if violated is not None:
             # At the datum's exponents a violation lifts to the datum itself;
             # below a Caratheodory vertex it only shows that the family missed
@@ -432,16 +442,15 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 parts.append((c, recurse(node, point, depth + 1)))
             return convex_combine(parts)
 
-        rows = zip((v for v in node.family.subspaces if v.dim), gaps)
-        criticals = [v for v, gap in rows if gap == 0 and v.dim < datum.dim]
+        criticals = poly.criticals(gaps)
         if criticals:
-            v = min(criticals, key=lambda s: s.sort_key)
+            v = criticals[0].subspace
             log(f"{indent}critical subspace of dim {v.dim}")
         else:
             for i, t in enumerate(tau):
                 if t == 1 and datum.ranks[i] > 0:
                     v = _codim1_critical(datum, i)
-                    if subspace_slack(datum, v).slack == 0:
+                    if subspace_slack(datum, v) == 0:
                         log(f"{indent}tau{i + 1}=1 branch: codim-1 critical subspace")
                         break
             else:

@@ -15,17 +15,11 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from hblcert import builder as builder_mod
 from hblcert import formats
-from hblcert.data import (
-    CandidateLattice,
-    check_scaling,
-    find_critical,
-    find_violation,
-    generate_lattice,
-    is_ready,
-)
+from hblcert.data import CandidateLattice, check_scaling, generate_lattice, is_ready
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
 from hblcert.presentation import bound_constant, export_dot, verify_presentation
 
@@ -111,29 +105,35 @@ def _certificate_dict(datum, pres) -> dict:
     }
 
 
+def _basis(v) -> list[list[str]]:
+    return [[str(x) for x in row] for row in v.basis_rows()]
+
+
 def _cmd_check_data(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
     holds, lhs, rhs = check_scaling(datum)
-    violation = find_violation(datum, candidates)
-    criticals = find_critical(datum, candidates)
+    poly = builder_mod.polytope_from_candidates(datum, candidates)
+    den, lazy = poly.gaps(datum.exponents)
+    gaps = list(lazy)
+    # The family opens with {0} and H, so a scaling failure is the violation
+    # reported; exponents lie in [0, 1], so no box row is violated.
+    violation = poly.violated(gaps)
     out = {
         "command": "check-data",
         "verdict": "feasible" if violation is None else "violation",
         "scaling": {"holds": holds, "lhs": str(lhs), "rhs": str(rhs)},
         "lattice": {"size": len(candidates.subspaces), "closed": candidates.closed},
-        "criticals": [
-            {"dim": r.subspace.dim,
-             "basis": [[str(x) for x in row] for row in r.subspace.basis_rows()]}
-            for r in criticals
-        ],
+        "criticals": [{"dim": row.rhs, "basis": _basis(row.subspace)}
+                      for row in poly.criticals(gaps)],
     }
     if violation is not None:
+        row, gap = violation
         out["violation"] = {
-            "dim": violation.subspace.dim,
-            "slack": str(violation.slack),
-            "classification": violation.classification,
-            "basis": [[str(x) for x in row] for row in violation.subspace.basis_rows()],
+            "dim": row.rhs,
+            "slack": str(Fraction(gap, den)),
+            "classification": "scaling" if row.equality else "violating",
+            "basis": _basis(row.subspace),
         }
     elif not is_ready(datum, candidates):
         try:  # on a family that is not ready, only a certificate proves feasibility

@@ -1,10 +1,11 @@
-"""HBL data model: exponent/map bundles, slack checks and data transforms.
+"""HBL data model: exponent/map bundles, candidate families and data transforms.
 
 A datum is an ambient dimension m, a list of named rational maps out of Q^m,
 and one exponent in [0,1] per map. The dimension inequalities
 dim V <= sum_i tau_i dim pi_i(V), with equality at V = H, are checked over
-finite candidate families of subspaces generated by lattice closure; the
-verifier downstream, not the lattice, is the source of truth.
+finite candidate families of subspaces generated by lattice closure, by the
+row scan of the candidate polytope (builder.ExponentPolytope); the verifier
+downstream, not the lattice, is the source of truth.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ from hblcert.linalg import (
     quotient_rank,
     sum_and_intersection,
 )
-
-VIOLATING = "violating"
-CRITICAL = "critical"
-SCALING = "scaling"
-SLACK_POSITIVE = "slack-positive"
-
 
 @dataclass(frozen=True)
 class HBLDatum:
@@ -76,34 +71,18 @@ class HBLDatum:
         return dims
 
 
-@dataclass(frozen=True)
-class SlackReport:
-    subspace: Subspace
-    slack: Fraction
-    classification: str
-
-
 def check_scaling(datum: HBLDatum) -> tuple[bool, Fraction, Fraction]:
     """Scaling equality dim H = sum_i tau_i rank(pi_i); returns (holds, lhs, rhs)."""
-    slack = subspace_slack(datum, Subspace.full(datum.dim)).slack
+    slack = subspace_slack(datum, Subspace.full(datum.dim))
     return slack == 0, Fraction(datum.dim), datum.dim + slack
 
 
-def subspace_slack(datum: HBLDatum, v: Subspace) -> SlackReport:
-    """Exact slack sum_i tau_i dim pi_i(V) - dim V with its classification."""
+def subspace_slack(datum: HBLDatum, v: Subspace) -> Fraction:
+    """Exact slack sum_i tau_i dim pi_i(V) - dim V of one subspace."""
     if v.ambient != datum.dim:
         raise ValueError("subspace ambient does not match datum dimension")
     den, nums = _over_common_denominator(datum.exponents)  # tau = nums / den
-    gap = sum(map(mul, nums, datum.image_dims(v))) - den * v.dim  # den * slack
-    if v.is_full():
-        cls = SCALING
-    elif gap < 0:
-        cls = VIOLATING
-    elif gap == 0 and 0 < v.dim < datum.dim:
-        cls = CRITICAL
-    else:
-        cls = SLACK_POSITIVE
-    return SlackReport(v, Fraction(gap, den), cls)
+    return Fraction(sum(map(mul, nums, datum.image_dims(v))) - den * v.dim, den)
 
 
 @dataclass(frozen=True)
@@ -283,22 +262,6 @@ def is_ready(datum: HBLDatum, candidates: CandidateLattice) -> bool:
     everywhere (Bennett-Carbery-Christ-Tao, 2010)."""
     return candidates.closed and {Subspace.zero(datum.dim), Subspace.full(datum.dim),
                                   *map(kernel, datum.maps)} <= set(candidates.subspaces)
-
-
-def find_violation(datum: HBLDatum, candidates: CandidateLattice) -> SlackReport | None:
-    """First scaling failure or negative-slack candidate in stored order, if any."""
-    full = subspace_slack(datum, Subspace.full(datum.dim))
-    if full.slack:
-        return full
-    reports = (subspace_slack(datum, v) for v in candidates.subspaces)
-    return next((r for r in reports if r.slack < 0), None)
-
-
-def find_critical(datum: HBLDatum, candidates: CandidateLattice) -> list[SlackReport]:
-    """All zero-slack proper candidates, sorted by dimension then basis."""
-    reports = (subspace_slack(datum, v) for v in candidates.subspaces)
-    return sorted((r for r in reports if r.classification == CRITICAL),
-                  key=lambda r: r.subspace.sort_key)
 
 
 def restrict_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:

@@ -69,12 +69,17 @@ def _summary(theta: WeightFunction, dist: list[tuple[int, ...]]) -> WeightFuncti
         [sum((row[i] for i in maps), Fraction(0)) for row, maps in zip(theta.values, dist)])
 
 
-def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
-    """Scalar weight sigma(e) = sum of theta_i(e) over maps distinguishing e."""
+def _require_match(datum: HBLDatum, pres: Presentation) -> None:
+    """Raise ValueError unless the presentation is over the datum's space and maps."""
     if datum.dim != pres.graph.ambient:
         raise ValueError("datum dimension does not match graph ambient")
     if pres.theta.width != datum.n_maps:
         raise ValueError("theta width does not match the number of maps")
+
+
+def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
+    """Scalar weight sigma(e) = sum of theta_i(e) over maps distinguishing e."""
+    _require_match(datum, pres)
     return _summary(pres.theta, _distinguishing(datum, pres.graph))
 
 
@@ -243,12 +248,11 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
 
 
 def export_dot(datum: HBLDatum, pres: Presentation) -> str:
-    """Deterministic DOT rendering; starred entries mark distinguishing maps."""
+    """Deterministic DOT rendering; starred entries mark distinguishing maps.
+    Raises ValueError on a presentation not over the datum's space and maps."""
+    _require_match(datum, pres)
     graph = pres.graph
-    try:
-        dist = _distinguishing(datum, graph)
-    except ValueError:
-        dist = [()] * len(graph.edges)
+    dist = _distinguishing(datum, graph)
     lines = ["digraph presentation {", "  rankdir=LR;"]
     for i in range(len(graph.vertices)):
         label = graph.describe_vertex(i)

@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from hblcert.builder import polytope_from_candidates
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, image, kernel
 
@@ -39,6 +40,44 @@ def reference_extremes(poly) -> tuple[tuple[Fraction, ...], ...]:
         if poly.member(tau) is None:
             points.add(tau)
     return tuple(sorted(points))
+
+
+def fraction_slack(datum, v) -> Fraction:
+    """Reference slack sum_i tau_i dim pi_i(V) - dim V, one Fraction product per map."""
+    return sum((t * image(m, v).dim for t, m in zip(datum.exponents, datum.maps)),
+               Fraction(0)) - v.dim
+
+
+def reference_violation(datum, lattice) -> tuple[Subspace, Fraction] | None:
+    """Reference violation: H and its slack if the scaling equality fails,
+    else the first member of negative slack in stored order, or None."""
+    full = Subspace.full(datum.dim)
+    if fraction_slack(datum, full) != 0:
+        return full, fraction_slack(datum, full)
+    slacks = ((v, fraction_slack(datum, v)) for v in lattice.subspaces)
+    return next(((v, slack) for v, slack in slacks if slack < 0), None)
+
+
+def reference_critical(datum, lattice) -> list[Subspace]:
+    """Reference critical subspaces: the proper nonzero members of zero
+    slack, sorted by sort_key."""
+    return sorted((v for v in lattice.subspaces
+                   if 0 < v.dim < datum.dim and fraction_slack(datum, v) == 0),
+                  key=lambda v: v.sort_key)
+
+
+def scan(datum, lattice) -> tuple[tuple[Subspace, Fraction] | None, list[Subspace]]:
+    """The candidate polytope's row scan at the datum's exponents, in the
+    references' terms: the first violated row's subspace and slack, or None,
+    and the subspaces of its critical rows."""
+    poly = polytope_from_candidates(datum, lattice)
+    den, lazy = poly.gaps(datum.exponents)
+    gaps = list(lazy)
+    violated = poly.violated(gaps)
+    if violated is not None:
+        row, gap = violated
+        violated = row.subspace, Fraction(gap, den)
+    return violated, [row.subspace for row in poly.criticals(gaps)]
 
 
 def reference_summary(datum, pres) -> tuple[tuple[Fraction], ...]:

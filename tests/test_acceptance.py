@@ -15,7 +15,7 @@ from hblcert.builder import (
     polytope_from_candidates,
     vertex_count_bound,
 )
-from hblcert.data import CandidateLattice, check_scaling, find_violation, generate_lattice
+from hblcert.data import CandidateLattice, check_scaling, generate_lattice
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -33,7 +33,7 @@ from hblcert.flowgraph import (
     total_mass,
     validate_graph,
 )
-from hblcert.linalg import kernel, span
+from hblcert.linalg import Subspace, kernel, span
 from hblcert.oracle import (
     GaussianInput,
     GridFunction,
@@ -44,7 +44,7 @@ from hblcert.oracle import (
 )
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
-from conftest import random_balanced_weight, random_flag_graph, random_matrix
+from conftest import random_balanced_weight, random_flag_graph, random_matrix, scan
 from test_presentation import transport_presentation
 
 from hblcert.data import transform_datum
@@ -126,16 +126,12 @@ def test_criterion_05_builder_end_to_end():
 
 def test_criterion_06_violation_detection():
     lw = loomis_whitney_datum(2, [Fraction(3, 4), Fraction(3, 4), 0])
-    rep = find_violation(lw, generate_lattice(lw))
-    assert rep is not None
-    assert rep.subspace == span([[1, 0, 0]], 3)
-    assert rep.slack == Fraction(-1, 4)
+    assert scan(lw, generate_lattice(lw))[0] == (span([[1, 0, 0]], 3), Fraction(-1, 4))
 
     bad = loomis_whitney_datum(2, [1, 1, 1])
     holds, lhs, rhs = check_scaling(bad)
     assert not holds and (lhs, rhs) == (Fraction(3), Fraction(6))
-    rep2 = find_violation(bad, generate_lattice(bad))
-    assert rep2 is not None and rep2.classification == "scaling"
+    assert scan(bad, generate_lattice(bad))[0] == (Subspace.full(3), Fraction(3))
     report(6, "detects the -1/4 slack line and the 3 != 6 scaling failure")
 
 

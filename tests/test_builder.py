@@ -27,8 +27,6 @@ from hblcert.data import (
     CandidateLattice,
     HBLDatum,
     _is_closed,
-    find_critical,
-    find_violation,
     generate_lattice,
     is_ready,
     quotient_datum,
@@ -46,7 +44,13 @@ from hblcert.linalg import Matrix, Subspace, _echelon, kernel, span
 from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
-from conftest import random_matrix, random_subspace, reference_extremes
+from conftest import (
+    random_matrix,
+    random_subspace,
+    reference_critical,
+    reference_extremes,
+    reference_violation,
+)
 
 
 def edge_table(pres):
@@ -439,7 +443,7 @@ def test_build_names_a_violation_below_a_vertex_as_an_insufficient_family():
     # the violation the build meets there is not one of the datum.
     datum = loomis_whitney_datum(3)
     capped = generate_lattice(datum, max_size=4)
-    assert find_violation(datum, capped) is None
+    assert reference_violation(datum, capped) is None
     with pytest.raises(InsufficientCandidates) as err:
         build_presentation(datum, capped, max_lattice=4)
     assert str(err.value) == (
@@ -551,7 +555,7 @@ def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
     for d, i, h in calls:
         assert h.dim == d.dim - 1
         assert kernel(d.maps[i]) <= h
-        assert subspace_slack(d, h).slack == 0
+        assert subspace_slack(d, h) == 0
     if constant is not None:
         assert abs(bound_constant(datum, pres).value - constant) <= 1e-12
 
@@ -628,9 +632,10 @@ def test_children_regenerate_when_the_family_cannot_supply_them():
     hyperplane = span([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 4)
     assert hyperplane not in lattice.subspaces
     assert not from_intervals(lw3, lattice, hyperplane)
-    # An interval larger than the size cap.
+    # An interval larger than the size cap still comes from the family: the
+    # cap limits generation, not a family already given.
     v = span(axes[:3], 4)
-    assert not from_intervals(lw3, lattice, v, max_size=7)
+    assert from_intervals(lw3, lattice, v, max_size=7)
     assert from_intervals(lw3, lattice, v, max_size=8)
 
 
@@ -655,22 +660,21 @@ def _random_datum(rng: random.Random) -> HBLDatum | None:
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hyp_rng):
-    """The builder's one gap scan per node agrees with find_violation and
-    find_critical: a violating datum fails naming the first violation's
-    dimension and slack, and every split takes the critical that
-    find_critical lists first."""
+    """The builder's one row scan per node agrees with the Fraction
+    references: a violating datum fails naming the first violation's
+    dimension and slack, and every split takes the least critical."""
     datum = _random_datum(random.Random(hyp_rng.randint(0, 10**9)))
     if datum is None:
         return
     lattice = generate_lattice(datum, max_size=64)
-    violation = find_violation(datum, lattice)
+    violation = reference_violation(datum, lattice)
     if violation is not None:
+        v, slack = violation
         with pytest.raises(BuildError) as err:
             build_presentation(datum, lattice)
         assert not isinstance(err.value, InsufficientCandidates)
         assert str(err.value) == (
-            "candidate subspace violates the dimension inequality "
-            f"(dim {violation.subspace.dim}, slack {violation.slack})")
+            f"candidate subspace violates the dimension inequality (dim {v.dim}, slack {slack})")
         return
     with mock.patch.object(builder, "_child_families",
                            wraps=builder._child_families) as spy:
@@ -681,10 +685,10 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
             assert "candidate set insufficient" in str(err)
     for call in spy.call_args_list:
         node, family, _, v = call.args[:4]
-        assert find_violation(node, family) is None
-        criticals = find_critical(node, family)
+        assert reference_violation(node, family) is None
+        criticals = reference_critical(node, family)
         if criticals:
-            assert v == criticals[0].subspace
+            assert v == criticals[0]
 
 
 # A split reads its children's families off the parent's, so the builder

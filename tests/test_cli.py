@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from hblcert import cli, flowgraph, formats
 from hblcert.builder import build_presentation
 from hblcert.cli import main
-from hblcert.data import HBLDatum, find_violation, generate_lattice, is_ready
+from hblcert.data import HBLDatum, generate_lattice, is_ready
 from hblcert.linalg import kernel
 
-from conftest import random_matrix
+from conftest import random_matrix, reference_violation
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SCHEMA = json.loads(
@@ -157,7 +157,7 @@ def test_check_data_says_feasible_only_with_a_proof(hyp_rng):
     if datum is None:
         return
     full = generate_lattice(datum, max_size=32)
-    violated = find_violation(datum, full) is not None
+    violated = reference_violation(datum, full) is not None
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "datum.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -256,6 +256,23 @@ def test_build_with_an_insufficient_family_is_inconclusive(capsys):
     assert report["trace"][0] == "tau ('1/3', '1/3', '1/3', '1/3') not extreme; splitting"
     code, out = run_cli(capsys, *args)
     assert code == 4 and out.startswith("build: inconclusive\nreason: ")
+
+
+@pytest.mark.parametrize("cap", ["2", "4"])
+def test_a_ready_family_builds_at_any_lattice_cap(capsys, tmp_path, cap):
+    # lw4's closed lattice, given as a file, is ready: check-data proves it
+    # feasible without a certificate, and the build reads each split's
+    # families off its intervals, which the cap on generation does not limit.
+    datum = formats.parse_datum((FIXTURE_DIR / "lw4.datum.json").read_text())
+    path = tmp_path / "lw4.candidates.txt"
+    path.write_text("".join("; ".join(" ".join(map(str, row)) for row in v.basis_rows()) + "\n"
+                            for v in generate_lattice(datum).subspaces if v.dim))
+    args = ("--data", fixture("lw4.datum.json"), "--candidates", str(path), "--max-lattice", cap)
+    code, report = run_json(capsys, "check-data", *args)
+    assert code == 0 and report["verdict"] == "feasible" and "proof" not in report
+    assert report["lattice"] == {"size": 32, "closed": True}
+    code, report = run_json(capsys, "build", *args)
+    assert code == 0 and report["verdict"] == "built" and report["vertices"] == 6
 
 
 @pytest.mark.parametrize("exponents, reason", [
@@ -417,6 +434,17 @@ def test_export_dot_format(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "1/2*" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_export_dot_rejects_a_datum_that_does_not_match(capsys, fmt):
+    # verify reports this pair as a structure problem, so there is no
+    # distinguishing map to star and no diagram to draw.
+    code = main(["export-dot", "--data", fixture("lw2.datum.json"),
+                 "--presentation", fixture("r6.presentation.json"), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: datum dimension does not match graph ambient\n"
 
 
 @pytest.mark.parametrize("command, files", [

@@ -7,17 +7,10 @@ from hypothesis import strategies as st
 
 from hblcert import data as data_module
 from hblcert.data import (
-    CRITICAL,
-    SCALING,
-    SLACK_POSITIVE,
-    VIOLATING,
     CandidateLattice,
     HBLDatum,
-    SlackReport,
     _is_closed,
     check_scaling,
-    find_critical,
-    find_violation,
     generate_lattice,
     quotient_datum,
     restrict_datum,
@@ -28,10 +21,14 @@ from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datu
 from hblcert.linalg import Matrix, Subspace, image, kernel, span
 
 from conftest import (
+    fraction_slack,
     random_invertible,
     random_matrix,
     random_signed_permutation,
     random_subspace,
+    reference_critical,
+    reference_violation,
+    scan,
 )
 
 
@@ -44,15 +41,12 @@ def test_scaling_examples():
 
 def test_slack_examples():
     r6 = fourmap_r6_datum()
-    rep = subspace_slack(r6, span([[1, 0, 0, 0, 0, 0]], 6))
-    assert rep.slack == 0 and rep.classification == "critical"
+    assert subspace_slack(r6, span([[1, 0, 0, 0, 0, 0]], 6)) == 0
     v4 = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
-    rep = subspace_slack(r6, v4)
-    assert rep.slack == 0 and rep.classification == "critical"
+    assert subspace_slack(r6, v4) == 0
     lw = loomis_whitney_datum(2, [Fraction(3, 4), Fraction(3, 4), 0])
-    rep = subspace_slack(lw, span([[1, 0, 0]], 3))
-    assert rep.slack == Fraction(-1, 4) and rep.classification == "violating"
+    assert subspace_slack(lw, span([[1, 0, 0]], 3)) == Fraction(-1, 4)
 
 
 def test_slack_at_full_space_matches_scaling():
@@ -62,7 +56,7 @@ def test_slack_at_full_space_matches_scaling():
         holds, lhs, rhs = check_scaling(datum)
         assert (lhs, rhs - lhs) == (datum.dim, fraction_slack(datum, full))
         assert holds == (rhs == lhs)
-        assert subspace_slack(datum, full) == reference_report(datum, full)
+        assert subspace_slack(datum, full) == fraction_slack(datum, full)
 
 
 def test_lattice_for_loomis_whitney_closes_at_eight():
@@ -87,24 +81,23 @@ def test_lattice_truncation_is_reported():
     assert not lat.closed
 
 
+# The scan of the candidate polytope's rows (conftest.scan) finds violations
+# and critical subspaces.
 def test_find_violation_names_the_first_kernel():
     lw = loomis_whitney_datum(2, [Fraction(3, 4), Fraction(3, 4), 0])
-    lat = generate_lattice(lw)
-    rep = find_violation(lw, lat)
-    assert rep is not None
-    assert rep.subspace == span([[1, 0, 0]], 3)
-    assert rep.slack == Fraction(-1, 4)
+    violation, _ = scan(lw, generate_lattice(lw))
+    assert violation == (span([[1, 0, 0]], 3), Fraction(-1, 4))
 
 
 def test_find_violation_reports_scaling_failure():
     lw = loomis_whitney_datum(2, [1, 1, 1])
-    rep = find_violation(lw, generate_lattice(lw))
-    assert rep is not None and rep.classification == "scaling"
+    violation, _ = scan(lw, generate_lattice(lw))
+    assert violation == (Subspace.full(3), Fraction(3))
 
 
 def test_no_violation_for_good_exponents():
     lw = loomis_whitney_datum(2)
-    assert find_violation(lw, generate_lattice(lw)) is None
+    assert scan(lw, generate_lattice(lw))[0] is None
 
 
 def test_find_critical_sorted_by_dimension():
@@ -112,12 +105,11 @@ def test_find_critical_sorted_by_dimension():
     seed = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
                  [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
     lat = generate_lattice(r6, seeds=[seed])
-    reports = find_critical(r6, lat)
-    dims = [r.subspace.dim for r in reports]
+    _, criticals = scan(r6, lat)
+    dims = [v.dim for v in criticals]
     assert dims == sorted(dims)
-    found = {r.subspace for r in reports}
-    assert span([[1, 0, 0, 0, 0, 0]], 6) in found
-    assert seed in found
+    assert span([[1, 0, 0, 0, 0, 0]], 6) in criticals
+    assert seed in criticals
 
 
 def test_restrict_examples():
@@ -184,7 +176,7 @@ def test_transform_preserves_slack_on_transported_subspaces():
         s_list = [random_invertible(rng, 2) for _ in range(3)]
         moved = transform_datum(lw, t, s_list)
         v = random_subspace(rng, 3)
-        assert subspace_slack(moved, image(t, v)).slack == subspace_slack(lw, v).slack
+        assert subspace_slack(moved, image(t, v)) == subspace_slack(lw, v)
 
 
 def test_quotient_dimension_identity():
@@ -232,8 +224,7 @@ def test_restriction_preserves_slack():
             continue
         restricted, embedding = restrict_datum(r6, v)
         w = random_subspace(rng, restricted.dim)
-        assert subspace_slack(restricted, w).slack \
-            == subspace_slack(r6, image(embedding, w)).slack
+        assert subspace_slack(restricted, w) == subspace_slack(r6, image(embedding, w))
 
 
 def test_candidate_lattice_from_subspaces():
@@ -246,41 +237,6 @@ def test_candidate_lattice_from_subspaces():
 # Exponents with unequal denominators, so the slack loops need one common one.
 EXPONENTS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
              Fraction(2, 3), Fraction(3, 4), Fraction(1)]
-
-
-def fraction_slack(datum, v):
-    """sum_i tau_i dim pi_i(V) - dim V, one Fraction product per map."""
-    return sum((t * image(m, v).dim for t, m in zip(datum.exponents, datum.maps)),
-               Fraction(0)) - v.dim
-
-
-def reference_report(datum, v):
-    """subspace_slack written plainly, from fraction_slack."""
-    slack = fraction_slack(datum, v)
-    if v.is_full():
-        cls = SCALING
-    elif slack < 0:
-        cls = VIOLATING
-    elif slack == 0 and v.dim > 0:
-        cls = CRITICAL
-    else:
-        cls = SLACK_POSITIVE
-    return SlackReport(v, slack, cls)
-
-
-def reference_violation(datum, lattice):
-    """The scaling failure, else the first negative slack in stored order."""
-    full = reference_report(datum, Subspace.full(datum.dim))
-    if full.slack != 0:
-        return full
-    reports = (reference_report(datum, v) for v in lattice.subspaces)
-    return next((r for r in reports if r.slack < 0), None)
-
-
-def reference_critical(datum, lattice):
-    """All zero-slack proper subspaces, sorted by sort_key."""
-    reports = [reference_report(datum, v) for v in lattice.subspaces if 0 < v.dim < datum.dim]
-    return sorted((r for r in reports if r.slack == 0), key=lambda r: r.subspace.sort_key)
 
 
 @given(st.integers(1, 4), st.randoms(use_true_random=False))
@@ -297,7 +253,7 @@ def test_slack_agrees_with_fraction_reference(ambient, hyp_rng):
     subspaces = [Subspace.zero(ambient), Subspace.full(ambient), *map(kernel, maps)]
     subspaces += [random_subspace(rng, ambient) for _ in range(4)]
     for v in subspaces:
-        assert subspace_slack(datum, v) == reference_report(datum, v)
+        assert subspace_slack(datum, v) == fraction_slack(datum, v)
 
 
 @given(st.integers(2, 4), st.randoms(use_true_random=False))
@@ -317,10 +273,8 @@ def test_violation_and_critical_agree_with_fraction_slack(ambient, hyp_rng):
                      tuple(exponents))
     seeds = [random_subspace(rng, ambient) for _ in range(2)]
     lattice = generate_lattice(datum, seeds=seeds, max_size=32)
-    assert find_violation(datum, lattice) == reference_violation(datum, lattice)
-    criticals = find_critical(datum, lattice)
-    assert criticals == reference_critical(datum, lattice)
-    assert all(r.classification == CRITICAL for r in criticals)
+    assert scan(datum, lattice) == (reference_violation(datum, lattice),
+                                    reference_critical(datum, lattice))
 
 
 def reference_lattice(datum, seeds, max_size):

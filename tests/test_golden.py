@@ -25,7 +25,7 @@ from hblcert.fixtures import (
     loomis_whitney_datum,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.formats import serialize_presentation
+from hblcert.formats import serialize_datum, serialize_presentation
 from hblcert.linalg import Matrix, span
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
@@ -297,8 +297,24 @@ CLI_RUNS = {
     for fmt in ("text", "json") + (("dot",) if command == "export-dot" else ())
 }
 
+# lw2 at exponents that the dimension inequalities refute, written to a
+# temporary folder: a violation at e1 with slack -1/4, and a scaling failure
+# 3 != 6.
+REFUTED = {
+    "lw2-violating": (Fraction(3, 4), Fraction(3, 4), Fraction(0)),
+    "lw2-unscaled": (Fraction(1), Fraction(1), Fraction(1)),
+}
+CLI_RUNS.update({
+    f"{command}/{name}/{fmt}": (command, name, fmt)
+    for command in ("check-data", "polytope", "build")
+    for name in REFUTED
+    for fmt in ("text", "json")
+})
+
 # sha256 of "<exit status>\n<stdout>" for each run, recorded before the
-# distinguishing maps were read off the datum's image-dimension table.
+# distinguishing maps were read off the datum's image-dimension table; the
+# runs on REFUTED data were recorded before check-data read the polytope's
+# row scan.
 CLI_GOLDEN = {
     "bound/lw2/json":
         "81e7a1b45a828cef73384fc82a2c53fee7388ba794bb15529b87595a154dee35",
@@ -340,6 +356,22 @@ CLI_GOLDEN = {
         "55833a2a9dc0c88fb468a2d0a18baa4c6648c087c8f88cc6ac12f444fd7d3d14",
     "build/r6/text":
         "66a911c40993acfac57a1bddbc37c5ea44b343f6239a60980419338e0367c545",
+    "build/lw2-unscaled/json":
+        "83ca49a1c2583e01c66fc8c4c00d717a68e15dde1ca448633f259bc068e7039d",
+    "build/lw2-unscaled/text":
+        "5fe4dc5adb4303ed1552705f7f7ed2116ed2490aa5a5091383944b39a04ef486",
+    "build/lw2-violating/json":
+        "469e60488beb6a378f7a5bb84dd0f45318cd2c0b5886c3a0c8aa6f1cf4a93286",
+    "build/lw2-violating/text":
+        "7a0259e28a17ba6a0ba416cb7c8b60f232de9d9770be69097699f1aa01b56389",
+    "check-data/lw2-unscaled/json":
+        "2354932a187ea0e15c840eca64bcc81a1c932a213ce24c1f7ae4b1bcf214dbc2",
+    "check-data/lw2-unscaled/text":
+        "81475b3ae4be9ddbdaba1a5f73bfae6abca7efff847eb9a13924519ffd887699",
+    "check-data/lw2-violating/json":
+        "bb92519e4d08d8fb34ca597a64650a4cb542c84049820aca7b336f8d0e6c8c75",
+    "check-data/lw2-violating/text":
+        "098e5240dd7a62533c4175bc8377cb8d56a74f50bb093309199df304c4f1bc8b",
     "check-data/lw2/json":
         "2f827eb80aa42eb0c908d9424ea31a6e3955bc0d1c7ba9e48f818816bd2f5b10",
     "check-data/lw2/text":
@@ -410,6 +442,14 @@ CLI_GOLDEN = {
         "289f3be8c7cc05f6437f7782e85df71e92b7de78e689217732e5df4d37eb144d",
     "export-dot/r6/text":
         "47c0c0112d7490d8ca06b4b9860425ef683799786ba0f2b54d7ded93ba365971",
+    "polytope/lw2-unscaled/json":
+        "045789984dd6130a674d2d5c31d967832785abb5524d950aa1a510d8d912f921",
+    "polytope/lw2-unscaled/text":
+        "70c2af2526893197f011e79c8e978889b1e365ffbace1d5ab5e149a111be5a63",
+    "polytope/lw2-violating/json":
+        "1634b93e3893e864916877d5da742e80eda15454ae4ae128bd7294d4be2bd0c4",
+    "polytope/lw2-violating/text":
+        "bfeae785f6152750cf0a0bd9c44629e587b4d7c44991b6f2c3e347f2078bc67a",
     "polytope/lw2/json":
         "6ff973d0000281b504a16643a33d0aec3d0437cb534ad8ce30d3080f02fcc5b4",
     "polytope/lw2/text":
@@ -474,10 +514,16 @@ CLI_GOLDEN = {
 
 
 @pytest.mark.parametrize("run", sorted(CLI_RUNS))
-def test_cli_reports_are_byte_identical(capsys, run):
+def test_cli_reports_are_byte_identical(capsys, tmp_path, run):
     command, name, fmt = CLI_RUNS[run]
-    argv = [command, "--data", str(FIXTURE_DIR / f"{name}.datum.json"),
-            "--presentation", str(FIXTURE_DIR / f"{name}.presentation.json"), "--format", fmt]
+    if name in REFUTED:
+        data = tmp_path / f"{name}.datum.json"
+        data.write_text(serialize_datum(loomis_whitney_datum(2, REFUTED[name])))
+        argv = [command, "--data", str(data), "--format", fmt]
+    else:
+        argv = [command, "--data", str(FIXTURE_DIR / f"{name}.datum.json"),
+                "--presentation", str(FIXTURE_DIR / f"{name}.presentation.json"),
+                "--format", fmt]
     if command == "project":
         argv += ["--map-index", "0"]
     status = main(argv)

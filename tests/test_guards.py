@@ -1,9 +1,9 @@
 """Source scans: soundness guards must survive `python -O`, which strips
 `assert`, the package imports nothing beyond its declared dependencies,
-every function the benchmark's tracer wraps exists, every public name,
-private module-level function or class and module constant of the package
-has a reader outside the tests, and no module but linalg reads a private
-attribute of Matrix or Subspace."""
+every function the benchmark's tracer wraps exists, every exported name is
+bound, every public name, private module-level function or class and
+module constant of the package has a reader outside the tests, and no
+module but linalg reads a private attribute of Matrix or Subspace."""
 
 import ast
 import importlib
@@ -37,6 +37,17 @@ def test_no_scipy_imports(path):
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     found = [name for name in modules if name.split(".")[0] == "scipy"]
     assert not found, f"{path.name}: imports {found}"
+
+
+def test_every_export_is_bound():
+    # A name left in __all__ after its definition went fails only at
+    # `from hblcert import *`.
+    package = importlib.import_module("hblcert")
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing, f"exported but not bound: {missing}"
+    namespace: dict = {}
+    exec("from hblcert import *", namespace)
+    assert set(package.__all__) <= set(namespace)
 
 
 def _trace_targets() -> tuple[tuple[str, str, str], ...]:

@@ -325,6 +325,17 @@ def test_export_dot_survives_invalid_graph():
     assert 'v0' in dot and 'v1' in dot
 
 
+def test_export_dot_rejects_a_datum_that_does_not_match():
+    # Both mismatches are structure problems to verify_presentation; the
+    # rendering would otherwise star the wrong entries or none.
+    lw2, pres = loomis_whitney_datum(2), loomis_whitney_presentation(2)
+    two_maps = HBLDatum(3, lw2.maps[:2], lw2.names[:2], lw2.exponents[:2])
+    with pytest.raises(ValueError, match="theta width does not match the number of maps"):
+        export_dot(two_maps, pres)
+    with pytest.raises(ValueError, match="datum dimension does not match graph ambient"):
+        export_dot(lw2, fourmap_r6_presentation())
+
+
 def test_signed_permutation_transport_gives_identical_certificates():
     rng = random.Random(1234)
     datum, pres = fourmap_r6_datum(), fourmap_r6_presentation()
