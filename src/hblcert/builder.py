@@ -8,9 +8,10 @@ non-extreme exponent vector is split into extreme points of the candidate
 polytope and their tables convexly combined; at an extreme point a critical
 subspace (zero slack, proper) pivots the problem into a restriction to V and
 a quotient onto V-perp whose tables concatenate; at a V in a ready top-level
-family (data.is_ready) the children's families are its intervals. A node's
-polytope and splits do not depend on its exponents, so its extreme points
-and its revisits share them. The scaling equality is checked once, at the
+family (data.is_ready) the children's families are its intervals, and the
+family's image dimensions come from its meets, into the build's own table.
+A node's polytope and splits do not depend on its exponents, so its extreme
+points and its revisits share them. The scaling equality is checked once, at the
 top: extreme points lie on the polytope's H row, and the children of a split
 at a critical V inherit it. The one presentation made from the top-level
 table is verified exactly, so an impoverished candidate family can only
@@ -19,7 +20,7 @@ cause an explicit failure, never a wrong certificate.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,10 +40,13 @@ from hblcert.linalg import (
     Matrix,
     Subspace,
     _echelon,
+    _null_space,
     _over_common_denominator,
     _primitive,
     image,
     kernel,
+    ordered,
+    preimage,
     span,
     sum_and_intersection,
 )
@@ -58,6 +62,7 @@ class InsufficientCandidates(BuildError):
 
 
 EdgeTable = dict[tuple[Subspace, Subspace], tuple[Fraction, ...]]
+Echelon = tuple[list[Sequence[int]], list[int]]  # reduced rows and pivots, as _echelon gives
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,11 @@ class ExponentPolytope:
                      if gap < 0 or (row.equality and gap > 0)), None)
 
     def criticals(self, gaps: Iterable[int]) -> list[PolytopeRow]:
-        """The rows of the critical subspaces, least `sort_key` first: the
+        """The rows of the critical subspaces, in `linalg.ordered` order: the
         candidate rows of gap zero but H's."""
-        return sorted((row for row, gap in zip(self.rows, gaps)
-                       if gap == 0 and row.subspace is not None and not row.equality),
-                      key=lambda row: row.subspace.sort_key)
+        rows = {row.subspace: row for row, gap in zip(self.rows, gaps)
+                if gap == 0 and row.subspace is not None and not row.equality}
+        return [rows[v] for v in ordered(rows)]
 
     def member(self, tau) -> PolytopeRow | None:
         """None if tau satisfies every row, else the first violated row."""
@@ -161,14 +166,16 @@ def enumerate_extremes(poly: ExponentPolytope) -> tuple[tuple[Fraction, ...], ..
 
 
 def caratheodory(poly: ExponentPolytope, tau, *,
-                 gaps: tuple[int, list[int]] | None = None) -> ExtremeDecomposition:
+                 gaps: tuple[int, list[int]] | None = None,
+                 tight: Echelon | None = None) -> ExtremeDecomposition:
     """Exact convex decomposition of a member point into at most n+1 vertices.
 
     Walks tight-set bisections down to vertices, then trims the combination
     by eliminating affine dependences; every step is rational arithmetic and
     the reconstruction sum c_k tau_k = tau is verified before returning.
     `gaps`, when given, is D and the list of row gaps of `poly.gaps(tau)`,
-    which a caller that has them passes rather than evaluate the rows again.
+    and `tight` the `_tight` echelon of those gaps, which a caller that has
+    them passes rather than compute them again.
     """
     tau = tuple(Fraction(t) for t in tau)
     if gaps is None:
@@ -180,7 +187,8 @@ def caratheodory(poly: ExponentPolytope, tau, *,
         row, gap = violated
         raise ValueError(f"tau violates constraint {row.provenance}: "
                          f"{row.rhs + Fraction(gap, den)} vs {row.rhs}")
-    raw = _decompose_point(poly, tau, den, row_gaps)
+    raw = _decompose_point(poly, tau, den, row_gaps,
+                           _tight(poly, row_gaps) if tight is None else tight)
     terms = _reduce_caratheodory(poly.n, raw)
     total = sum((c for c, _ in terms), Fraction(0))
     recon = tuple(
@@ -191,11 +199,16 @@ def caratheodory(poly: ExponentPolytope, tau, *,
     return ExtremeDecomposition(tuple(terms))
 
 
-def _decompose_point(poly: ExponentPolytope, tau, den: int, gaps: list[int]
+def _tight(poly: ExponentPolytope, gaps: list[int]) -> Echelon:
+    """`_echelon` of the rows of gap zero: tau is a vertex when it has rank n,
+    and its null space holds the directions that keep those rows tight."""
+    return _echelon([row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0], poly.n)
+
+
+def _decompose_point(poly: ExponentPolytope, tau, den: int, gaps: list[int], tight: Echelon
                      ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
     """Convex weights and vertices of a member point whose row gaps are D * `gaps`."""
-    tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
-    null = kernel(Matrix.from_rows(tight, cols=poly.n)) if tight else Subspace.full(poly.n)
+    null = _null_space(*tight, poly.n)
     if null.dim == 0:
         return [(Fraction(1), tau)]
     # A positive integer multiple of the RREF direction: the step lengths
@@ -226,7 +239,9 @@ def _decompose_point(poly: ExponentPolytope, tau, den: int, gaps: list[int]
     out = []
     for weight, point in ((lam, hi), (1 - lam, lo)):
         point_den, lazy = poly.gaps(point)
-        for c, vertex in _decompose_point(poly, point, point_den, list(lazy)):
+        point_gaps = list(lazy)
+        for c, vertex in _decompose_point(poly, point, point_den, point_gaps,
+                                          _tight(poly, point_gaps)):
             out.append((weight * c, vertex))
     return out
 
@@ -351,10 +366,10 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
     is no larger than L, and max_size caps generation, not a given family.
     Otherwise generate_lattice closes the seeds U cap V and (U + V) cap V-perp
     of each U in L, capped at max_size; such a family holds {0}, H and every
-    kernel, so it is ready exactly when closed.
+    kernel, so it is ready exactly when closed. For U >= V, U cap V-perp in
+    the chart of V-perp is the preimage of U under that chart.
     """
-    vperp = v.perp()
-    low_retract, high_retract = v.retraction(), vperp.retraction()
+    low_retract, high_chart = v.retraction(), v.perp().chart()
     if ready and v in candidates.subspaces:
         base = datum.image_dims(v)
         low: dict[Subspace, tuple[int, ...]] = {}
@@ -363,7 +378,7 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
             if u <= v:
                 low[image(low_retract, u)] = datum.image_dims(u)
             if v <= u:
-                high[image(high_retract, u & vperp)] = tuple(map(sub, datum.image_dims(u), base))
+                high[preimage(high_chart, u)] = tuple(map(sub, datum.image_dims(u), base))
         low_datum._image_dims.update(low)
         high_datum._image_dims.update(high)
         return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
@@ -372,7 +387,7 @@ def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
     for u in candidates.subspaces:
         total, meet = sum_and_intersection(u, v)
         low_seeds.append(image(low_retract, meet))
-        high_seeds.append(image(high_retract, total & vperp))
+        high_seeds.append(preimage(high_chart, total))
     return (generate_lattice(low_datum, seeds=low_seeds, max_size=max_size),
             generate_lattice(high_datum, seeds=high_seeds, max_size=max_size))
 
@@ -433,11 +448,11 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             at = ", ".join(map(str, tau))
             raise InsufficientCandidates(
                 f"candidate set insufficient: at exponents ({at}), a {reason}")
-        tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
-        if len(_echelon(tight, poly.n)[1]) < poly.n:
+        tight = _tight(poly, gaps)
+        if len(tight[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
             parts = []
-            for c, point in caratheodory(poly, tau, gaps=(den, gaps)).terms:
+            for c, point in caratheodory(poly, tau, gaps=(den, gaps), tight=tight).terms:
                 log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
                 parts.append((c, recurse(node, point, depth + 1)))
             return convex_combine(parts)
@@ -470,7 +485,13 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     holds, lhs, rhs = check_scaling(datum)
     if not holds:
         raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
-    edges = recurse(_Node(datum, candidates, is_ready(datum, candidates)), datum.exponents, 0)
+    ready, top = is_ready(datum, candidates), datum
+    if ready and candidates.order is not None:
+        # The family's image dimensions from its meets fill a table of the
+        # builder's own: the verification below computes its ranks afresh.
+        top = HBLDatum(datum.dim, datum.maps, datum.names, datum.exponents,
+                       _image_dims=candidates.meet_image_dims(datum.kernels))
+    edges = recurse(_Node(top, candidates, ready), datum.exponents, 0)
     pres = Presentation.from_edges(datum.dim, datum.n_maps, _endpoints(edges), edges)
     report = verify_presentation(datum, pres)
     if not report.valid:

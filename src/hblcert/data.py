@@ -58,6 +58,10 @@ class HBLDatum:
     def ranks(self) -> tuple[int, ...]:
         return self.image_dims(Subspace.full(self.dim))
 
+    @cached_property
+    def kernels(self) -> tuple[Subspace, ...]:
+        return tuple(map(kernel, self.maps))
+
     def with_exponents(self, exponents: tuple[Fraction, ...]) -> HBLDatum:
         return HBLDatum(self.dim, self.maps, self.names, tuple(exponents),
                         _image_dims=self._image_dims)
@@ -92,12 +96,14 @@ class CandidateLattice:
     Order is insertion order ({0}, H, kernels, seeds, then closure products;
     an interval of a parent family keeps the parent's order); `closed`
     records whether sum/intersection closure reached a fixpoint before the
-    size cap.
+    size cap. `order`, when kept, is the inclusion order of the members,
+    complete when the family is closed.
     """
 
     subspaces: tuple[Subspace, ...]
     closed: bool
     generation_log: tuple[str, ...]
+    order: _Inclusions | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.subspaces)) != len(self.subspaces):
@@ -111,7 +117,17 @@ class CandidateLattice:
             if s not in subs:
                 subs.append(s)
                 log.append("given")
-        return CandidateLattice(tuple(subs), _is_closed(subs), tuple(log))
+        order = _related(subs)
+        return CandidateLattice(tuple(subs), order.closed(), tuple(log), order)
+
+    def meet_image_dims(self, kernels: tuple[Subspace, ...]) -> dict[Subspace, tuple[int, ...]]:
+        """(dim U - dim(U cap K_i))_i for each member U, each meet's dimension
+        read off the kept order; on a closed family holding each K_i = ker
+        pi_i, this is (dim pi_i(U))_i, with no rank computed."""
+        order = self.order
+        at = [self.subspaces.index(k) for k in kernels]
+        return {u: tuple(u.dim - order.meet_dim(i, k) for k in at)
+                for i, u in enumerate(self.subspaces)}
 
 
 class _Inclusions:
@@ -153,6 +169,16 @@ class _Inclusions:
                 self.up[k] |= 1 << i
                 self.down[i] |= 1 << k
 
+    def meet_dim(self, i: int, j: int) -> int:
+        """The highest dimension of a member below subs[i] and subs[j], or -1:
+        dim(subs[i] & subs[j]) when that meet is a member and the masks of
+        both are complete."""
+        below = self.down[i] & self.down[j]
+        for d in range(min(self.subs[i].dim, self.subs[j].dim), -1, -1):
+            if below & self.bydim[d]:
+                return d
+        return -1
+
     def closes(self, i: int, j: int) -> bool:
         """Whether subs[i] + subs[j] and subs[i] & subs[j] are both members.
 
@@ -165,35 +191,36 @@ class _Inclusions:
         comparable, l > dim A, dim B > h, and r >= max(1, dim B - dim A + 1);
         as r <= l - dim A, no rank is computed when those two bounds meet.
         """
-        up, down, bydim = self.up, self.down, self.bydim
-        if (up[i] | down[i]) >> j & 1:
+        up, bydim = self.up, self.bydim
+        if (up[i] | self.down[i]) >> j & 1:
             return True  # comparable: the sum and the meet are the pair itself
         a, b = self.subs[i], self.subs[j]
         da, db = a.dim, b.dim
-        above, below = up[i] & up[j], down[i] & down[j]
+        above = up[i] & up[j]
         for lowest in range(max(da, db) + 1, len(bydim)):
             if above & bydim[lowest]:
                 break
         else:
             return False
-        for highest in range(min(da, db) - 1, -1, -1):
-            if below & bydim[highest]:
-                break
-        else:
-            return False
-        if lowest + highest != da + db:
+        highest = self.meet_dim(i, j)
+        if highest < 0 or lowest + highest != da + db:
             return False
         r = lowest - da
         return r == max(1, db - da + 1) or quotient_rank(a, b) == r
 
+    def closed(self) -> bool:
+        """Whether every pairwise sum and intersection is a member; exact
+        once the masks are complete."""
+        return all(self.closes(i, j) for i in range(len(self.subs)) for j in range(i))
 
-def _is_closed(subs: list[Subspace]) -> bool:
-    """Whether every pairwise sum and intersection of the family is a member."""
+
+def _related(subs: list[Subspace]) -> _Inclusions:
+    """The complete inclusion order of a family of distinct subspaces."""
     order = _Inclusions(subs[0].ambient)
     for i, s in enumerate(subs):
         order.add(s)
         order.relate(i, range(i))
-    return all(order.closes(i, j) for i in range(len(subs)) for j in range(i))
+    return order
 
 
 def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> CandidateLattice:
@@ -225,8 +252,8 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
 
     push(Subspace.zero(datum.dim), "zero")
     push(Subspace.full(datum.dim), "full")
-    for name, m in zip(datum.names, datum.maps):
-        push(kernel(m), f"kernel of {name}")
+    for name, k in zip(datum.names, datum.kernels):
+        push(k, f"kernel of {name}")
     for k, s in enumerate(seeds):
         if s.ambient != datum.dim:
             raise ValueError("seed ambient does not match datum dimension")
@@ -253,7 +280,7 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
             if overflow:
                 break
         processed += 1
-    return CandidateLattice(tuple(subs), not overflow, tuple(log))
+    return CandidateLattice(tuple(subs), not overflow, tuple(log), order)
 
 
 def is_ready(datum: HBLDatum, candidates: CandidateLattice) -> bool:
@@ -261,7 +288,7 @@ def is_ready(datum: HBLDatum, candidates: CandidateLattice) -> bool:
     kernels generate: if the dimension inequalities hold there, they hold
     everywhere (Bennett-Carbery-Christ-Tao, 2010)."""
     return candidates.closed and {Subspace.zero(datum.dim), Subspace.full(datum.dim),
-                                  *map(kernel, datum.maps)} <= set(candidates.subspaces)
+                                  *datum.kernels} <= set(candidates.subspaces)
 
 
 def restrict_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from hblcert.linalg import Matrix, Subspace, frac, image
+from hblcert.linalg import Matrix, Subspace, frac, image, ordered
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class GraphDecomposition:
         edge_pairs: Iterable[tuple[Subspace, Subspace]] = (),
     ) -> GraphDecomposition:
         """Canonical graph from subspaces and (source, target) subspace pairs."""
-        unique = sorted(set(vertices), key=lambda v: v.sort_key)
+        unique = ordered(set(vertices))
         idx = {v: i for i, v in enumerate(unique)}
         edges = set()
         for a, b in edge_pairs:

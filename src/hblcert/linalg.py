@@ -180,8 +180,8 @@ class Subspace:
 
     `echelon` holds the reduced row echelon rows scaled to primitive integers
     with positive pivots. Equal spans produce identical values, so `==`,
-    `hash` and sorting all operate on the subspace itself rather than on one
-    of its presentations. The zero subspace has no rows. The `Fraction`
+    `hash` and `ordered` all operate on the subspace itself rather than on
+    one of its presentations. The zero subspace has no rows. The `Fraction`
     basis with leading ones is formed only when read.
     """
 
@@ -221,10 +221,6 @@ class Subspace:
         den = lcm(*(row[p] for row, p in zip(self.echelon, self.pivots)))
         return _reduced(den, [[x * (den // row[p]) for x in row]
                               for row, p in zip(self.echelon, self.pivots)], self.ambient)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.dim, self.basis.entries)
 
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         return [self.basis.row(i) for i in range(self.dim)]
@@ -287,6 +283,20 @@ class Subspace:
                         self.ambient)
 
 
+def ordered(subspaces: Iterable[Subspace]) -> list[Subspace]:
+    """The subspaces by dimension, then by their RREF basis entries, row-major.
+
+    The comparison runs in integers: each entry x / row[p] of the RREF basis
+    is put over L, the lcm of the pivot entries of all the subspaces, which
+    keeps the order of the `Fraction` entries.
+    """
+    subs = list(subspaces)
+    den = lcm(*(row[p] for s in subs for row, p in zip(s.echelon, s.pivots)))
+    return sorted(subs, key=lambda s: (s.dim, tuple(x * (den // row[p])
+                                                    for row, p in zip(s.echelon, s.pivots)
+                                                    for x in row)))
+
+
 def _normalized(rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> Rows:
     """Echelon rows as primitive integer rows with positive pivots.
 
@@ -321,6 +331,15 @@ def _image_rows(map_: Matrix, v: Subspace) -> list[list[int]]:
 def image(map_: Matrix, v: Subspace) -> Subspace:
     """Canonical image subspace map(v) inside Q^(map rows)."""
     return _canonical(_image_rows(map_, v), map_.rows)
+
+
+def preimage(map_: Matrix, u: Subspace) -> Subspace:
+    """{w : map(w) in U}: the null space of the rows of U-perp times the map."""
+    if map_.rows != u.ambient:
+        raise ValueError("map codomain does not match subspace ambient")
+    cols = list(zip(*map_.ints)) or [()] * map_.cols
+    rows = [[sum(map(mul, p, c)) for c in cols] for p in u.perp().echelon]
+    return _null_space(*_echelon(rows, map_.cols), map_.cols)
 
 
 def image_rank(map_: Matrix, v: Subspace) -> int:

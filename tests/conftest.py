@@ -60,10 +60,10 @@ def reference_violation(datum, lattice) -> tuple[Subspace, Fraction] | None:
 
 def reference_critical(datum, lattice) -> list[Subspace]:
     """Reference critical subspaces: the proper nonzero members of zero
-    slack, sorted by sort_key."""
+    slack, sorted by dimension, then by their Fraction RREF basis entries."""
     return sorted((v for v in lattice.subspaces
                    if 0 < v.dim < datum.dim and fraction_slack(datum, v) == 0),
-                  key=lambda v: v.sort_key)
+                  key=lambda v: (v.dim, v.basis.entries))
 
 
 def scan(datum, lattice) -> tuple[tuple[Subspace, Fraction] | None, list[Subspace]]:

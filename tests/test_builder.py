@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import gc
 import itertools
 import random
@@ -26,7 +28,7 @@ from hblcert.builder import (
 from hblcert.data import (
     CandidateLattice,
     HBLDatum,
-    _is_closed,
+    _related,
     generate_lattice,
     is_ready,
     quotient_datum,
@@ -605,7 +607,7 @@ def test_children_read_intervals_off_a_closed_family(hyp_rng):
         assert _from_intervals(families) and not _from_intervals(generated)
         for child, family, expected in zip(children, families, generated):
             assert set(family.subspaces) == set(expected.subspaces)
-            assert family.closed and expected.closed and _is_closed(list(family.subspaces))
+            assert family.closed and expected.closed and _related(list(family.subspaces)).closed()
             fresh = _fresh(child)
             for u in family.subspaces:
                 assert child._image_dims[u] == fresh.image_dims(u)
@@ -691,10 +693,12 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
             assert v == criticals[0]
 
 
-# A split reads its children's families off the parent's, so the builder
-# computes kernels only in the Caratheodory steps (9 on lw4, 3 on r6), and
-# data.is_ready one per map for the top-level readiness check; a builder that
-# computed those of every child map made 109 on lw4 and 67 on r6.
+# A split reads its children's families off the parent's, and a Caratheodory
+# step takes the null space of its tight rows' echelon, so the builder calls
+# `kernel` on neither lw4 nor r6 (the readiness check's kernels are the
+# datum's, computed in data); a builder that computed those of every child
+# map made 109 on lw4 and 67 on r6, and one that formed a Matrix of the
+# tight rows made 9 and 3.
 @pytest.mark.parametrize("name, limit", [("lw4", 14), ("r6", 7)])
 def test_splits_compute_no_kernels(name, limit, monkeypatch):
     datum = ALL_FIXTURES[name][0]()
@@ -769,3 +773,55 @@ def test_build_frees_its_node_tree_by_reference_counting(name, monkeypatch):
         assert made and not [ref for ref in made if ref() is not None]
     finally:
         gc.enable()
+
+
+# The builder reads a ready family's image dimensions off its meets in the
+# kept inclusion order, into a table of its own; the verification that
+# closes each build computes its ranks by elimination on the caller's datum,
+# whose table so holds the certificate's vertices and nothing else.
+@pytest.mark.parametrize("name", ["lw3", "lw4", "r6"])
+def test_a_build_leaves_the_callers_table_to_the_verification(name):
+    datum = ALL_FIXTURES[name][0]()
+    lattice = generate_lattice(datum)
+    assert is_ready(datum, lattice) and lattice.order is not None
+    pres = build_presentation(datum, lattice)
+    assert set(datum._image_dims) == set(pres.graph.vertices)
+
+
+def _flipped(order, rng: random.Random):
+    """A copy of an inclusion order with one bit of a down mask or of a
+    dimension class flipped."""
+    corrupt = copy.copy(order)
+    corrupt.down, corrupt.bydim = list(order.down), list(order.bydim)
+    masks = corrupt.down if rng.random() < 0.75 else corrupt.bydim
+    masks[rng.randrange(len(masks))] ^= 1 << rng.randrange(len(order.subs))
+    return corrupt
+
+
+# A corrupt order may make a build fail, but never gives a certificate that a
+# fresh datum rejects, nor a derived dimension to the caller's datum. Only
+# flips that change a derived dimension are built.
+@pytest.mark.parametrize("name", ["lw3", "lw4", "r6"])
+def test_a_corrupt_inclusion_order_never_passes_a_wrong_certificate(name):
+    make = ALL_FIXTURES[name][0]
+    lattice = generate_lattice(make())
+    exact = lattice.meet_image_dims(make().kernels)
+    rng = random.Random(20)
+    tried = 0
+    for _ in range(2000):
+        corrupt = dataclasses.replace(lattice, order=_flipped(lattice.order, rng))
+        datum = make()
+        if corrupt.meet_image_dims(datum.kernels) == exact:
+            continue
+        try:
+            pres = build_presentation(datum, corrupt)
+        except BuildError:
+            pass
+        else:
+            assert verify_presentation(make(), pres).valid
+        fresh = _fresh(datum)
+        assert all(dims == fresh.image_dims(u) for u, dims in datum._image_dims.items())
+        tried += 1
+        if tried == 20:
+            break
+    assert tried == 20

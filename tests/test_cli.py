@@ -275,6 +275,25 @@ def test_a_ready_family_builds_at_any_lattice_cap(capsys, tmp_path, cap):
     assert code == 0 and report["verdict"] == "built" and report["vertices"] == 6
 
 
+def test_a_ready_candidates_file_builds_the_generated_bytes(capsys, tmp_path):
+    # lw4's closed lattice, given as a file in its generated order, is ready:
+    # the build reads its image dimensions off the given family's meets, and
+    # its reports and certificate are those of the generated lattice.
+    datum = formats.parse_datum((FIXTURE_DIR / "lw4.datum.json").read_text())
+    path = tmp_path / "lw4.candidates.txt"
+    path.write_text("".join("; ".join(" ".join(map(str, row)) for row in v.basis_rows()) + "\n"
+                            for v in generate_lattice(datum).subspaces if v.dim))
+    data = ("build", "--data", fixture("lw4.datum.json"))
+    for fmt in ("text", "json"):
+        generated = run_cli(capsys, *data, "--format", fmt)
+        given = run_cli(capsys, *data, "--candidates", str(path), "--format", fmt)
+        assert generated[0] == 0 and given == generated
+    outs = [tmp_path / "generated.json", tmp_path / "given.json"]
+    run_cli(capsys, *data, "--out", str(outs[0]))
+    run_cli(capsys, *data, "--candidates", str(path), "--out", str(outs[1]))
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("exponents, reason", [
     (["1", "1", "1"], "scaling equality fails: 3 != 6"),
     (["3/4", "3/4", "0"],

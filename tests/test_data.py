@@ -9,16 +9,17 @@ from hblcert import data as data_module
 from hblcert.data import (
     CandidateLattice,
     HBLDatum,
-    _is_closed,
+    _related,
     check_scaling,
     generate_lattice,
+    is_ready,
     quotient_datum,
     restrict_datum,
     subspace_slack,
     transform_datum,
 )
 from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datum
-from hblcert.linalg import Matrix, Subspace, image, kernel, span
+from hblcert.linalg import Matrix, Subspace, image, image_rank, kernel, span
 
 from conftest import (
     fraction_slack,
@@ -322,7 +323,7 @@ def test_generate_lattice_matches_a_plain_closure(data):
     seeds = [span(data.draw(st.lists(vectors, max_size=ambient)), ambient)
              for _ in range(data.draw(st.integers(0, 2)))]
     lattice = assert_matches_reference(datum, seeds, max_size=data.draw(st.integers(2, 40)))
-    assert _is_closed(list(lattice.subspaces)) == reference_closed(lattice.subspaces)
+    assert _related(list(lattice.subspaces)).closed() == reference_closed(lattice.subspaces)
 
 
 def reference_closed(subspaces):
@@ -406,3 +407,28 @@ def test_closure_eliminates_only_for_new_subspaces(name, monkeypatch):
     lattice = generate_lattice(datum, seeds=seeds)
     generated = sum(why.startswith(("sum(", "intersect(")) for why in lattice.generation_log)
     assert lattice.closed and 0 < len(calls) <= generated
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_ready_familys_meets_give_its_image_dimensions(data):
+    # dim pi_i(U) = dim U - dim(U cap ker pi_i), the meet's dimension read off
+    # the kept inclusion order: on every member of a ready family, whether
+    # generated or given in another order, it is the rank of the image.
+    ambient = data.draw(st.integers(2, 4))
+    vectors = st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient)
+    maps = tuple(Matrix.from_rows(data.draw(st.lists(vectors, min_size=1, max_size=ambient)),
+                                  cols=ambient)
+                 for _ in range(data.draw(st.integers(1, 4))))
+    datum = HBLDatum(ambient, maps, tuple(f"pi{k}" for k in range(len(maps))),
+                     (Fraction(0),) * len(maps))
+    seeds = [span(data.draw(st.lists(vectors, max_size=ambient)), ambient)
+             for _ in range(data.draw(st.integers(0, 2)))]
+    lattice = generate_lattice(datum, seeds=seeds, max_size=64)
+    given_ = CandidateLattice.from_subspaces(
+        ambient, data.draw(st.permutations(lattice.subspaces)))
+    for family in (lattice, given_):
+        if not is_ready(datum, family):
+            continue
+        assert family.meet_image_dims(datum.kernels) == {
+            u: tuple(image_rank(m, u) for m in maps) for u in family.subspaces}

@@ -13,6 +13,8 @@ from hblcert.linalg import (
     canonicalize,
     image,
     kernel,
+    ordered,
+    preimage,
     quotient_rank,
     span,
     sum_and_intersection,
@@ -296,3 +298,40 @@ def test_projector_laws(ambient, hyp_rng):
         assert apply(p, row) == tuple(row)
     for row in u.perp().basis_rows():
         assert all(x == 0 for x in apply(p, row))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_ordered_matches_the_fraction_basis_order(data):
+    # Spans of rows with fractional and negative entries, of mixed dimension:
+    # the integer keys sort them as (dim, Fraction RREF entries) does.
+    ambient = data.draw(st.integers(1, 5))
+    subs = {canonicalize(data.draw(rational_matrices(cols=ambient)))
+            for _ in range(data.draw(st.integers(0, 8)))}
+    expected = sorted(subs, key=lambda v: (v.dim, v.basis.entries))
+    assert ordered(subs) == expected
+    assert ordered(reversed(expected)) == expected
+
+
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_preimage_under_the_complement_chart_is_the_retracted_meet(ambient, hyp_rng):
+    # For V <= U, U cap V-perp in the chart of V-perp is the preimage of U.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    u = random_subspace(rng, ambient)
+    v = u & random_subspace(rng, ambient)
+    vperp = v.perp()
+    assert preimage(vperp.chart(), u) == image(vperp.retraction(), u & vperp)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_preimage_is_everything_the_map_sends_into_the_subspace(data):
+    m = data.draw(rational_matrices())
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    u = random_subspace(rng, m.rows)
+    pre = preimage(m, u)
+    assert image(m, pre) <= u
+    assert pre.dim == kernel(m).dim + (image(m, Subspace.full(m.cols)) & u).dim
+    with pytest.raises(ValueError):
+        preimage(m, Subspace.zero(m.rows + 1))
