@@ -1,21 +1,23 @@
 """Constructs a valid presentation from data satisfying the dimension
 inequalities over a candidate family.
 
-The construction recurses on ambient dimension over nodes (a datum's maps
-with a candidate family) and passes edge tables, (low, high) subspace pair
--> theta row: dimension one is a single edge carrying the exponents; a
-non-extreme exponent vector is split into extreme points of the candidate
-polytope and their tables convexly combined; at an extreme point a critical
-subspace (zero slack, proper) pivots the problem into a restriction to V and
-a quotient onto V-perp whose tables concatenate; at a V in a ready top-level
-family (data.is_ready) the children's families are its intervals, and the
-family's image dimensions come from its meets, into the build's own table.
-A node's polytope and splits do not depend on its exponents, so its extreme
-points and its revisits share them. The scaling equality is checked once, at the
-top: extreme points lie on the polytope's H row, and the children of a split
-at a critical V inherit it. The one presentation made from the top-level
-table is verified exactly, so an impoverished candidate family can only
-cause an explicit failure, never a wrong certificate.
+The construction recurses over intervals [A, B] of top-level subspaces, each
+with a candidate family inside it, and passes edge tables, (low, high)
+subspace pair -> theta row, all in the top-level space: dimension one is the
+edge A -> B carrying the exponents; a non-extreme exponent vector is split
+into extreme points of the node's polytope, whose rows are the dimension
+inequalities of B/A read off the build's image-dimension table, and their
+tables convexly combined; at an extreme point a critical subspace V (zero
+slack, proper) splits [A, B] into [A, V] and [V, B], whose tables are
+unioned. On a ready top-level family (data.is_ready) the children are its
+intervals, read off the kept inclusion order, and the image dimensions come
+from its meets; other families are closed afresh inside each child. A node's
+polytope and splits do not depend on its exponents, so its extreme points and
+its revisits share them. The scaling equality is checked once, at the top:
+extreme points lie on the polytope's B row, and the children of a split at a
+critical V inherit it. The one presentation made from the top-level table is
+verified exactly, so an impoverished candidate family can only cause an
+explicit failure, never a wrong certificate.
 """
 
 from __future__ import annotations
@@ -26,16 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
 
-from hblcert.data import (
-    CandidateLattice,
-    HBLDatum,
-    check_scaling,
-    generate_lattice,
-    is_ready,
-    quotient_datum,
-    restrict_datum,
-    subspace_slack,
-)
+from hblcert.data import CandidateLattice, HBLDatum, check_scaling, generate_lattice, is_ready
 from hblcert.linalg import (
     Matrix,
     Subspace,
@@ -43,11 +36,8 @@ from hblcert.linalg import (
     _null_space,
     _over_common_denominator,
     _primitive,
-    image,
     kernel,
     ordered,
-    preimage,
-    span,
     sum_and_intersection,
 )
 from hblcert.presentation import Presentation, verify_presentation
@@ -94,7 +84,7 @@ class ExponentPolytope:
 
     def criticals(self, gaps: Iterable[int]) -> list[PolytopeRow]:
         """The rows of the critical subspaces, in `linalg.ordered` order: the
-        candidate rows of gap zero but H's."""
+        candidate rows of gap zero but the equality row's."""
         rows = {row.subspace: row for row, gap in zip(self.rows, gaps)
                 if gap == 0 and row.subspace is not None and not row.equality}
         return [rows[v] for v in ordered(rows)]
@@ -110,16 +100,28 @@ class ExtremeDecomposition:
     terms: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # (coefficient, extreme tau)
 
 
-def polytope_from_candidates(datum: HBLDatum, candidates: CandidateLattice) -> ExponentPolytope:
-    """One >=-row per proper candidate, in the family's order, an =-row for H,
-    then box rows 0<=tau<=1; the gap of V's row is D times the slack of V."""
+def polytope_from_candidates(datum: HBLDatum, candidates: Iterable[Subspace],
+                             low: Subspace | None = None,
+                             high: Subspace | None = None) -> ExponentPolytope:
+    """The candidate polytope of the interval [low, high], by default [{0}, H].
+
+    One >=-row per candidate U strictly between low and high in dimension, in
+    the family's order, an =-row at U = high, then box rows 0<=tau<=1. U's
+    row, (dim pi_i(U) - dim pi_i(low))_i . tau >= dim U - dim low, is the
+    inequality of U/low in high/low, whose slack is its gap over D.
+    """
     n = datum.n_maps
+    low = Subspace.zero(datum.dim) if low is None else low
+    high = Subspace.full(datum.dim) if high is None else high
+    base, span = datum.image_dims(low), high.dim - low.dim
     rows: list[PolytopeRow] = []
-    for v in candidates.subspaces:
-        if v.dim == 0:
-            continue  # vacuous row
-        rows.append(PolytopeRow(datum.image_dims(v), v.dim, v.is_full(),
-                                f"dim-{v.dim} candidate", v))
+    for v in candidates:
+        d = v.dim - low.dim
+        top = d == span and v == high
+        if not (0 < d < span or top):
+            continue  # low itself, whose row is vacuous, or no member of [low, high]
+        rows.append(PolytopeRow(tuple(map(sub, datum.image_dims(v), base)), d, top,
+                                f"dim-{d} candidate", v))
     for i in range(n):
         unit = tuple(1 if j == i else 0 for j in range(n))
         rows.append(PolytopeRow(unit, 0, False, f"tau{i + 1} >= 0", None))
@@ -275,14 +277,18 @@ def _reduce_caratheodory(n: int, terms):
     return list(zip(coeffs, points))
 
 
-def base_case_dim1(datum: HBLDatum) -> EdgeTable:
-    """Single edge {0} -> H carrying the exponents; needs the scaling equality."""
-    if datum.dim != 1:
-        raise ValueError("base case needs ambient dimension 1")
-    holds, lhs, rhs = check_scaling(datum)
-    if not holds:
-        raise BuildError(f"scaling equality fails in dimension 1: {lhs} != {rhs}")
-    return {(Subspace.zero(1), Subspace.full(1)): datum.exponents}
+def base_case_dim1(tau: Sequence[Fraction], low: Subspace, high: Subspace,
+                   rise: Sequence[int]) -> EdgeTable:
+    """Single edge low -> high carrying the exponents, for an interval of
+    dimension one; rise is (dim pi_i(high) - dim pi_i(low))_i, and the
+    scaling equality sum_i tau_i rise_i = 1 must hold."""
+    if high.dim - low.dim != 1:
+        raise ValueError("base case needs an interval of dimension 1")
+    den, nums = _over_common_denominator(tau)
+    total = sum(map(mul, nums, rise))
+    if total != den:
+        raise BuildError(f"scaling equality fails in dimension 1: 1 != {Fraction(total, den)}")
+    return {(low, high): tuple(tau)}
 
 
 def _endpoints(edges: EdgeTable) -> dict[Subspace, None]:
@@ -290,26 +296,11 @@ def _endpoints(edges: EdgeTable) -> dict[Subspace, None]:
     return dict.fromkeys(w for edge in edges for w in edge)
 
 
-def concatenate(datum: HBLDatum, v: Subspace, low: EdgeTable, high: EdgeTable) -> EdgeTable:
-    """Splice an edge table of the restriction to V with one of the quotient.
-
-    Low vertices embed through the chart of V and high vertices W become
-    V + W through the chart of V-perp, the charts restrict_datum and
-    quotient_datum use, each distinct vertex once; edges keep their rows. The
-    result is not verified here. With V = {0} the low table is empty.
-    """
-    if v.ambient != datum.dim:
-        raise ValueError("subspace ambient does not match datum dimension")
-    low_vertices, high_vertices = _endpoints(low), _endpoints(high)
-    if any(w.ambient != v.dim for w in low_vertices) \
-            or any(w.ambient != datum.dim - v.dim for w in high_vertices):
-        raise ValueError("part edge tables do not match the split dimensions")
-    low_embed, high_embed = v.chart(), v.perp().chart()
-    low_at = {w: image(low_embed, w) for w in low_vertices}
-    high_at = {w: image(high_embed, w) + v for w in high_vertices}
-    edges = {(low_at[a], low_at[b]): row for (a, b), row in low.items()}
-    edges.update({(high_at[a], high_at[b]): row for (a, b), row in high.items()})
-    return edges
+def concatenate(low: EdgeTable, high: EdgeTable) -> EdgeTable:
+    """Splice an edge table of [A, V] with one of [V, B]: both are in the
+    top-level space, so the result is their union, low edges first, with no
+    vertex moved. It is not verified here."""
+    return {**low, **high}
 
 
 def convex_combine(terms) -> EdgeTable:
@@ -340,69 +331,82 @@ def vertex_count_bound(n_maps: int, dim: int) -> int:
     return ((n_maps + 1) ** dim - 1) // n_maps + 1
 
 
-def _codim1_critical(datum: HBLDatum, i: int) -> Subspace:
-    """For tau_i = 1 on a positive-rank map: a hyperplane through ker pi_i.
+def _codim1_critical(ker: Subspace, low: Subspace, high: Subspace) -> Subspace:
+    """For tau_i = 1 on a map of positive rank on high/low: a hyperplane of
+    high through K = (ker pi_i + low) cap high, the kernel of the map on
+    high/low.
 
-    It is ker pi_i plus the RREF basis of its complement with the last vector
-    dropped. By the scaling equality any hyperplane H containing ker pi_i has
-    slack sum_{j != i} tau_j (dim pi_j(H) - rank pi_j), which is at most 0,
-    and at least 0 for feasible data, so H is critical; the caller still
-    checks its slack.
+    It is K plus the RREF basis of high cap K-perp, a complement of K in
+    high, with the last vector dropped. By the scaling equality a hyperplane
+    W of high through K has slack sum_{j != i} tau_j (dim pi_j(W) -
+    dim pi_j(high)) in high/low, which is at most 0, and at least 0 for
+    feasible data, so W is critical; the caller still checks its slack.
     """
-    k = kernel(datum.maps[i])
-    return k + span(k.perp().basis_rows()[:-1], datum.dim)
-
-
-def _child_families(datum: HBLDatum, candidates: CandidateLattice, ready: bool,
-                    v: Subspace, low_datum: HBLDatum, high_datum: HBLDatum,
-                    max_size: int) -> tuple[CandidateLattice, CandidateLattice]:
-    """The families of the restriction to V and the quotient by V.
-
-    When L is ready and holds V, they are its intervals [0, V] = {U in L :
-    U <= V} in the chart of V and [V, H] = {U in L : V <= U} carried by
-    U -> U cap V-perp into the chart of V-perp: closed (the second by the
-    modular law), ready, and with the parent's image dimensions dim pi_i(U)
-    and dim pi_i(U) - dim pi_i(V) filling the children's tables; an interval
-    is no larger than L, and max_size caps generation, not a given family.
-    Otherwise generate_lattice closes the seeds U cap V and (U + V) cap V-perp
-    of each U in L, capped at max_size; such a family holds {0}, H and every
-    kernel, so it is ready exactly when closed. For U >= V, U cap V-perp in
-    the chart of V-perp is the preimage of U under that chart.
-    """
-    low_retract, high_chart = v.retraction(), v.perp().chart()
-    if ready and v in candidates.subspaces:
-        base = datum.image_dims(v)
-        low: dict[Subspace, tuple[int, ...]] = {}
-        high: dict[Subspace, tuple[int, ...]] = {}
-        for u in candidates.subspaces:
-            if u <= v:
-                low[image(low_retract, u)] = datum.image_dims(u)
-            if v <= u:
-                high[preimage(high_chart, u)] = tuple(map(sub, datum.image_dims(u), base))
-        low_datum._image_dims.update(low)
-        high_datum._image_dims.update(high)
-        return (CandidateLattice(tuple(low), True, ("interval [0, V]",) * len(low)),
-                CandidateLattice(tuple(high), True, ("interval [V, H]",) * len(high)))
-    low_seeds, high_seeds = [], []
-    for u in candidates.subspaces:
-        total, meet = sum_and_intersection(u, v)
-        low_seeds.append(image(low_retract, meet))
-        high_seeds.append(preimage(high_chart, total))
-    return (generate_lattice(low_datum, seeds=low_seeds, max_size=max_size),
-            generate_lattice(high_datum, seeds=high_seeds, max_size=max_size))
+    k = (ker + low) & high
+    return k + Subspace(k.ambient, k.perp_in(high).echelon[:-1])
 
 
 class _Node:
-    """A datum's maps with their candidate family, whichever the exponents;
-    `ready` is data.is_ready of the family, and `splits` maps V to children."""
+    """An interval [low, high] of top-level subspaces with its candidate
+    family, whichever the exponents: the members of `lattice` whose bits are
+    set in `members` (-1 sets them all). `ready` says that the family is
+    closed and holds low, high and the node's kernels (ker pi_i + low) cap
+    high, and that the lattice's order is complete; `splits` maps V to the
+    children [low, V] and [V, high], and `poly` is the polytope once made."""
 
-    def __init__(self, datum: HBLDatum, family: CandidateLattice, ready: bool) -> None:
-        self.datum, self.family, self.ready = datum, family, ready
-        self.splits: dict[Subspace, tuple[_Node, _Node]] = {}
+    def __init__(self, lattice: CandidateLattice, members: int,
+                 low: Subspace, high: Subspace, ready: bool) -> None:
+        self.lattice, self.members, self.low, self.high = lattice, members, low, high
+        self.ready, self.splits, self.poly = ready, {}, None
 
     @cached_property
-    def poly(self) -> ExponentPolytope:
-        return polytope_from_candidates(self.datum, self.family)
+    def family(self) -> dict[Subspace, int]:
+        """The members, in the lattice's order, with their indices in it."""
+        return {u: k for k, u in enumerate(self.lattice.subspaces) if self.members >> k & 1}
+
+
+def _split(datum: HBLDatum, node: _Node, v: Subspace, max_size: int) -> tuple[_Node, _Node]:
+    """The children [low, V] and [V, high] of a node split at V.
+
+    When the node is ready and holds V, they are its intervals, read off the
+    lattice's order: closed, and holding their kernels, which are sums and
+    meets of members. Otherwise generate_lattice closes inside each its ends,
+    its kernels and the seeds U cap V or U + V of the members U, capped at
+    max_size, which caps generation, not a family given; such a family is
+    ready exactly when closed.
+    """
+    k = node.family.get(v) if node.ready else None
+    if k is not None:
+        order, lattice = node.lattice.order, node.lattice
+        return (_Node(lattice, node.members & order.down[k], node.low, v, True),
+                _Node(lattice, node.members & order.up[k], v, node.high, True))
+    pairs = [sum_and_intersection(u, v) for u in node.family]
+    low = generate_lattice(datum, [m for _, m in pairs], max_size, interval=(node.low, v))
+    high = generate_lattice(datum, [t for t, _ in pairs], max_size, interval=(v, node.high))
+    return _Node(low, -1, node.low, v, low.closed), _Node(high, -1, v, node.high, high.closed)
+
+
+def _split_subspace(datum: HBLDatum, node: _Node, poly: ExponentPolytope,
+                    tau: tuple[Fraction, ...], gaps: list[int]) -> tuple[Subspace, str]:
+    """The subspace a node splits at, at extreme exponents tau with the
+    polytope's row gaps, and the trace line naming it: the least critical
+    subspace in `linalg.ordered` order, else the first tau_i = 1 hyperplane
+    of _codim1_critical, on a map of positive rank on high/low, if critical."""
+    low, high = node.low, node.high
+    criticals = poly.criticals(gaps)
+    if criticals:
+        v = criticals[0].subspace
+        return v, f"critical subspace of dim {v.dim - low.dim}"
+    base = datum.image_dims(low)
+    den, nums = _over_common_denominator(tau)
+    for i, (t, top, bottom) in enumerate(zip(tau, datum.image_dims(high), base)):
+        if t == 1 and top > bottom:
+            v = _codim1_critical(datum.kernels[i], low, high)
+            rise = map(sub, datum.image_dims(v), base)
+            if sum(map(mul, nums, rise)) == den * (v.dim - low.dim):
+                return v, f"tau{i + 1}=1 branch: codim-1 critical subspace"
+    raise InsufficientCandidates("candidate set insufficient: extreme exponents admit no "
+                                 "critical subspace among the candidates")
 
 
 def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
@@ -425,16 +429,19 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
 
     def recurse(node: _Node, tau: tuple[Fraction, ...], depth: int) -> EdgeTable:
         indent = "  " * depth
-        datum = node.datum.with_exponents(tau)
-        if datum.dim == 1:
+        low, high = node.low, node.high
+        if high.dim - low.dim == 1:
             log(f"{indent}dim 1 base case")
-            return base_case_dim1(datum)
+            return base_case_dim1(tau, low, high,
+                                  tuple(map(sub, top.image_dims(high), top.image_dims(low))))
 
         poly = node.poly
+        if poly is None:
+            poly = node.poly = polytope_from_candidates(top, node.family, low, high)
         den, lazy = poly.gaps(tau)
         gaps = list(lazy)
-        # H's row holds by scaling and the box rows for any datum, so a
-        # violated row is a candidate V's, with gap D * slack(V).
+        # B's row holds by scaling and the box rows for any datum, so a
+        # violated row is a candidate V's, with gap D * slack(V) in B/A.
         violated = poly.violated(gaps)
         if violated is not None:
             # At the datum's exponents a violation lifts to the datum itself;
@@ -457,41 +464,25 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 parts.append((c, recurse(node, point, depth + 1)))
             return convex_combine(parts)
 
-        criticals = poly.criticals(gaps)
-        if criticals:
-            v = criticals[0].subspace
-            log(f"{indent}critical subspace of dim {v.dim}")
-        else:
-            for i, t in enumerate(tau):
-                if t == 1 and datum.ranks[i] > 0:
-                    v = _codim1_critical(datum, i)
-                    if subspace_slack(datum, v) == 0:
-                        log(f"{indent}tau{i + 1}=1 branch: codim-1 critical subspace")
-                        break
-            else:
-                raise InsufficientCandidates(
-                    "candidate set insufficient: extreme exponents admit no "
-                    "critical subspace among the candidates"
-                )
+        v, line = _split_subspace(top, node, poly, tau, gaps)
+        log(indent + line)
         children = node.splits.get(v)
         if children is None:
-            low, high = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-            families = _child_families(datum, node.family, node.ready, v, low, high, max_lattice)
-            children = node.splits[v] = tuple(_Node(child, family, family.closed)
-                                              for child, family in zip((low, high), families))
+            children = node.splits[v] = _split(top, node, v, max_lattice)
         low_edges, high_edges = (recurse(child, tau, depth + 1) for child in children)
-        return concatenate(datum, v, low_edges, high_edges)
+        return concatenate(low_edges, high_edges)
 
     holds, lhs, rhs = check_scaling(datum)
     if not holds:
         raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
-    ready, top = is_ready(datum, candidates), datum
-    if ready and candidates.order is not None:
+    ready, top = is_ready(datum, candidates) and candidates.order is not None, datum
+    if ready:
         # The family's image dimensions from its meets fill a table of the
         # builder's own: the verification below computes its ranks afresh.
         top = HBLDatum(datum.dim, datum.maps, datum.names, datum.exponents,
                        _image_dims=candidates.meet_image_dims(datum.kernels))
-    edges = recurse(_Node(top, candidates, ready), datum.exponents, 0)
+    root = _Node(candidates, -1, Subspace.zero(datum.dim), Subspace.full(datum.dim), ready)
+    edges = recurse(root, datum.exponents, 0)
     pres = Presentation.from_edges(datum.dim, datum.n_maps, _endpoints(edges), edges)
     report = verify_presentation(datum, pres)
     if not report.valid:

@@ -10,6 +10,7 @@ downstream, not the lattice, is the source of truth.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -93,11 +94,11 @@ def subspace_slack(datum: HBLDatum, v: Subspace) -> Fraction:
 class CandidateLattice:
     """Finite surrogate for "all subspaces": a deduplicated family with provenance.
 
-    Order is insertion order ({0}, H, kernels, seeds, then closure products;
-    an interval of a parent family keeps the parent's order); `closed`
-    records whether sum/intersection closure reached a fixpoint before the
-    size cap. `order`, when kept, is the inclusion order of the members,
-    complete when the family is closed.
+    Order is insertion order ({0}, H, kernels, seeds, then closure
+    products), and iterating a family gives its members in that order;
+    `closed` records whether sum/intersection closure reached a fixpoint
+    before the size cap. `order`, when kept, is the inclusion order of the
+    members, complete when the family is closed.
     """
 
     subspaces: tuple[Subspace, ...]
@@ -108,6 +109,9 @@ class CandidateLattice:
     def __post_init__(self) -> None:
         if len(set(self.subspaces)) != len(self.subspaces):
             raise ValueError("duplicate subspaces in candidate lattice")
+
+    def __iter__(self) -> Iterator[Subspace]:
+        return iter(self.subspaces)
 
     @staticmethod
     def from_subspaces(ambient: int, subspaces) -> CandidateLattice:
@@ -223,14 +227,20 @@ def _related(subs: list[Subspace]) -> _Inclusions:
     return order
 
 
-def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> CandidateLattice:
+def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512,
+                     interval: tuple[Subspace, Subspace] | None = None) -> CandidateLattice:
     """Close {0}, H, all kernels and the seeds under pairwise sum and intersection.
 
-    Stops at a fixpoint or once max_size subspaces have been collected; the
+    An `interval` (A, B), A <= B, puts A, B and the kernels (ker pi_i + A) cap B
+    of the maps on B/A in place of {0}, H and the kernels: with seeds in
+    [A, B], that is the lattice of B/A, member for member and in order. Stops
+    at a fixpoint or once max_size subspaces have been collected; the
     truncated case is reported through closed=False, not as an error.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
+    low, high = interval or (Subspace.zero(datum.dim), Subspace.full(datum.dim))
+    kernels = datum.kernels if interval is None else [(k + low) & high for k in datum.kernels]
     order = _Inclusions(datum.dim)
     subs = order.subs
     log: list[str] = []
@@ -250,9 +260,9 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         log.append(why)
         seen.add(s)
 
-    push(Subspace.zero(datum.dim), "zero")
-    push(Subspace.full(datum.dim), "full")
-    for name, k in zip(datum.names, datum.kernels):
+    push(low, "zero")
+    push(high, "full")
+    for name, k in zip(datum.names, kernels):
         push(k, f"kernel of {name}")
     for k, s in enumerate(seeds):
         if s.ambient != datum.dim:
@@ -260,7 +270,7 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512) -> Candidat
         push(s, f"seed[{k}]")
 
     # Each unordered pair is examined exactly once, when its later element
-    # becomes the processed one. Pairs with {0} (index 0), H (index 1) or the
+    # becomes the processed one. Pairs with A (index 0), B (index 1) or the
     # element itself only give back subspaces already present, so they are
     # skipped: pushing those would change nothing. So is a pair whose sum and
     # meet the inclusion order already holds. That test needs the masks of

@@ -256,10 +256,17 @@ class Subspace:
 
     @cached_property
     def _perp(self) -> Subspace:
-        # Computed once: a split reads V-perp in the quotient, the children's
-        # families and the concatenation, and every inclusion test U <= V
-        # reads V-perp. The echelon rows are already reduced.
+        # Computed once: every inclusion test U <= V reads V-perp. The
+        # echelon rows are already reduced.
         return _null_space(self.echelon, self.pivots, self.ambient)
+
+    def perp_in(self, high: Subspace) -> Subspace:
+        """high cap self-perp, as the null space of the rows of self and of
+        high-perp: one elimination over m columns, not 2m as in a meet."""
+        if self.ambient != high.ambient:
+            raise ValueError("ambient mismatch in relative complement")
+        return _null_space(*_echelon([*self.echelon, *high.perp().echelon], self.ambient),
+                           self.ambient)
 
     def projector(self) -> Matrix:
         """Orthogonal projector onto this subspace: B^T (B B^T)^-1 B."""
@@ -331,15 +338,6 @@ def _image_rows(map_: Matrix, v: Subspace) -> list[list[int]]:
 def image(map_: Matrix, v: Subspace) -> Subspace:
     """Canonical image subspace map(v) inside Q^(map rows)."""
     return _canonical(_image_rows(map_, v), map_.rows)
-
-
-def preimage(map_: Matrix, u: Subspace) -> Subspace:
-    """{w : map(w) in U}: the null space of the rows of U-perp times the map."""
-    if map_.rows != u.ambient:
-        raise ValueError("map codomain does not match subspace ambient")
-    cols = list(zip(*map_.ints)) or [()] * map_.cols
-    rows = [[sum(map(mul, p, c)) for c in cols] for p in u.perp().echelon]
-    return _null_space(*_echelon(rows, map_.cols), map_.cols)
 
 
 def image_rank(map_: Matrix, v: Subspace) -> int:

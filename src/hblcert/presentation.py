@@ -171,7 +171,7 @@ def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) ->
 
 def _new_direction(low: Subspace, high: Subspace) -> tuple[int, ...]:
     """A primitive integer vector spanning the line high cap low-perp."""
-    line = high & low.perp()
+    line = low.perp_in(high)
     if line.dim != 1:
         raise ValueError("edge does not raise dimension by one")
     return line.echelon[0]

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 from hblcert.builder import polytope_from_candidates
+from hblcert.data import HBLDatum, transform_datum
+from hblcert.fixtures import loomis_whitney_datum
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, image, kernel
 
@@ -123,6 +125,15 @@ def random_invertible(rng: random.Random, n: int, shears: int = 6) -> Matrix:
     if rng.random() < 0.5:
         rows[0] = [-x for x in rows[0]]
     return Matrix.from_rows(rows, cols=n)
+
+
+def transformed_lw4(seed: int = 7) -> HBLDatum:
+    """Loomis-Whitney in R^5 under a seeded unimodular change of variables
+    and of each map's codomain."""
+    rng = random.Random(seed)
+    t = random_invertible(rng, 5, shears=10)
+    s_list = [random_invertible(rng, 4, shears=4) for _ in range(5)]
+    return transform_datum(loomis_whitney_datum(4), t, s_list)
 
 
 def random_signed_permutation(rng: random.Random, n: int) -> Matrix:

@@ -3,7 +3,9 @@ import dataclasses
 import gc
 import itertools
 import random
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hblcert import builder
+from hblcert import builder, linalg
+from hblcert import data as data_module
 from hblcert.builder import (
     BuildError,
     InsufficientCandidates,
@@ -33,7 +36,6 @@ from hblcert.data import (
     is_ready,
     quotient_datum,
     restrict_datum,
-    subspace_slack,
 )
 from hblcert.fixtures import (
     ALL_FIXTURES,
@@ -42,16 +44,16 @@ from hblcert.fixtures import (
     loomis_whitney_datum,
 )
 from hblcert.flowgraph import GraphDecomposition
-from hblcert.linalg import Matrix, Subspace, _echelon, kernel, span
+from hblcert.linalg import Matrix, Subspace, _echelon, image, kernel, span
 from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
 from conftest import (
     random_matrix,
     random_subspace,
-    reference_critical,
     reference_extremes,
     reference_violation,
+    transformed_lw4,
 )
 
 
@@ -308,34 +310,62 @@ def test_caratheodory_rejects_non_members():
 
 
 def test_base_case_examples():
-    edge = (Subspace.zero(1), Subspace.full(1))
+    zero, line = Subspace.zero(1), Subspace.full(1)
     one = HBLDatum(1, (Matrix.identity(1),), ("id",), (Fraction(1),))
-    assert base_case_dim1(one) == {edge: (Fraction(1),)}
-    assert verify_presentation(one, presentation_of(one, base_case_dim1(one))).valid
+    assert base_case_dim1(one.exponents, zero, line, one.ranks) == {(zero, line): (Fraction(1),)}
+    assert verify_presentation(one, presentation_of(one, base_case_dim1(
+        one.exponents, zero, line, one.ranks))).valid
 
-    two = HBLDatum(1, (Matrix.identity(1), Matrix.identity(1)), ("a", "b"),
-                   (Fraction(1, 2), Fraction(1, 2)))
-    assert base_case_dim1(two) == {edge: (Fraction(1, 2), Fraction(1, 2))}
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert base_case_dim1(half, zero, line, (1, 1)) == {(zero, line): half}
 
     with_rank0 = HBLDatum(1, (Matrix.identity(1), Matrix.zeros(1, 1)), ("a", "z"),
                           (Fraction(1), Fraction(1)))
-    report = verify_presentation(with_rank0, presentation_of(with_rank0,
-                                                             base_case_dim1(with_rank0)))
+    report = verify_presentation(with_rank0, presentation_of(with_rank0, base_case_dim1(
+        with_rank0.exponents, zero, line, with_rank0.ranks)))
     assert report.valid
     assert report.sigma == (Fraction(1),)
 
-    bad = HBLDatum(1, (Matrix.identity(1),), ("id",), (Fraction(1, 2),))
-    with pytest.raises(BuildError, match="scaling"):
-        base_case_dim1(bad)
+    with pytest.raises(BuildError, match=r"scaling equality fails in dimension 1: 1 != 1/2"):
+        base_case_dim1((Fraction(1, 2),), zero, line, (1,))
+    with pytest.raises(ValueError, match="dimension 1"):
+        base_case_dim1((Fraction(1),), zero, Subspace.full(2), (2,))
+
+
+def test_base_case_is_an_interval_of_the_top_level_space():
+    # A dimension-one interval [A, B] of R^3 is the edge A -> B itself, its
+    # scaling read off the rise of the image dimensions from A to B.
+    datum = loomis_whitney_datum(2)
+    low, high = span([[1, 0, 0]], 3), span([[1, 0, 0], [0, 1, 0]], 3)
+    rise = tuple(h - l for h, l in zip(datum.image_dims(high), datum.image_dims(low)))
+    assert rise == (1, 0, 1)
+    assert base_case_dim1(datum.exponents, low, high, rise) == {(low, high): datum.exponents}
+    with pytest.raises(BuildError, match="dimension 1: 1 != 3/2"):
+        base_case_dim1(datum.exponents, low, high, (1, 1, 1))
+
+
+def embedded(edges, v, high_part: bool):
+    """A chart edge table of the restriction to V (or of the quotient by V,
+    when high_part) in the top-level space: low vertices through the chart of
+    V, high vertices W as V + W through the chart of V-perp."""
+    chart = v.perp().chart() if high_part else v.chart()
+    at = {w: image(chart, w) + v if high_part else image(chart, w) for w in vertices_of(edges)}
+    return {(at[a], at[b]): row for (a, b), row in edges.items()}
+
+
+def split_tables(datum, v):
+    """Built tables of [0, V] and [V, H], by the public restriction and
+    quotient and the charts they use."""
+    low = built_edges(restrict_datum(datum, v)[0])
+    high = built_edges(quotient_datum(datum, v)[0])
+    return embedded(low, v, False), embedded(high, v, True)
 
 
 def test_concatenate_loomis_whitney_split():
     datum = loomis_whitney_datum(2)
     v = span([[1, 0, 0], [0, 1, 0]], 3)
-    low_datum, _ = restrict_datum(datum, v)
-    high_datum, _ = quotient_datum(datum, v)
-    low, high = built_edges(low_datum), built_edges(high_datum)
-    edges = concatenate(datum, v, low, high)
+    low, high = split_tables(datum, v)
+    edges = concatenate(low, high)
     assert verify_presentation(datum, presentation_of(datum, edges)).valid
     assert len(vertices_of(edges)) == len(vertices_of(low)) + len(vertices_of(high)) - 1
 
@@ -344,37 +374,37 @@ def test_concatenate_r6_split_has_five_chain_low_part():
     datum = fourmap_r6_datum()
     v = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
               [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
-    low_datum, _ = restrict_datum(datum, v)
-    high_datum, _ = quotient_datum(datum, v)
-    low, high = built_edges(low_datum), built_edges(high_datum)
+    low, high = split_tables(datum, v)
     assert len(vertices_of(low)) == 5
-    edges = concatenate(datum, v, low, high)
+    edges = concatenate(low, high)
     assert verify_presentation(datum, presentation_of(datum, edges)).valid
     assert len(vertices_of(edges)) == len(vertices_of(low)) + len(vertices_of(high)) - 1
     low_vertices = [w for w in vertices_of(edges) if w <= v]
     assert sorted(w.dim for w in low_vertices) == [0, 1, 2, 3, 4]
 
 
-def test_concatenate_embeds_each_part_vertex_once(monkeypatch):
+def test_concatenate_embeds_each_part_vertex_once():
+    # Both parts are already in the top-level space, so every vertex of each
+    # part appears once in the result, unmoved: every edge keeps its key and
+    # its row, low edges first, and the two tables share the vertex V alone.
     datum = fourmap_r6_datum()
     v = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
               [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
-    low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-    low, high = built_edges(low_datum), built_edges(high_datum)
-    calls = []
-    original = builder.image
-    monkeypatch.setattr(builder, "image", lambda m, w: calls.append(w) or original(m, w))
-    edges = concatenate(datum, v, low, high)
-    assert len(calls) == len(vertices_of(low)) + len(vertices_of(high))
+    low, high = split_tables(datum, v)
+    edges = concatenate(low, high)
+    assert list(edges.items()) == [*low.items(), *high.items()]
+    assert vertices_of(low) & vertices_of(high) == {v}
+    assert vertices_of(edges) == vertices_of(low) | vertices_of(high)
     assert verify_presentation(datum, presentation_of(datum, edges)).valid
 
 
 def test_concatenate_at_the_zero_subspace_reembeds_the_high_part():
+    # At V = {0} the low part is empty and the high part is already the whole
+    # table, so concatenating returns it as it is, from either side.
     datum = loomis_whitney_datum(2)
     high = built_edges(datum)
-    assert concatenate(datum, Subspace.zero(3), {}, high) == high
-    with pytest.raises(ValueError, match="split dimensions"):
-        concatenate(datum, Subspace.zero(3), high, high)
+    assert concatenate({}, high) == high == concatenate(high, {})
+    assert verify_presentation(datum, presentation_of(datum, concatenate({}, high))).valid
 
 
 def test_convex_combine_trivial_cases():
@@ -402,14 +432,14 @@ def test_convex_combine_of_distinct_chains_is_valid():
         ("x", "y"),
         (Fraction(1), Fraction(1)),
     )
+    zero, full = Subspace.zero(2), Subspace.full(2)
     chains = []
     for axis in ([[1, 0]], [[0, 1]]):
         v = span(axis, 2)
-        low_datum, _ = restrict_datum(datum, v)
-        high_datum, _ = quotient_datum(datum, v)
-        chains.append(concatenate(datum, v,
-                                  base_case_dim1(low_datum),
-                                  base_case_dim1(high_datum)))
+        rises = [tuple(h - l for h, l in zip(datum.image_dims(b), datum.image_dims(a)))
+                 for a, b in ((zero, v), (v, full))]
+        chains.append(concatenate(base_case_dim1(datum.exponents, zero, v, rises[0]),
+                                  base_case_dim1(datum.exponents, v, full, rises[1])))
     mixed = convex_combine([(Fraction(1, 2), chains[0]), (Fraction(1, 2), chains[1])])
     assert len(vertices_of(mixed)) == 4
     assert verify_presentation(datum, presentation_of(datum, mixed)).valid
@@ -517,11 +547,12 @@ def test_built_constant_dominates_gaussian_ratios(hyp_rng):
 
 
 # Data whose build reaches the tau_i = 1 branch: no candidate is critical at
-# the extreme exponents, so the builder takes a hyperplane through ker pi_i.
-# The third reaches it inside the quotient after splitting at ker pi_1. A
-# generated lattice holds every kernel, and a nonzero ker pi_i is critical
-# when tau_i = 1, so only a given candidate family (the fourth case, with
-# {0} and H alone) reaches the branch with a nonzero kernel.
+# the extreme exponents, so the builder takes a hyperplane through the node
+# kernel (ker pi_i + A) cap B. The third reaches it in the interval
+# [ker pi_1, H] after splitting at ker pi_1. A generated lattice holds every
+# kernel, and a nonzero ker pi_i is critical when tau_i = 1, so only a given
+# candidate family (the fourth case, with {0} and H alone) reaches the branch
+# with a nonzero kernel.
 TAU_ONE_CASES = {
     "identity-r2": (HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),)), False, 1.0),
     "shear-r3": (HBLDatum(3, (Matrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]]),),
@@ -538,28 +569,46 @@ TAU_ONE_CASES = {
 @pytest.mark.parametrize("name", sorted(TAU_ONE_CASES))
 def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
     datum, trivial_family, constant = TAU_ONE_CASES[name]
-    calls = []
-    original = builder._codim1_critical
+    hyperplanes, branches = [], []
+    original_hyperplane, original_choice = builder._codim1_critical, builder._split_subspace
 
-    def recording(d, i):
-        h = original(d, i)
-        calls.append((d, i, h))
+    def hyperplane(kernel, low, high):
+        h = original_hyperplane(kernel, low, high)
+        hyperplanes.append((kernel, low, high, h))
         return h
 
-    monkeypatch.setattr(builder, "_codim1_critical", recording)
+    def choice(d, node, poly, tau, gaps):
+        v, line = original_choice(d, node, poly, tau, gaps)
+        if "branch" in line:
+            branches.append((node, tau, v))
+        return v, line
+
+    monkeypatch.setattr(builder, "_codim1_critical", hyperplane)
+    monkeypatch.setattr(builder, "_split_subspace", choice)
     candidates = (CandidateLattice.from_subspaces(datum.dim, []) if trivial_family
                   else generate_lattice(datum))
     trace: list[str] = []
     pres = build_presentation(datum, candidates, trace=trace)
     assert verify_presentation(datum, pres).valid
     assert any("tau1=1 branch" in line for line in trace)
-    assert calls
-    for d, i, h in calls:
-        assert h.dim == d.dim - 1
-        assert kernel(d.maps[i]) <= h
-        assert subspace_slack(d, h) == 0
+    assert hyperplanes and branches
+    for k, low, high, h in hyperplanes:
+        assert k in datum.kernels
+        assert h.dim == high.dim - 1
+        assert low <= h <= high and (k + low) & high <= h
+    fresh = _fresh(datum)
+    for node, tau, h in branches:
+        assert h in [called[3] for called in hyperplanes]
+        assert interval_slack(fresh, tau, node.low, h) == 0
     if constant is not None:
         assert abs(bound_constant(datum, pres).value - constant) <= 1e-12
+
+
+def interval_slack(datum, tau, low, u) -> Fraction:
+    """Reference slack of U/A in an interval [A, B] at tau: sum_i tau_i
+    (dim pi_i(U) - dim pi_i(A)) - (dim U - dim A), one Fraction per map."""
+    return sum((t * (image(m, u).dim - image(m, low).dim) for t, m in zip(tau, datum.maps)),
+               Fraction(0)) - (u.dim - low.dim)
 
 
 def _fresh(d: HBLDatum) -> HBLDatum:
@@ -568,26 +617,24 @@ def _fresh(d: HBLDatum) -> HBLDatum:
 
 
 def _children(datum, lattice, ready, v, max_size):
-    """The children's families at V, with the children they were made for."""
-    low_datum, high_datum = restrict_datum(datum, v)[0], quotient_datum(datum, v)[0]
-    families = builder._child_families(datum, lattice, ready, v, low_datum, high_datum,
-                                       max_size)
-    return (low_datum, high_datum), families
+    """The children of the root node [0, H] of a family split at V."""
+    root = builder._Node(lattice, -1, Subspace.zero(datum.dim), Subspace.full(datum.dim), ready)
+    return builder._split(datum, root, v, max_size)
 
 
-def _from_intervals(families) -> bool:
-    logs = [family.generation_log[0] for family in families]
-    if logs == ["zero", "zero"]:
-        return False
-    assert logs == ["interval [0, V]", "interval [V, H]"]
-    return True
+def _from_intervals(lattice, children) -> bool:
+    """Whether the children are intervals of the lattice, not regenerated."""
+    shared = [child.lattice is lattice for child in children]
+    assert shared in ([True, True], [False, False])
+    return shared[0]
 
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
 def test_children_read_intervals_off_a_closed_family(hyp_rng):
-    """At every proper V of a ready family L, the children's families are the
-    closures of the split seeds, are closed, and inherit exact image dimensions."""
+    """At every proper V of a ready family L, the children are the intervals
+    [0, V] and [V, H] of L: they hold what the closure of the split seeds
+    holds, and are closed and ready."""
     rng = random.Random(hyp_rng.randint(0, 10**9))
     m = rng.randint(3, 5)
     maps = tuple(random_matrix(rng, rng.randint(1, m - 1), m, -1, 1)
@@ -602,21 +649,23 @@ def test_children_read_intervals_off_a_closed_family(hyp_rng):
     for v in lattice.subspaces:
         if not 0 < v.dim < m:
             continue
-        children, families = _children(datum, lattice, True, v, 64)
-        _, generated = _children(datum, lattice, False, v, 64)
-        assert _from_intervals(families) and not _from_intervals(generated)
-        for child, family, expected in zip(children, families, generated):
-            assert set(family.subspaces) == set(expected.subspaces)
-            assert family.closed and expected.closed and _related(list(family.subspaces)).closed()
-            fresh = _fresh(child)
-            for u in family.subspaces:
-                assert child._image_dims[u] == fresh.image_dims(u)
+        children = _children(datum, lattice, True, v, 64)
+        generated = _children(datum, lattice, False, v, 64)
+        assert _from_intervals(lattice, children) and not _from_intervals(lattice, generated)
+        for child, expected, ends in zip(children, generated, ((Subspace.zero(m), v),
+                                                               (v, Subspace.full(m)))):
+            assert (child.low, child.high) == (expected.low, expected.high) == ends
+            assert list(child.family) == [u for u in lattice.subspaces
+                                          if ends[0] <= u <= ends[1]]
+            assert set(child.family) == set(expected.family)
+            assert child.ready and expected.ready and expected.lattice.closed
+            assert _related(list(child.family)).closed()
 
 
 def test_children_regenerate_when_the_family_cannot_supply_them():
     def from_intervals(datum, lattice, v, max_size=512):
         ready = is_ready(datum, lattice)
-        return _from_intervals(_children(datum, lattice, ready, v, max_size)[1])
+        return _from_intervals(lattice, _children(datum, lattice, ready, v, max_size))
 
     r6 = fourmap_r6_datum()
     unclosed = forcing_lattice()
@@ -639,6 +688,25 @@ def test_children_regenerate_when_the_family_cannot_supply_them():
     v = span(axes[:3], 4)
     assert from_intervals(lw3, lattice, v, max_size=7)
     assert from_intervals(lw3, lattice, v, max_size=8)
+
+
+def test_regenerated_children_are_the_closures_inside_their_intervals():
+    # The family of a child that cannot be read off its parent is the capped
+    # closure inside [A, V] or [V, B] of the ends, the node kernels
+    # (ker pi_i + A) cap B and the seeds U cap V or U + V.
+    lw3 = loomis_whitney_datum(3)
+    axes = [[1 if c == j else 0 for c in range(4)] for j in range(4)]
+    flag = CandidateLattice.from_subspaces(4, [span(axes[:k], 4) for k in (1, 2, 3)])
+    v = span(axes[:2], 4)
+    low, high = _children(lw3, flag, False, v, 512)
+    assert low.lattice.subspaces[:2] == (Subspace.zero(4), v)
+    assert high.lattice.subspaces[:2] == (v, Subspace.full(4))
+    for child in (low, high):
+        assert child.ready == child.lattice.closed
+        assert all(child.low <= u <= child.high for u in child.family)
+        assert {(k + child.low) & child.high for k in lw3.kernels} <= set(child.family)
+    assert {u & v for u in flag} <= set(low.family)
+    assert {u + v for u in flag} <= set(high.family)
 
 
 def _random_datum(rng: random.Random) -> HBLDatum | None:
@@ -678,47 +746,136 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
         assert str(err.value) == (
             f"candidate subspace violates the dimension inequality (dim {v.dim}, slack {slack})")
         return
-    with mock.patch.object(builder, "_child_families",
-                           wraps=builder._child_families) as spy:
+    chosen = []
+    original = builder._split_subspace
+
+    def choice(d, node, poly, tau, gaps):
+        v, line = original(d, node, poly, tau, gaps)
+        chosen.append((node, tau, v))
+        return v, line
+
+    with mock.patch.object(builder, "_split_subspace", choice):
         try:
             build_presentation(datum, lattice)
         except BuildError as err:
             assert isinstance(err, InsufficientCandidates)
             assert "candidate set insufficient" in str(err)
-    for call in spy.call_args_list:
-        node, family, _, v = call.args[:4]
-        assert reference_violation(node, family) is None
-        criticals = reference_critical(node, family)
+    fresh = _fresh(datum)
+    for node, tau, v in chosen:
+        slacks = [(u, interval_slack(fresh, tau, node.low, u)) for u in node.family]
+        assert all(slack >= 0 for _, slack in slacks)
+        span = node.high.dim - node.low.dim
+        criticals = sorted((u for u, slack in slacks
+                            if slack == 0 and 0 < u.dim - node.low.dim < span),
+                           key=lambda u: (u.dim, u.basis.entries))
         if criticals:
             assert v == criticals[0]
 
 
-# A split reads its children's families off the parent's, and a Caratheodory
-# step takes the null space of its tight rows' echelon, so the builder calls
-# `kernel` on neither lw4 nor r6 (the readiness check's kernels are the
-# datum's, computed in data); a builder that computed those of every child
-# map made 109 on lw4 and 67 on r6, and one that formed a Matrix of the
-# tight rows made 9 and 3.
+def _reference_node(datum, node):
+    """The node's datum on high/low and its family in that datum's chart, by
+    the public restriction to high and quotient by low."""
+    chart = node.high.retraction()
+    low = image(chart, node.low)
+    quotient = quotient_datum(restrict_datum(datum, node.high)[0], low)[0]
+    perp = low.perp()
+    return quotient, [image(perp.retraction(), image(chart, u) & perp) for u in node.family]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_interval_rows_are_the_rows_of_the_restricted_quotient(hyp_rng):
+    """On random ready families in R^3-R^5, every node's polytope, read off
+    the interval [A, B] of the top-level family and the build's own table,
+    has the rows of the chart datum that restriction to B and quotient by A
+    give, in the same order, with that datum's ranks computed afresh."""
+    datum = _random_datum(random.Random(hyp_rng.randint(0, 10**9)))
+    if datum is None:
+        return
+    lattice = generate_lattice(datum, max_size=64)
+    if not is_ready(datum, lattice):
+        return
+    made = []
+
+    class Recorded(builder._Node):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with mock.patch.object(builder, "_Node", Recorded):
+        try:
+            build_presentation(datum, lattice)
+        except BuildError:
+            pass
+    for node in made:
+        if node.poly is None:
+            continue
+        assert node.ready
+        reference = polytope_from_candidates(*_reference_node(datum, node))
+        assert [(r.coeffs, r.rhs, r.equality, r.provenance) for r in node.poly.rows] \
+            == [(r.coeffs, r.rhs, r.equality, r.provenance) for r in reference.rows]
+
+
+def _counting(monkeypatch, functions) -> Counter:
+    """Count the calls of each named function from every hblcert module,
+    wherever the module binds it."""
+    counts: Counter = Counter()
+    for name, fn in functions.items():
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "hblcert":
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted)
+    return counts
+
+
+# On a ready family every node is an interval of the top-level family: its
+# rows come from the build's table and its children from the kept order, so
+# the recursion forms no child datum, image or Zassenhaus meet. The builder
+# that made chart data made 4 restrictions, 4 quotients and 78 images on lw4.
+@pytest.mark.parametrize("name", ["lw4", "r6", "lw4-unimodular"])
+def test_a_ready_build_forms_no_chart_data(name, monkeypatch):
+    datum = transformed_lw4() if name == "lw4-unimodular" else ALL_FIXTURES[name][0]()
+    lattice = generate_lattice(datum)
+    assert is_ready(datum, lattice)
+    counts = _counting(monkeypatch, {
+        "restrict_datum": data_module.restrict_datum,
+        "quotient_datum": data_module.quotient_datum,
+        "image": linalg.image,
+        "sum_and_intersection": linalg.sum_and_intersection,
+    })
+    assert verify_presentation(datum, build_presentation(datum, lattice)).valid
+    assert not counts
+
+
+# A node's kernels are (ker pi_i + A) cap B of the datum's kernels, needed
+# only off the ready path, and a Caratheodory step takes the null space of
+# its tight rows' echelon, so a build calls `kernel` only to trim more than
+# n + 1 Caratheodory terms, and on neither lw4 nor r6 (the datum's kernels
+# are computed once, with its lattice); a builder that computed those of
+# every child map made 109 on lw4 and 67 on r6, and one that formed a Matrix
+# of the tight rows made 9 and 3.
 @pytest.mark.parametrize("name, limit", [("lw4", 14), ("r6", 7)])
 def test_splits_compute_no_kernels(name, limit, monkeypatch):
     datum = ALL_FIXTURES[name][0]()
     lattice = generate_lattice(datum)
-    calls = []
-    original = builder.kernel
-    monkeypatch.setattr(builder, "kernel", lambda m: calls.append(m) or original(m))
+    counts = _counting(monkeypatch, {"kernel": linalg.kernel})
     build_presentation(datum, lattice)
-    assert len(calls) <= limit
+    assert counts["kernel"] <= limit
 
 
 # Each recursion node's polytope and each split are made once per build. On
-# lw4 the root is not extreme: its Caratheodory vertices share its maps and
-# family, so they share its polytope and splits, and the children of a split
-# are shared likewise. Without the nodes' caches the build made 13 polytopes
-# and 10 quotients.
+# lw4 the root is not extreme: its Caratheodory vertices share its interval
+# and family, so they share its polytope and splits, and the children of a
+# split are shared likewise. Without the nodes' caches the build made 13
+# polytopes and 10 splits.
 def test_node_work_is_done_once_per_build(monkeypatch):
     datum = loomis_whitney_datum(4)
     lattice = generate_lattice(datum)
-    calls = {"polytope": 0, "quotient": 0}
+    calls = {"polytope": 0, "split": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -728,11 +885,11 @@ def test_node_work_is_done_once_per_build(monkeypatch):
 
     monkeypatch.setattr(builder, "polytope_from_candidates",
                         counted("polytope", builder.polytope_from_candidates))
-    monkeypatch.setattr(builder, "quotient_datum", counted("quotient", builder.quotient_datum))
+    monkeypatch.setattr(builder, "_split", counted("split", builder._split))
     for _ in range(2):  # nothing is kept from one build to the next
-        calls.update(polytope=0, quotient=0)
+        calls.update(polytope=0, split=0)
         assert verify_presentation(datum, build_presentation(datum, lattice)).valid
-        assert calls == {"polytope": 4, "quotient": 4}
+        assert calls == {"polytope": 4, "split": 4}
 
 
 # The recursion passes edge tables, and only the top-level table becomes a
@@ -751,7 +908,7 @@ def test_build_makes_one_graph(name, monkeypatch):
         assert len(calls) == 1
 
 
-# The node tree holds every polytope and child datum of a build; nothing may
+# The node tree holds every polytope and child family of a build; nothing may
 # keep it alive in a reference cycle once the build returns, or it would
 # wait for the cycle collector.
 @pytest.mark.parametrize("name", ["lw4", "r6"])
@@ -761,8 +918,8 @@ def test_build_frees_its_node_tree_by_reference_counting(name, monkeypatch):
     made = []
     original = builder.polytope_from_candidates
 
-    def recording(d, family):
-        poly = original(d, family)
+    def recording(*args):
+        poly = original(*args)
         made.append(weakref.ref(poly))
         return poly
 
@@ -799,8 +956,9 @@ def _flipped(order, rng: random.Random):
 
 
 # A corrupt order may make a build fail, but never gives a certificate that a
-# fresh datum rejects, nor a derived dimension to the caller's datum. Only
-# flips that change a derived dimension are built.
+# fresh datum rejects, nor a derived dimension to the caller's datum. The
+# builder reads the image dimensions off the order's meets and each split's
+# intervals off its down masks, so only flips that change neither are skipped.
 @pytest.mark.parametrize("name", ["lw3", "lw4", "r6"])
 def test_a_corrupt_inclusion_order_never_passes_a_wrong_certificate(name):
     make = ALL_FIXTURES[name][0]
@@ -811,7 +969,8 @@ def test_a_corrupt_inclusion_order_never_passes_a_wrong_certificate(name):
     for _ in range(2000):
         corrupt = dataclasses.replace(lattice, order=_flipped(lattice.order, rng))
         datum = make()
-        if corrupt.meet_image_dims(datum.kernels) == exact:
+        if corrupt.order.down == lattice.order.down \
+                and corrupt.meet_image_dims(datum.kernels) == exact:
             continue
         try:
             pres = build_presentation(datum, corrupt)

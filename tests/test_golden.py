@@ -17,7 +17,7 @@ import pytest
 
 from hblcert.builder import build_presentation
 from hblcert.cli import main
-from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, transform_datum
+from hblcert.data import CandidateLattice, HBLDatum, generate_lattice
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -29,14 +29,7 @@ from hblcert.formats import serialize_datum, serialize_presentation
 from hblcert.linalg import Matrix, span
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
-from conftest import random_invertible
-
-
-def _transformed_lw4() -> HBLDatum:
-    rng = random.Random(7)
-    t = random_invertible(rng, 5, shears=10)
-    s_list = [random_invertible(rng, 4, shears=4) for _ in range(5)]
-    return transform_datum(loomis_whitney_datum(4), t, s_list)
+from conftest import transformed_lw4
 
 
 def _interior_subsets() -> HBLDatum:
@@ -58,7 +51,10 @@ def _r6_seed():
 CASES = {
     "lw3": (lambda: loomis_whitney_datum(3), lambda: ()),
     "lw4": (lambda: loomis_whitney_datum(4), lambda: ()),
-    "lw4-unimodular": (_transformed_lw4, lambda: ()),
+    "lw4-unimodular": (transformed_lw4, lambda: ()),
+    # A node of this build has two criticals that the chart of its interval
+    # and the top-level space order differently; the top-level order decides.
+    "lw4-unimodular-2": (lambda: transformed_lw4(2), lambda: ()),
     "r6-seeded": (fourmap_r6_datum, lambda: (_r6_seed(),)),
     "subsets-interior": (_interior_subsets, lambda: ()),
 }
@@ -66,7 +62,8 @@ CASES = {
 # sha256 of (lattice subspaces, generation log, serialized certificate,
 # constant factors, build trace). The first four were recorded from the
 # Fraction Gauss-Jordan implementation, the trace before the builder made
-# each node's polytope and split once per build.
+# each node's polytope and split once per build; lw4-unimodular-2 when the
+# recursion nodes became intervals of the top-level family.
 GOLDEN = {
     "lw3": (
         "2183fd8240a04c119eb881e7263125f15296a875cda517f545ba08357783015a",
@@ -88,6 +85,13 @@ GOLDEN = {
         "63c392df0e12a54fe4ec6b63d083a76121e852914282cac9aa24051850f0a511",
         "a7be43c1f3735e991b5346578dc20249948c2108f23486b4c519718ef3930bbc",
         "77a96aa8e9289d110676abd2097ea06efba58cbed5ef29a40edf25419f527ce9",
+    ),
+    "lw4-unimodular-2": (
+        "f8f7a8466b846f48e068c9ece1f28286057e519d56eab5a7054f98b0b0a25a90",
+        "65c64057b7201c2838f553106e5683082f81018c7ea803520a919fddd7582dd6",
+        "99fc0bf5c636a18a4ba08893558bf719b47341a8b92fec6445acaa03d512f8ad",
+        "d681bf119b6cc02b0c3479c4438ce00aeb3bde52fd789aa62b42af1569dafadf",
+        "9383c9a735010ebe4417b1e3ec28f6a3156e4da93d4c7396bc290022bad95695",
     ),
     "r6-seeded": (
         "6034eecc52ce844688344448bfeee9987bae0627b623491ebfaf0ed1416cb191",

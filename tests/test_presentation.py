@@ -35,6 +35,7 @@ from conftest import (
     random_invertible,
     random_matrix,
     random_signed_permutation,
+    random_subspace,
     reference_summary,
 )
 
@@ -364,3 +365,19 @@ def test_unimodular_transport_preserves_the_constant():
         assert report.valid, report.problems
         moved_cert = bound_constant(moved_datum, moved_pres)
         assert moved_cert.value == pytest.approx(cert.value, rel=1e-9)
+
+
+@given(st.integers(3, 6), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_new_direction_is_the_line_high_cap_low_perp(ambient, hyp_rng):
+    # The edge direction is one null space over m columns; the reference is
+    # the Zassenhaus meet with the complement, over 2m.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    low = random_subspace(rng, ambient, max_dim=ambient - 1)
+    while True:
+        high = low + span([[rng.randint(-2, 2) for _ in range(ambient)]], ambient)
+        if high != low:
+            break
+    assert presentation._new_direction(low, high) == (high & low.perp()).echelon[0]
+    with pytest.raises(ValueError, match="does not raise dimension by one"):
+        presentation._new_direction(low, low)
