@@ -13,11 +13,12 @@ unioned. On a ready top-level family (data.is_ready) the children are its
 intervals, read off the kept inclusion order, and the image dimensions come
 from its meets; other families are closed afresh inside each child. A node's
 polytope and splits do not depend on its exponents, so its extreme points and
-its revisits share them. The scaling equality is checked once, at the top:
-extreme points lie on the polytope's B row, and the children of a split at a
-critical V inherit it. The one presentation made from the top-level table is
-verified exactly, so an impoverished candidate family can only cause an
-explicit failure, never a wrong certificate.
+its revisits share them. The scaling equality is checked at the top and
+again, in integers, on each dimension-one edge (base_case_dim1); the nodes
+between inherit it: extreme points lie on the polytope's B row, and the
+children of a split at a critical V inherit it. The one presentation made
+from the top-level table is verified exactly, so an impoverished candidate
+family can only cause an explicit failure, never a wrong certificate.
 """
 
 from __future__ import annotations
@@ -475,7 +476,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     holds, lhs, rhs = check_scaling(datum)
     if not holds:
         raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
-    ready, top = is_ready(datum, candidates) and candidates.order is not None, datum
+    ready, top = is_ready(datum, candidates), datum
     if ready:
         # The family's image dimensions from its meets fill a table of the
         # builder's own: the verification below computes its ranks afresh.

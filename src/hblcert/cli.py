@@ -5,8 +5,9 @@ emit text or JSON reports (DOT for diagram export). Exit status 0 means a
 positive verdict (valid, feasible, dominated), 1 a mathematically negative
 verdict with the report attached, 2 malformed input or usage errors, 3 an
 unexpected internal error, reported on one `error: internal:` line, and 4 an
-inconclusive verdict: a `check-data` that finds neither a violation nor a
-proof of feasibility, or a `build` whose candidate family is insufficient.
+inconclusive verdict: a `check-data` that finds no violation but cannot build
+a certificate on the family, or a `build` whose candidate family is
+insufficient.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 
 from hblcert import builder as builder_mod
 from hblcert import formats
-from hblcert.data import CandidateLattice, check_scaling, generate_lattice, is_ready
+from hblcert.data import CandidateLattice, check_scaling, generate_lattice
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
-from hblcert.presentation import bound_constant, export_dot, verify_presentation
+from hblcert.presentation import _certificate, export_dot, verify_presentation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +94,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _certificate_dict(datum, pres) -> dict:
-    cert = bound_constant(datum, pres)
+    """The constant of a presentation that verify_presentation has found valid."""
+    cert = _certificate(datum, pres)
     return {
         "value": cert.value,
         "exact_one": cert.exact_one,
@@ -135,14 +137,13 @@ def _cmd_check_data(args) -> tuple[int, dict]:
             "classification": "scaling" if row.equality else "violating",
             "basis": _basis(row.subspace),
         }
-    elif not is_ready(datum, candidates):
-        try:  # on a family that is not ready, only a certificate proves feasibility
-            builder_mod.build_presentation(datum, candidates, max_lattice=args.max_lattice)
-            out["proof"] = "certificate"
-        except builder_mod.BuildError as exc:
-            out.update(verdict="inconclusive", reason=str(exc))
-            return 4, out
-    return (0 if violation is None else 1), out
+        return 1, out
+    try:  # only a certificate on the family, verified by the build, proves feasibility
+        builder_mod.build_presentation(datum, candidates, max_lattice=args.max_lattice)
+    except builder_mod.BuildError as exc:
+        out.update(verdict="inconclusive", reason=str(exc))
+        return 4, out
+    return 0, out
 
 
 def _cmd_polytope(args) -> tuple[int, dict]:
@@ -271,7 +272,7 @@ def _cmd_quadrature(args) -> tuple[int, dict]:
     if not report.valid:
         return 1, {"command": "quadrature", "verdict": "invalid",
                    "problems": list(report.problems)}
-    cert = bound_constant(datum, pres)
+    cert = _certificate(datum, pres)
     rng = np.random.default_rng(args.seed)
     trials = []
     worst = 0.0

@@ -97,14 +97,14 @@ class CandidateLattice:
     Order is insertion order ({0}, H, kernels, seeds, then closure
     products), and iterating a family gives its members in that order;
     `closed` records whether sum/intersection closure reached a fixpoint
-    before the size cap. `order`, when kept, is the inclusion order of the
-    members, complete when the family is closed.
+    before the size cap. `order` is the inclusion order of the members,
+    complete when the family is closed.
     """
 
     subspaces: tuple[Subspace, ...]
     closed: bool
     generation_log: tuple[str, ...]
-    order: _Inclusions | None = field(default=None, compare=False, repr=False)
+    order: _Inclusions = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.subspaces)) != len(self.subspaces):

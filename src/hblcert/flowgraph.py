@@ -139,17 +139,8 @@ class WeightFunction:
                 raise ValueError("weight vector width mismatch")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], width: int) -> WeightFunction:
-        vals = tuple(tuple(frac(x) for x in r) for r in rows)
-        return WeightFunction(width, vals)
-
-    @staticmethod
     def scalar(values: Sequence) -> WeightFunction:
         return WeightFunction(1, tuple((frac(x),) for x in values))
-
-    @staticmethod
-    def zeros(n_edges: int, width: int) -> WeightFunction:
-        return WeightFunction(width, ((Fraction(0),) * width,) * n_edges)
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for vec in self.values for x in vec)

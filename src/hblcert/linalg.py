@@ -122,10 +122,6 @@ class Matrix:
                                                    for i in range(len(rows))))
 
     @staticmethod
-    def identity(n: int) -> Matrix:
-        return _reduced(1, [[int(i == j) for j in range(n)] for i in range(n)], n)
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> Matrix:
         return _reduced(1, [[0] * cols] * rows, cols)
 

@@ -227,6 +227,11 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
     report = verify_presentation(datum, pres)
     if not report.valid:
         raise ValueError("bound_constant requires a valid presentation: " + "; ".join(report.problems))
+    return _certificate(datum, pres)
+
+
+def _certificate(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
+    """bound_constant on a presentation that verify_presentation has found valid."""
     graph, theta = pres.graph, pres.theta
     factors = []
     for k, ((a, b), maps) in enumerate(zip(graph.edges, _distinguishing(datum, graph))):

@@ -10,7 +10,7 @@ from hblcert.builder import polytope_from_candidates
 from hblcert.data import HBLDatum, transform_datum
 from hblcert.fixtures import loomis_whitney_datum
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, image, kernel
+from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, frac, image, kernel
 
 
 def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
@@ -95,6 +95,21 @@ def reference_summary(datum, pres) -> tuple[tuple[Fraction], ...]:
 def norm_sq(v) -> Fraction:
     """Reference squared Euclidean length, in Fractions."""
     return sum((Fraction(x) * x for x in v), Fraction(0))
+
+
+def identity(n: int) -> Matrix:
+    """The n x n identity matrix."""
+    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def weight_rows(rows, width: int) -> WeightFunction:
+    """A weight function from rows of ints, Fractions or strings like "1/2"."""
+    return WeightFunction(width, tuple(tuple(frac(x) for x in row) for row in rows))
+
+
+def zero_weights(n_edges: int, width: int) -> WeightFunction:
+    """The weight function that is zero on every edge."""
+    return WeightFunction(width, ((Fraction(0),) * width,) * n_edges)
 
 
 def rand_fraction(rng: random.Random, lo: int = -3, hi: int = 3, den: int = 4) -> Fraction:

@@ -44,7 +44,7 @@ from hblcert.oracle import (
 )
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
-from conftest import random_balanced_weight, random_flag_graph, random_matrix, scan
+from conftest import random_balanced_weight, random_flag_graph, random_matrix, scan, weight_rows
 from test_presentation import transport_presentation
 
 from hblcert.data import transform_datum
@@ -73,7 +73,7 @@ def test_criterion_02_mutation_soundness():
         delta = rng.choice([Fraction(1, 4), Fraction(-1, 4)])
         rows = [list(v) for v in pres.theta.values]
         rows[edge][comp] += delta
-        mutated = Presentation(pres.graph, WeightFunction.from_rows(rows, datum.n_maps))
+        mutated = Presentation(pres.graph, weight_rows(rows, datum.n_maps))
         rep = verify_presentation(datum, mutated)
         assert not rep.valid, f"false accept on trial {trial}"
         assert any(p.startswith(named) for p in rep.problems), rep.problems

@@ -49,6 +49,7 @@ from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
 from conftest import (
+    identity,
     random_matrix,
     random_subspace,
     reference_extremes,
@@ -139,7 +140,7 @@ def test_loomis_whitney_polytope_contains_the_balanced_vertex():
 
 
 def test_single_map_polytope():
-    datum = HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),))
+    datum = HBLDatum(2, (identity(2),), ("id",), (Fraction(1),))
     poly = polytope_from_candidates(datum, CandidateLattice.from_subspaces(2, []))
     assert enumerate_extremes(poly) == ((Fraction(1),),)
 
@@ -311,7 +312,7 @@ def test_caratheodory_rejects_non_members():
 
 def test_base_case_examples():
     zero, line = Subspace.zero(1), Subspace.full(1)
-    one = HBLDatum(1, (Matrix.identity(1),), ("id",), (Fraction(1),))
+    one = HBLDatum(1, (identity(1),), ("id",), (Fraction(1),))
     assert base_case_dim1(one.exponents, zero, line, one.ranks) == {(zero, line): (Fraction(1),)}
     assert verify_presentation(one, presentation_of(one, base_case_dim1(
         one.exponents, zero, line, one.ranks))).valid
@@ -319,7 +320,7 @@ def test_base_case_examples():
     half = (Fraction(1, 2), Fraction(1, 2))
     assert base_case_dim1(half, zero, line, (1, 1)) == {(zero, line): half}
 
-    with_rank0 = HBLDatum(1, (Matrix.identity(1), Matrix.zeros(1, 1)), ("a", "z"),
+    with_rank0 = HBLDatum(1, (identity(1), Matrix.zeros(1, 1)), ("a", "z"),
                           (Fraction(1), Fraction(1)))
     report = verify_presentation(with_rank0, presentation_of(with_rank0, base_case_dim1(
         with_rank0.exponents, zero, line, with_rank0.ranks)))
@@ -554,7 +555,7 @@ def test_built_constant_dominates_gaussian_ratios(hyp_rng):
 # candidate family (the fourth case, with {0} and H alone) reaches the branch
 # with a nonzero kernel.
 TAU_ONE_CASES = {
-    "identity-r2": (HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),)), False, 1.0),
+    "identity-r2": (HBLDatum(2, (identity(2),), ("id",), (Fraction(1),)), False, 1.0),
     "shear-r3": (HBLDatum(3, (Matrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]]),),
                           ("A",), (Fraction(1),)), False, 1 / 7),
     "quotient-r3": (HBLDatum(3, (Matrix.from_rows([[1, 1, 0], [0, 1, 1]]),

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from hblcert import cli, flowgraph, formats
 from hblcert.builder import build_presentation
 from hblcert.cli import main
-from hblcert.data import HBLDatum, generate_lattice, is_ready
+from hblcert.data import HBLDatum, generate_lattice
 from hblcert.linalg import kernel
+from hblcert.presentation import verify_presentation
 
 from conftest import random_matrix, reference_violation
 
@@ -73,13 +74,52 @@ def test_verify_mismatched_pair_is_invalid(capsys):
     assert report["verdict"] == "invalid"
 
 
-def test_check_data_flags_violation(capsys, tmp_path):
+def _fixture_args(command: str, name: str) -> tuple[str, ...]:
+    args = (command, "--data", fixture(f"{name}.datum.json"))
+    if command in ("verify", "bound", "quadrature"):
+        args += ("--presentation", fixture(f"{name}.presentation.json"))
+    return args
+
+
+def _count_verifications(monkeypatch) -> list:
+    """Wrap verify_presentation by identity across the loaded hblcert
+    modules, however each imported it; each call appends to the list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_presentation(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hblcert":
+            for key, value in list(vars(module).items()):
+                if value is verify_presentation:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.mark.parametrize("args", [
+    *(_fixture_args(command, name) for name in ("lw2", "lw3", "lw4", "lw5", "r6")
+      for command in ("verify", "bound", "build", "check-data")),
+    _fixture_args("quadrature", "lw2"),
+    ("check-data", "--data", fixture("r6.datum.json"),
+     "--candidates", fixture("r6_forcing.candidates.txt")),
+], ids=lambda args: " ".join(pathlib.Path(a).name for a in args))
+def test_each_certificate_verdict_verifies_once(capsys, monkeypatch, args):
+    # One exact verification decides each verdict that rests on a certificate.
+    calls = _count_verifications(monkeypatch)
+    code, _ = run_json(capsys, *args)
+    assert code == 0 and len(calls) == 1
+
+
+def test_check_data_flags_violation(capsys, monkeypatch, tmp_path):
     bad = json.loads((FIXTURE_DIR / "lw2.datum.json").read_text())
     bad["exponents"] = ["3/4", "3/4", "0"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
+    calls = _count_verifications(monkeypatch)
     code, report = run_json(capsys, "check-data", "--data", str(path))
-    assert code == 1
+    assert code == 1 and calls == []  # a violation needs no certificate
     assert report["verdict"] == "violation"
     assert report["violation"]["slack"] == "-1/4"
     assert report["violation"]["basis"] == [["1", "0", "0"]]
@@ -104,10 +144,11 @@ def lw2_with_exponents(tmp_path, exponents):
 
 
 def test_check_data_needs_a_proof_when_the_family_is_not_ready(capsys, tmp_path):
-    # lw2 at (1, 1/4, 1/4) violates at ker pi_1 = span{e1} with slack -1/2,
-    # which neither {0, H} (a cap of 2, or a file of comments) nor the build
-    # on that family can see: the build meets a violation only below the
-    # vertex (1, 0, 1/2) and says so. The family a cap of 3 generates holds e1.
+    # On every family, ready or not, the proof of "feasible" is a certificate
+    # built on it. lw2 at (1, 1/4, 1/4) violates at ker pi_1 = span{e1} with
+    # slack -1/2, which neither {0, H} (a cap of 2, or a file of comments) nor
+    # the build on that family can see: the build meets a violation only below
+    # the vertex (1, 0, 1/2) and says so. The family a cap of 3 generates holds e1.
     path = lw2_with_exponents(tmp_path, ["1", "1/4", "1/4"])
     comments = tmp_path / "comments.txt"
     comments.write_text("# no subspace\n")
@@ -123,11 +164,14 @@ def test_check_data_needs_a_proof_when_the_family_is_not_ready(capsys, tmp_path)
     # r6 with its forcing candidates: not closed, but the build certifies it.
     code, report = run_json(capsys, "check-data", "--data", fixture("r6.datum.json"),
                             "--candidates", fixture("r6_forcing.candidates.txt"))
-    assert code == 0 and report["verdict"] == "feasible"
-    assert report["proof"] == "certificate" and report["lattice"]["closed"] is False
-    # A ready family needs no certificate, and the report has no proof key.
+    assert code == 0 and report["verdict"] == "feasible" and "proof" not in report
+    assert report["lattice"]["closed"] is False
+    # A ready family is proved the same way, and no report names its proof:
+    # the schema rejects a "proof" key.
     code, report = run_json(capsys, "check-data", "--data", fixture("r6.datum.json"))
     assert code == 0 and report["verdict"] == "feasible" and "proof" not in report
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**report, "proof": "certificate"}, SCHEMA)
 
 
 def _small_random_datum(rng: random.Random) -> HBLDatum | None:
@@ -151,8 +195,8 @@ def _small_random_datum(rng: random.Random) -> HBLDatum | None:
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_check_data_says_feasible_only_with_a_proof(hyp_rng):
-    """At every lattice cap, "feasible" comes from a ready family or a built
-    certificate, and never disagrees with a closed lattice's verdict."""
+    """At every lattice cap, "feasible" means that a certificate built on that
+    family verifies, and never disagrees with a closed lattice's verdict."""
     datum = _small_random_datum(random.Random(hyp_rng.randint(0, 10**9)))
     if datum is None:
         return
@@ -171,13 +215,12 @@ def test_check_data_says_feasible_only_with_a_proof(hyp_rng):
             jsonschema.validate(report, SCHEMA)
             verdict = report["verdict"]
             assert code == {"feasible": 0, "violation": 1, "inconclusive": 4}[verdict]
+            assert "proof" not in report
             lattice = generate_lattice(datum, max_size=cap)
             if verdict == "feasible":
                 assert not violated
-                if "proof" in report:
-                    build_presentation(datum, lattice, max_lattice=cap)
-                else:
-                    assert is_ready(datum, lattice)
+                pres = build_presentation(datum, lattice, max_lattice=cap)
+                assert verify_presentation(datum, pres).valid
             elif verdict == "violation":
                 assert violated or not full.closed
 
@@ -260,9 +303,9 @@ def test_build_with_an_insufficient_family_is_inconclusive(capsys):
 
 @pytest.mark.parametrize("cap", ["2", "4"])
 def test_a_ready_family_builds_at_any_lattice_cap(capsys, tmp_path, cap):
-    # lw4's closed lattice, given as a file, is ready: check-data proves it
-    # feasible without a certificate, and the build reads each split's
-    # families off its intervals, which the cap on generation does not limit.
+    # lw4's closed lattice, given as a file, is ready: check-data and build
+    # read each split's families off its intervals, which the cap on
+    # generation does not limit.
     datum = formats.parse_datum((FIXTURE_DIR / "lw4.datum.json").read_text())
     path = tmp_path / "lw4.candidates.txt"
     path.write_text("".join("; ".join(" ".join(map(str, row)) for row in v.basis_rows()) + "\n"

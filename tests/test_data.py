@@ -23,6 +23,7 @@ from hblcert.linalg import Matrix, Subspace, image, image_rank, kernel, span
 
 from conftest import (
     fraction_slack,
+    identity,
     random_invertible,
     random_matrix,
     random_signed_permutation,
@@ -70,7 +71,7 @@ def test_lattice_for_loomis_whitney_closes_at_eight():
 
 
 def test_lattice_with_injective_map_stays_small():
-    datum = HBLDatum(2, (Matrix.identity(2),), ("id",), (Fraction(1),))
+    datum = HBLDatum(2, (identity(2),), ("id",), (Fraction(1),))
     lat = generate_lattice(datum)
     assert lat.closed
     assert set(lat.subspaces) == {Subspace.zero(2), Subspace.full(2)}
@@ -121,7 +122,7 @@ def test_restrict_examples():
     assert embedding == Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
 
     same, chart = restrict_datum(lw, Subspace.full(3))
-    assert same.maps == lw.maps and chart == Matrix.identity(3)
+    assert same.maps == lw.maps and chart == identity(3)
 
     r6 = fourmap_r6_datum()
     one, _ = restrict_datum(r6, span([[1, 0, 0, 0, 0, 0]], 6))
@@ -156,17 +157,17 @@ def test_quotient_examples():
 
 def test_transform_identity_and_permutation():
     lw = loomis_whitney_datum(2)
-    same = transform_datum(lw, Matrix.identity(3), [Matrix.identity(2)] * 3)
+    same = transform_datum(lw, identity(3), [identity(2)] * 3)
     assert same.maps == lw.maps
 
     perm = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    moved = transform_datum(lw, perm, [Matrix.identity(2)] * 3)
+    moved = transform_datum(lw, perm, [identity(2)] * 3)
     new_kernels = {kernel(m) for m in moved.maps}
     expected = {image(perm, kernel(m)) for m in lw.maps}
     assert new_kernels == expected
 
     with pytest.raises(ValueError):
-        transform_datum(lw, Matrix.zeros(3, 3), [Matrix.identity(2)] * 3)
+        transform_datum(lw, Matrix.zeros(3, 3), [identity(2)] * 3)
 
 
 def test_transform_preserves_slack_on_transported_subspaces():
@@ -359,7 +360,7 @@ def test_a_duplicate_does_not_count_against_the_cap(datum, max_size, closed):
 
 def relabelled(datum, perm):
     t = Matrix.from_rows([[int(c == p) for c in range(len(perm))] for p in perm])
-    return transform_datum(datum, t, [Matrix.identity(m.rows) for m in datum.maps])
+    return transform_datum(datum, t, [identity(m.rows) for m in datum.maps])
 
 
 def signed_r6():

@@ -22,7 +22,14 @@ from hblcert.flowgraph import (
 from hblcert.linalg import Matrix, Subspace, kernel, span
 from hblcert.presentation import summary_weight
 
-from conftest import random_balanced_weight, random_flag_graph, random_matrix
+from conftest import (
+    identity,
+    random_balanced_weight,
+    random_flag_graph,
+    random_matrix,
+    weight_rows,
+    zero_weights,
+)
 
 
 def lw_chain():
@@ -58,7 +65,7 @@ def test_r6_weights_balanced_with_mass_half():
 
 def test_zero_weight_is_balanced_with_zero_mass():
     g = lw_chain()
-    w = WeightFunction.zeros(len(g.edges), 2)
+    w = zero_weights(len(g.edges), 2)
     assert is_balanced(g, w)
     assert total_mass(g, w) == (Fraction(0), Fraction(0))
 
@@ -71,7 +78,7 @@ def test_perturbed_diamond_edge_unbalances_the_join():
     target = next(k for k, (a, b) in enumerate(g.edges) if g.vertices[b] == v5)
     rows = [list(v) for v in pres.theta.values]
     rows[target][0] = Fraction(1, 4)
-    assert not is_balanced(g, WeightFunction.from_rows(rows, 4))
+    assert not is_balanced(g, weight_rows(rows, 4))
 
 
 def test_sigma_decomposes_into_two_chains_through_the_diamond():
@@ -87,13 +94,13 @@ def test_sigma_decomposes_into_two_chains_through_the_diamond():
 
 def test_zero_weight_decomposes_to_no_terms():
     g = lw_chain()
-    assert decompose_flow(g, WeightFunction.zeros(len(g.edges), 3)).terms == ()
+    assert decompose_flow(g, zero_weights(len(g.edges), 3)).terms == ()
 
 
 def test_single_chain_constant_weight():
     g = lw_chain()
     tau = Fraction(2, 5)
-    w = WeightFunction.from_rows([[tau]] * len(g.edges), 1)
+    w = weight_rows([[tau]] * len(g.edges), 1)
     terms = decompose_flow(g, w).terms
     assert len(terms) == 1
     assert terms[0].coefficient == tau
@@ -104,10 +111,10 @@ def test_decompose_rejects_unbalanced_and_negative():
     g = lw_chain()
     rows = [[Fraction(1)], [Fraction(1, 2)], [Fraction(1)]]
     with pytest.raises(ValueError, match="not balanced"):
-        decompose_flow(g, WeightFunction.from_rows(rows, 1))
+        decompose_flow(g, weight_rows(rows, 1))
     rows = [[Fraction(-1)], [Fraction(-1)], [Fraction(-1)]]
     with pytest.raises(ValueError, match="negative"):
-        decompose_flow(g, WeightFunction.from_rows(rows, 1))
+        decompose_flow(g, weight_rows(rows, 1))
 
 
 def test_project_lw_chain_through_the_top_map():
@@ -121,7 +128,7 @@ def test_project_lw_chain_through_the_top_map():
 
 def test_project_by_identity_is_isomorphic():
     g = lw_chain()
-    projected, edge_map = project_graph(g, Matrix.identity(3))
+    projected, edge_map = project_graph(g, identity(3))
     assert projected == g
     assert edge_map == tuple(range(len(g.edges)))
 
@@ -149,7 +156,7 @@ def test_project_weight_lw():
 def test_project_zero_weight():
     g = lw_chain()
     datum = loomis_whitney_datum(2)
-    pushed = project_weight(g, WeightFunction.zeros(len(g.edges), 1), datum.maps[0])
+    pushed = project_weight(g, zero_weights(len(g.edges), 1), datum.maps[0])
     assert all(v == (Fraction(0),) for v in pushed.values)
 
 
@@ -186,7 +193,7 @@ def test_chain_indicator_is_balanced_with_mass_one():
             a = graph.vertex_index[flag[k]]
             b = graph.vertex_index[flag[k + 1]]
             values[graph.edge_index[(a, b)]][0] = Fraction(1)
-        w = WeightFunction.from_rows(values, 1)
+        w = weight_rows(values, 1)
         assert is_balanced(graph, w)
         assert total_mass(graph, w) == (Fraction(1),)
 

@@ -29,7 +29,7 @@ from hblcert.formats import serialize_datum, serialize_presentation
 from hblcert.linalg import Matrix, span
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
-from conftest import transformed_lw4
+from conftest import transformed_lw4, weight_rows
 
 
 def _interior_subsets() -> HBLDatum:
@@ -212,7 +212,7 @@ def _mutant(name: str, seed: int):
     edge = rng.randrange(len(rows))
     comp = rng.randrange(datum.n_maps)
     rows[edge][comp] += rng.choice([Fraction(1, 4), Fraction(-1, 3), Fraction(-1), Fraction(2)])
-    return datum, Presentation(pres.graph, WeightFunction.from_rows(rows, datum.n_maps))
+    return datum, Presentation(pres.graph, weight_rows(rows, datum.n_maps))
 
 
 def _structure_mismatch():

@@ -96,16 +96,30 @@ def _attributes(node: ast.AST) -> list[str]:
     return [sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)]
 
 
+def _qualified(node: ast.AST) -> list[str]:
+    """Every "Owner.attr" a node reads through a bare name, such as Class.method."""
+    return [f"{sub.value.id}.{sub.attr}" for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)]
+
+
+def _is_static(meth: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in meth.decorator_list)
+
+
 def test_every_public_name_has_a_caller():
     # A public function, class or method of the package must be used by the
     # package, the benchmark or the scripts, not only by tests. The exported
     # functions and classes (hblcert.__all__) are exempt, but not the methods
     # of those classes; a "Class.method" the tracer patches counts as read.
+    # A static method counts as read only through "Class.method", so a
+    # method of the same name on another class does not stand in for it.
     exported = set(importlib.import_module("hblcert").__all__)
     trees = _trees()
     named = Counter(name for tree in trees.values() for name in _names(tree))
     read = Counter(name for tree in trees.values() for name in _attributes(tree))
     read.update(attr.split(".")[1] for _, attr, _ in _trace_targets() if "." in attr)
+    qualified = Counter(name for tree in trees.values() for name in _qualified(tree))
+    qualified.update(attr for _, attr, _ in _trace_targets() if "." in attr)
     unused = []
     for path in SOURCES:
         for node in trees[path].body:
@@ -116,8 +130,14 @@ def test_every_public_name_has_a_caller():
             if not isinstance(node, ast.ClassDef):
                 continue
             for meth in node.body:
-                if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_") \
-                        and read[meth.name] - _attributes(meth).count(meth.name) <= 0:
+                if not isinstance(meth, ast.FunctionDef) or meth.name.startswith("_"):
+                    continue
+                if _is_static(meth):
+                    key = f"{node.name}.{meth.name}"
+                    uses = qualified[key] - _qualified(meth).count(key)
+                else:
+                    uses = read[meth.name] - _attributes(meth).count(meth.name)
+                if uses <= 0:
                     unused.append(f"{path.name}: {node.name}.{meth.name}")
     assert not unused, f"no caller outside tests: {unused}"
 

@@ -20,7 +20,7 @@ from hblcert.linalg import (
 )
 from hblcert.fixtures import fourmap_r6_datum
 
-from conftest import apply, product, random_subspace
+from conftest import apply, identity, product, random_subspace
 
 
 def test_canonicalize_scaling_and_duplicates():
@@ -46,7 +46,7 @@ def test_kernel_examples():
     expect = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
                    [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]], 6)
     assert kernel(pi3) == expect
-    assert kernel(Matrix.identity(3)) == Subspace.zero(3)
+    assert kernel(identity(3)) == Subspace.zero(3)
     assert kernel(Matrix.zeros(2, 2)) == Subspace.full(2)
 
 
@@ -77,7 +77,7 @@ def test_projection_matrix_examples():
     assert span([[1, 1]], 2).projector() == Matrix.from_rows(
         [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
     )
-    assert Subspace.full(3).projector() == Matrix.identity(3)
+    assert Subspace.full(3).projector() == identity(3)
     assert span([[1, 0, 0]], 3).projector() == Matrix.from_rows(
         [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
     )
@@ -86,7 +86,7 @@ def test_projection_matrix_examples():
 
 def test_matrix_inverse():
     m = Matrix.from_rows([[2, 1], [1, 1]])
-    assert m @ m.inverse() == Matrix.identity(2)
+    assert m @ m.inverse() == identity(2)
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
@@ -99,7 +99,7 @@ def test_retraction_is_left_inverse_of_chart():
             continue
         r = v.retraction()
         e = v.basis.transpose()
-        assert r @ e == Matrix.identity(v.dim)
+        assert r @ e == identity(v.dim)
 
 
 @st.composite
@@ -250,7 +250,7 @@ def test_matrix_is_one_denominator_over_integer_rows(data):
             square.inverse()
     else:
         inverse = square.inverse()
-        assert square @ inverse == inverse @ square == Matrix.identity(n)
+        assert square @ inverse == inverse @ square == identity(n)
 
 
 @given(st.data())

@@ -27,6 +27,8 @@ from hblcert.oracle import (
 )
 from hblcert.presentation import bound_constant
 
+from conftest import identity
+
 
 def test_gaussian_ratio_loomis_whitney_identity():
     datum = loomis_whitney_datum(2)
@@ -105,7 +107,7 @@ def test_gaussian_ratio_matches_direct_quadrature():
 
 
 def test_gaussian_ratio_matches_direct_quadrature_dim1():
-    datum = HBLDatum(1, (Matrix.identity(1), Matrix.identity(1)), ("a", "b"),
+    datum = HBLDatum(1, (identity(1), identity(1)), ("a", "b"),
                      (Fraction(1, 2), Fraction(1, 2)))
     g = GaussianInput((np.array([[2.0]]), np.array([[0.5]])))
     expected = _direct_gaussian_quadrature(datum, g.matrices, half_width=10.0)
@@ -153,7 +155,7 @@ def test_ascent_detects_a_violation_carried_by_equal_maps():
     # 3/4 - 1 < 0. Scaled apart, rounding would break the copies' exact
     # parallelism and the run could converge to a feasible perturbation.
     x1, x2 = Matrix.from_rows([[1, 0]]), Matrix.from_rows([[0, 1]])
-    datum = HBLDatum(2, (Matrix.identity(2), x2, x2, x1), ("id", "a", "b", "c"),
+    datum = HBLDatum(2, (identity(2), x2, x2, x1), ("id", "a", "b", "c"),
                      (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), Fraction(0)))
     for start in range(10):
         sup, diverged = gaussian_ascent(datum, iterations=400, seed=start)

@@ -37,6 +37,8 @@ from conftest import (
     random_signed_permutation,
     random_subspace,
     reference_summary,
+    weight_rows,
+    zero_weights,
 )
 
 
@@ -121,7 +123,7 @@ def test_mutated_diamond_weight_is_rejected_with_named_conditions():
                           [0, 0, 0, 0, 1, 1]])
     rows = [list(v) for v in pres.theta.values]
     rows[k][1] = Fraction(1, 4)
-    mutated = Presentation(pres.graph, WeightFunction.from_rows(rows, 4))
+    mutated = Presentation(pres.graph, weight_rows(rows, 4))
     report = verify_presentation(datum, mutated)
     assert not report.valid
     assert any(p.startswith("theta-balance: map pi2") and "span" in p
@@ -297,7 +299,7 @@ def test_bound_constant_requires_validity():
     datum, pres = fourmap_r6_datum(), fourmap_r6_presentation()
     rows = [list(v) for v in pres.theta.values]
     rows[0][0] += Fraction(1, 4)
-    bad = Presentation(pres.graph, WeightFunction.from_rows(rows, 4))
+    bad = Presentation(pres.graph, weight_rows(rows, 4))
     with pytest.raises(ValueError, match="valid presentation"):
         bound_constant(datum, bad)
 
@@ -321,7 +323,7 @@ def test_export_dot_survives_invalid_graph():
     datum = loomis_whitney_datum(2)
     zero, full = Subspace.zero(3), Subspace.full(3)
     graph = GraphDecomposition(3, (zero, full), ())
-    pres = Presentation(graph, WeightFunction.zeros(0, 3))
+    pres = Presentation(graph, zero_weights(0, 3))
     dot = export_dot(datum, pres)
     assert 'v0' in dot and 'v1' in dot
 
