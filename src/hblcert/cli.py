@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from hblcert import builder as builder_mod
 from hblcert import formats
-from hblcert.data import CandidateLattice, check_scaling, generate_lattice
+from hblcert.data import CandidateLattice, generate_lattice
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
 from hblcert.presentation import _certificate, export_dot, verify_presentation
 
@@ -114,17 +114,19 @@ def _basis(v) -> list[list[str]]:
 def _cmd_check_data(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
-    holds, lhs, rhs = check_scaling(datum)
     poly = builder_mod.polytope_from_candidates(datum, candidates)
     den, lazy = poly.gaps(datum.exponents)
     gaps = list(lazy)
-    # The family opens with {0} and H, so a scaling failure is the violation
-    # reported; exponents lie in [0, 1], so no box row is violated.
+    # The family opens with {0} and H, so H's equality row gives the scaling
+    # slack, and a scaling failure is the violation reported; exponents lie
+    # in [0, 1], so no box row is violated.
     violation = poly.violated(gaps)
+    scaling = next(gap for row, gap in zip(poly.rows, gaps) if row.equality)
     out = {
         "command": "check-data",
         "verdict": "feasible" if violation is None else "violation",
-        "scaling": {"holds": holds, "lhs": str(lhs), "rhs": str(rhs)},
+        "scaling": {"holds": scaling == 0, "lhs": str(datum.dim),
+                    "rhs": str(datum.dim + Fraction(scaling, den))},
         "lattice": {"size": len(candidates.subspaces), "closed": candidates.closed},
         "criticals": [{"dim": row.rhs, "basis": _basis(row.subspace)}
                       for row in poly.criticals(gaps)],
