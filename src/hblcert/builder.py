@@ -13,12 +13,15 @@ unioned. On a ready top-level family (data.is_ready) the children are its
 intervals, read off the kept inclusion order, and the image dimensions come
 from its meets; other families are closed afresh inside each child. A node's
 polytope and splits do not depend on its exponents, so its extreme points and
-its revisits share them. The scaling equality is checked at the top and
-again, in integers, on each dimension-one edge (base_case_dim1); the nodes
-between inherit it: extreme points lie on the polytope's B row, and the
-children of a split at a critical V inherit it. The one presentation made
-from the top-level table is verified exactly, so an impoverished candidate
-family can only cause an explicit failure, never a wrong certificate.
+its revisits share them, and each node forms the row gaps and the tight
+echelon of an exponent vector once: the vertices Caratheodory reaches come
+with theirs. The scaling equality is read off the root polytope's equality
+row and checked again, in integers, on each dimension-one edge
+(base_case_dim1); the nodes between inherit it: extreme points lie on the
+polytope's B row, and the children of a split at a critical V inherit it.
+The one presentation made from the top-level table is verified exactly, so
+an impoverished candidate family can only cause an explicit failure, never a
+wrong certificate.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul, sub
 
-from hblcert.data import CandidateLattice, HBLDatum, check_scaling, generate_lattice, is_ready
+from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, is_ready
 from hblcert.linalg import (
     Matrix,
     Subspace,
@@ -54,6 +58,7 @@ class InsufficientCandidates(BuildError):
 
 EdgeTable = dict[tuple[Subspace, Subspace], tuple[Fraction, ...]]
 Echelon = tuple[list[Sequence[int]], list[int]]  # reduced rows and pivots, as _echelon gives
+Met = tuple[int, list[int], Echelon]  # D, row gaps and tight echelon of a point of a polytope
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,8 @@ def enumerate_extremes(poly: ExponentPolytope) -> tuple[tuple[Fraction, ...], ..
 
 def caratheodory(poly: ExponentPolytope, tau, *,
                  gaps: tuple[int, list[int]] | None = None,
-                 tight: Echelon | None = None) -> ExtremeDecomposition:
+                 tight: Echelon | None = None,
+                 reached: dict[tuple[Fraction, ...], Met] | None = None) -> ExtremeDecomposition:
     """Exact convex decomposition of a member point into at most n+1 vertices.
 
     Walks tight-set bisections down to vertices, then trims the combination
@@ -178,7 +184,8 @@ def caratheodory(poly: ExponentPolytope, tau, *,
     the reconstruction sum c_k tau_k = tau is verified before returning.
     `gaps`, when given, is D and the list of row gaps of `poly.gaps(tau)`,
     and `tight` the `_tight` echelon of those gaps, which a caller that has
-    them passes rather than compute them again.
+    them passes rather than compute them again. `reached`, when given,
+    receives each vertex the bisections reach with its D, gaps and echelon.
     """
     tau = tuple(Fraction(t) for t in tau)
     if gaps is None:
@@ -190,8 +197,10 @@ def caratheodory(poly: ExponentPolytope, tau, *,
         row, gap = violated
         raise ValueError(f"tau violates constraint {row.provenance}: "
                          f"{row.rhs + Fraction(gap, den)} vs {row.rhs}")
-    raw = _decompose_point(poly, tau, den, row_gaps,
-                           _tight(poly, row_gaps) if tight is None else tight)
+    nums = tuple(t.numerator * (den // t.denominator) for t in tau)
+    raw = _decompose_point(poly, nums, den, row_gaps,
+                           _tight(poly, row_gaps) if tight is None else tight,
+                           {} if reached is None else reached)
     terms = _reduce_caratheodory(poly.n, raw)
     total = sum((c for c, _ in terms), Fraction(0))
     recon = tuple(
@@ -208,43 +217,53 @@ def _tight(poly: ExponentPolytope, gaps: list[int]) -> Echelon:
     return _echelon([row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0], poly.n)
 
 
-def _decompose_point(poly: ExponentPolytope, tau, den: int, gaps: list[int], tight: Echelon
+def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, gaps: list[int],
+                     tight: Echelon, reached: dict[tuple[Fraction, ...], Met]
                      ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """Convex weights and vertices of a member point whose row gaps are D * `gaps`."""
+    """Convex weights and vertices of the member point nums / D, in lowest
+    terms, with row gaps `gaps` (D * slack) and tight echelon `tight`.
+
+    Along the direction d, a positive integer multiple of the first RREF
+    row of the tight rows' null space, row r moves at speed s_r = coeffs_r . d;
+    every tight row has speed 0. Going forward, the far end is reached after
+    the least g_r / k over the rows with k = -s_r > 0, at the point
+    (k N + g d) / (k D) with gaps k g_r + g s_r, all divided by their gcd;
+    going back, k = s_r and g is negated. Its tight rows are this point's
+    and those that became tight, so its echelon extends `tight`.
+    """
     null = _null_space(*tight, poly.n)
     if null.dim == 0:
+        tau = tuple(Fraction(x, den) for x in nums)
+        reached[tau] = den, gaps, tight
         return [(Fraction(1), tau)]
-    # A positive integer multiple of the RREF direction: the step lengths
-    # shrink by the same factor, so the end points and lam do not change.
     direction = null.echelon[0]
-
-    def max_step(sign: int) -> Fraction:
-        best: Fraction | None = None
-        for row, gap in zip(poly.rows, gaps):
-            if row.equality or gap == 0:
-                continue
-            speed = sign * sum(map(mul, row.coeffs, direction))
-            if speed < 0:
-                limit = Fraction(gap, -speed * den)
-                if best is None or limit < best:
-                    best = limit
+    rows = poly.rows
+    speeds = {r: sum(map(mul, rows[r].coeffs, direction)) for r, gap in enumerate(gaps) if gap}
+    ends = []
+    for sign in (1, -1):
+        best: tuple[int, int] | None = None
+        for r, speed in speeds.items():
+            k = -sign * speed
+            if k > 0 and (best is None or gaps[r] * best[1] < best[0] * k):
+                best = gaps[r], k
         if best is None:
             raise BuildError("unbounded direction in exponent polytope")
-        return best
-
-    s_plus = max_step(+1)
-    s_minus = max_step(-1)
-    if s_plus <= 0 or s_minus <= 0:
+        ends.append(best)
+    (g_plus, k_plus), (g_minus, k_minus) = ends
+    if g_plus <= 0 or g_minus <= 0:
         raise BuildError("Caratheodory step along a tight direction has zero length")
-    hi = tuple(t + s_plus * d for t, d in zip(tau, direction))
-    lo = tuple(t - s_minus * d for t, d in zip(tau, direction))
-    lam = s_minus / (s_plus + s_minus)
+    lam = Fraction(g_minus * k_plus, g_plus * k_minus + g_minus * k_plus)
     out = []
-    for weight, point in ((lam, hi), (1 - lam, lo)):
-        point_den, lazy = poly.gaps(point)
-        point_gaps = list(lazy)
-        for c, vertex in _decompose_point(poly, point, point_den, point_gaps,
-                                          _tight(poly, point_gaps)):
+    for weight, k, step in ((lam, k_plus, g_plus), (1 - lam, k_minus, -g_minus)):
+        point = [k * x + step * d for x, d in zip(nums, direction)]
+        point_gaps = [k * gap + step * speeds[r] if gap else 0 for r, gap in enumerate(gaps)]
+        g = gcd(k * den, *point)
+        if g > 1:
+            point = [x // g for x in point]
+            point_gaps = [gap // g for gap in point_gaps]
+        fresh = [rows[r].coeffs for r, gap in enumerate(point_gaps) if gap == 0 and gaps[r]]
+        for c, vertex in _decompose_point(poly, tuple(point), k * den // g, point_gaps,
+                                          _echelon([*tight[0], *fresh], poly.n), reached):
             out.append((weight * c, vertex))
     return out
 
@@ -353,12 +372,15 @@ class _Node:
     set in `members` (-1 sets them all). `ready` says that the family is
     closed and holds low, high and the node's kernels (ker pi_i + low) cap
     high, and that the lattice's order is complete; `splits` maps V to the
-    children [low, V] and [V, high], and `poly` is the polytope once made."""
+    children [low, V] and [V, high], `poly` is the polytope once made, and
+    `met` maps each exponent vector the node has met to its D, row gaps and
+    tight echelon on that polytope."""
 
     def __init__(self, lattice: CandidateLattice, members: int,
                  low: Subspace, high: Subspace, ready: bool) -> None:
         self.lattice, self.members, self.low, self.high = lattice, members, low, high
         self.ready, self.splits, self.poly = ready, {}, None
+        self.met: dict[tuple[Fraction, ...], Met] = {}
 
     @cached_property
     def family(self) -> dict[Subspace, int]:
@@ -419,7 +441,8 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     the dimension inequality at the datum's exponents, and its subclass
     InsufficientCandidates when the candidates are insufficient: a child
     violates it below a Caratheodory vertex, or no critical subspace can be
-    found among them.
+    found among them. A family without H, whose polytope has no scaling
+    row, raises ValueError.
     """
 
     exponents = datum.exponents
@@ -427,6 +450,19 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     def log(msg: str) -> None:
         if trace is not None:
             trace.append(msg)
+
+    def meet(node: _Node, tau: tuple[Fraction, ...]) -> tuple[ExponentPolytope, Met]:
+        """The node's polytope and its D, row gaps and tight echelon at tau,
+        each formed the first time the node meets them."""
+        poly = node.poly
+        if poly is None:
+            poly = node.poly = polytope_from_candidates(top, node.family, node.low, node.high)
+        met = node.met.get(tau)
+        if met is None:
+            den, lazy = poly.gaps(tau)
+            gaps = list(lazy)
+            met = node.met[tau] = den, gaps, _tight(poly, gaps)
+        return poly, met
 
     def recurse(node: _Node, tau: tuple[Fraction, ...], depth: int) -> EdgeTable:
         indent = "  " * depth
@@ -436,11 +472,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             return base_case_dim1(tau, low, high,
                                   tuple(map(sub, top.image_dims(high), top.image_dims(low))))
 
-        poly = node.poly
-        if poly is None:
-            poly = node.poly = polytope_from_candidates(top, node.family, low, high)
-        den, lazy = poly.gaps(tau)
-        gaps = list(lazy)
+        poly, (den, gaps, tight) = meet(node, tau)
         # B's row holds by scaling and the box rows for any datum, so a
         # violated row is a candidate V's, with gap D * slack(V) in B/A.
         violated = poly.violated(gaps)
@@ -456,11 +488,12 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             at = ", ".join(map(str, tau))
             raise InsufficientCandidates(
                 f"candidate set insufficient: at exponents ({at}), a {reason}")
-        tight = _tight(poly, gaps)
         if len(tight[1]) < poly.n:
             log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
             parts = []
-            for c, point in caratheodory(poly, tau, gaps=(den, gaps), tight=tight).terms:
+            # The vertices reached are met here with their gaps and echelons.
+            for c, point in caratheodory(poly, tau, gaps=(den, gaps), tight=tight,
+                                         reached=node.met).terms:
                 log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
                 parts.append((c, recurse(node, point, depth + 1)))
             return convex_combine(parts)
@@ -473,9 +506,6 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         low_edges, high_edges = (recurse(child, tau, depth + 1) for child in children)
         return concatenate(low_edges, high_edges)
 
-    holds, lhs, rhs = check_scaling(datum)
-    if not holds:
-        raise BuildError(f"scaling equality fails: {lhs} != {rhs}")
     ready, top = is_ready(datum, candidates), datum
     if ready:
         # The family's image dimensions from its meets fill a table of the
@@ -483,6 +513,15 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         top = HBLDatum(datum.dim, datum.maps, datum.names, datum.exponents,
                        _image_dims=candidates.meet_image_dims(datum.kernels))
     root = _Node(candidates, -1, Subspace.zero(datum.dim), Subspace.full(datum.dim), ready)
+    # The family opens with {0} and H, so the root polytope's equality row,
+    # H's, carries the scaling slack; a dimension-one root is met here only.
+    poly, (den, gaps, _) = meet(root, exponents)
+    scaling = next((gap for row, gap in zip(poly.rows, gaps) if row.equality), None)
+    if scaling is None:
+        raise ValueError("candidate family does not hold the full space")
+    if scaling:
+        raise BuildError(f"scaling equality fails: {datum.dim} != "
+                         f"{datum.dim + Fraction(scaling, den)}")
     edges = recurse(root, datum.exponents, 0)
     pres = Presentation.from_edges(datum.dim, datum.n_maps, _endpoints(edges), edges)
     report = verify_presentation(datum, pres)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from hblcert.linalg import Matrix, Subspace, frac, image, ordered
@@ -142,8 +143,16 @@ class WeightFunction:
     def scalar(values: Sequence) -> WeightFunction:
         return WeightFunction(1, tuple((frac(x),) for x in values))
 
+    @cached_property
+    def integral(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, rows): D the lcm of the entries' denominators and rows the
+        entries times D, the integer form the sums and checks run on."""
+        den = lcm(*(x.denominator for vec in self.values for x in vec))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in vec)
+                          for vec in self.values)
+
     def is_nonnegative(self) -> bool:
-        return all(x >= 0 for vec in self.values for x in vec)
+        return all(x >= 0 for vec in self.integral[1] for x in vec)
 
     def component(self, j: int) -> tuple[Fraction, ...]:
         return tuple(vec[j] for vec in self.values)
@@ -156,22 +165,26 @@ def _check_sizes(graph: GraphDecomposition, weight: WeightFunction) -> None:
         )
 
 
+def _edge_sum(rows: Sequence[Sequence[int]], edges: Sequence[int], width: int) -> tuple[int, ...]:
+    """The componentwise sum of the integer rows of the given edges."""
+    return tuple(map(sum, zip(*(rows[k] for k in edges)))) if edges else (0,) * width
+
+
 def unbalanced_vertices(graph: GraphDecomposition, weight: WeightFunction
                         ) -> Iterator[tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """(vertex, in-sum, out-sum) at each vertex other than {0} and H where the
-    componentwise sums differ, in vertex order."""
+    componentwise sums differ, in vertex order; the sums are taken over the
+    weight's integer form and only the differing ones become Fractions."""
     _check_sizes(graph, weight)
-    zero = (Fraction(0),) * weight.width
+    den, rows = weight.integral
     for i, v in enumerate(graph.vertices):
         if v.is_zero() or v.is_full():
             continue
-        into = outof = zero
-        for k in graph.incoming[i]:
-            into = tuple(a + b for a, b in zip(into, weight.values[k]))
-        for k in graph.outgoing[i]:
-            outof = tuple(a + b for a, b in zip(outof, weight.values[k]))
+        into = _edge_sum(rows, graph.incoming[i], weight.width)
+        outof = _edge_sum(rows, graph.outgoing[i], weight.width)
         if into != outof:
-            yield i, into, outof
+            yield (i, tuple(Fraction(x, den) for x in into),
+                   tuple(Fraction(x, den) for x in outof))
 
 
 def is_balanced(graph: GraphDecomposition, weight: WeightFunction) -> bool:
@@ -193,12 +206,10 @@ def _require_balanced(graph: GraphDecomposition, weight: WeightFunction) -> None
 def total_mass(graph: GraphDecomposition, weight: WeightFunction) -> tuple[Fraction, ...]:
     """Componentwise sum of the weight over edges outgoing from {0}."""
     _check_sizes(graph, weight)
-    mass = (Fraction(0),) * weight.width
+    den, rows = weight.integral
     z = graph.zero_vertex
-    if z is not None:
-        for k in graph.outgoing[z]:
-            mass = tuple(a + b for a, b in zip(mass, weight.values[k]))
-    return mass
+    mass = _edge_sum(rows, () if z is None else graph.outgoing[z], weight.width)
+    return tuple(Fraction(x, den) for x in mass)
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,10 @@ def _distinguishing(datum: HBLDatum, graph: GraphDecomposition) -> list[tuple[in
 
 
 def _summary(theta: WeightFunction, dist: list[tuple[int, ...]]) -> WeightFunction:
-    return WeightFunction.scalar(
-        [sum((row[i] for i in maps), Fraction(0)) for row, maps in zip(theta.values, dist)])
+    """sigma, each edge's sum taken in theta's integer form and put over its D."""
+    den, rows = theta.integral
+    return WeightFunction(1, tuple((Fraction(sum(row[i] for i in maps), den),)
+                                   for row, maps in zip(rows, dist)))
 
 
 def _require_match(datum: HBLDatum, pres: Presentation) -> None:
@@ -113,8 +115,9 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
 
     masses = total_mass(graph, pres.theta)
     unbalanced = list(unbalanced_vertices(graph, pres.theta))
+    negative = {i for row in pres.theta.integral[1] for i, x in enumerate(row) if x < 0}
     for i, name in enumerate(datum.names):
-        if any(row[i] < 0 for row in pres.theta.values):
+        if i in negative:
             problems.append(f"{THETA_NEGATIVE}: map {name} has a negative weight")
         for k, into, outof in unbalanced:
             if into[i] != outof[i]:

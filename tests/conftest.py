@@ -6,11 +6,27 @@ import itertools
 import random
 from fractions import Fraction
 
-from hblcert.builder import polytope_from_candidates
+from hblcert.builder import (
+    BuildError,
+    ExtremeDecomposition,
+    _reduce_caratheodory,
+    _tight,
+    polytope_from_candidates,
+)
 from hblcert.data import HBLDatum, transform_datum
 from hblcert.fixtures import loomis_whitney_datum
-from hblcert.flowgraph import GraphDecomposition, WeightFunction
-from hblcert.linalg import Matrix, Subspace, _echelon, canonicalize, frac, image, kernel
+from hblcert.flowgraph import GraphDecomposition, WeightFunction, validate_graph
+from hblcert.linalg import (
+    Matrix,
+    Subspace,
+    _echelon,
+    _null_space,
+    canonicalize,
+    frac,
+    image,
+    kernel,
+)
+from hblcert.presentation import VerificationReport
 
 
 def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
@@ -90,6 +106,93 @@ def reference_summary(datum, pres) -> tuple[tuple[Fraction], ...]:
         (sum((row[i] for i, m in enumerate(datum.maps)
               if image(m, graph.vertices[a]) != image(m, graph.vertices[b])), Fraction(0)),)
         for (a, b), row in zip(graph.edges, pres.theta.values))
+
+
+def reference_caratheodory(poly, tau) -> ExtremeDecomposition:
+    """Reference Caratheodory decomposition of a member point: the bisection
+    in Fractions, each end point's row gaps and tight rows formed afresh
+    from the polytope, then the builder's trimming of the combination."""
+    tau = tuple(Fraction(t) for t in tau)
+
+    def split(point):
+        den, lazy = poly.gaps(point)
+        gaps = list(lazy)
+        null = _null_space(*_tight(poly, gaps), poly.n)
+        if null.dim == 0:
+            return [(Fraction(1), point)]
+        direction = null.echelon[0]
+
+        def max_step(sign):
+            limits = [Fraction(gap, -speed * den) for row, gap in zip(poly.rows, gaps)
+                      if not row.equality and gap != 0
+                      for speed in [sign * sum(c * d for c, d in zip(row.coeffs, direction))]
+                      if speed < 0]
+            if not limits:
+                raise BuildError("unbounded direction in exponent polytope")
+            return min(limits)
+
+        s_plus, s_minus = max_step(+1), max_step(-1)
+        hi = tuple(t + s_plus * d for t, d in zip(point, direction))
+        lo = tuple(t - s_minus * d for t, d in zip(point, direction))
+        lam = s_minus / (s_plus + s_minus)
+        return [(weight * c, vertex) for weight, end in ((lam, hi), (1 - lam, lo))
+                for c, vertex in split(end)]
+
+    return ExtremeDecomposition(tuple(_reduce_caratheodory(poly.n, split(tau))))
+
+
+def reference_total_mass(graph, weight) -> tuple[Fraction, ...]:
+    """Reference total mass: the Fraction rows of the edges out of {0}, summed."""
+    mass = (Fraction(0),) * weight.width
+    if graph.zero_vertex is not None:
+        for k in graph.outgoing[graph.zero_vertex]:
+            mass = tuple(a + b for a, b in zip(mass, weight.values[k]))
+    return mass
+
+
+def reference_unbalanced(graph, weight) -> list[tuple[int, tuple, tuple]]:
+    """Reference (vertex, in-sum, out-sum) at each unbalanced inner vertex, in Fractions."""
+    out = []
+    for i, v in enumerate(graph.vertices):
+        if v.is_zero() or v.is_full():
+            continue
+        into = outof = (Fraction(0),) * weight.width
+        for k in graph.incoming[i]:
+            into = tuple(a + b for a, b in zip(into, weight.values[k]))
+        for k in graph.outgoing[i]:
+            outof = tuple(a + b for a, b in zip(outof, weight.values[k]))
+        if into != outof:
+            out.append((i, into, outof))
+    return out
+
+
+def reference_verify(datum, pres) -> VerificationReport:
+    """Reference verification report, every sum and test in Fractions, with
+    the problem strings of `verify_presentation`."""
+    if datum.dim != pres.graph.ambient or pres.theta.width != datum.n_maps:
+        raise ValueError("reference_verify takes presentations over the datum's space and maps")
+    graph, theta = pres.graph, pres.theta
+    problems = [f"graph: {v}" for v in validate_graph(graph)]
+    masses = reference_total_mass(graph, theta)
+    unbalanced = reference_unbalanced(graph, theta)
+    for i, name in enumerate(datum.names):
+        if any(row[i] < 0 for row in theta.values):
+            problems.append(f"theta-negative: map {name} has a negative weight")
+        problems += [f"theta-balance: map {name} unbalanced at {graph.describe_vertex(k)} "
+                     f"(in {into[i]}, out {outof[i]})"
+                     for k, into, outof in unbalanced if into[i] != outof[i]]
+        if masses[i] != datum.exponents[i]:
+            problems.append(f"theta-mass: map {name} has total mass {masses[i]}, "
+                            f"expected {datum.exponents[i]}")
+    sigma = WeightFunction(1, reference_summary(datum, pres))
+    sigma_off = reference_unbalanced(graph, sigma)
+    problems += [f"sigma-balance: summary weight unbalanced at {graph.describe_vertex(k)} "
+                 f"(in {into}, out {outof})" for k, (into,), (outof,) in sigma_off]
+    sigma_mass = reference_total_mass(graph, sigma)[0]
+    if sigma_mass != 1:
+        problems.append(f"sigma-mass: summary weight has total mass {sigma_mass}, expected 1")
+    return VerificationReport(masses, sigma.component(0), not sigma_off, sigma_mass,
+                              tuple(problems), not problems)
 
 
 def norm_sq(v) -> Fraction:

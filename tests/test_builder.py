@@ -52,6 +52,7 @@ from conftest import (
     identity,
     random_matrix,
     random_subspace,
+    reference_caratheodory,
     reference_extremes,
     reference_violation,
     transformed_lw4,
@@ -88,6 +89,14 @@ def coordinate_subset_datum(m, subsets, tau):
         maps.append(Matrix.from_rows(rows, cols=m))
     names = tuple("s" + "".join(str(j) for j in sorted(sub)) for sub in subsets)
     return HBLDatum(m, tuple(maps), names, tuple(tau))
+
+
+def subsets_interior_datum():
+    """The build benchmark's second coordinate-subset template, unrelabelled:
+    the four 3-subsets of R^4 and the identity, at the mean of two feasible
+    exponent points, so the build takes the Caratheodory path."""
+    return coordinate_subset_datum(4, [(0, 1, 2), (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2, 3)],
+                                   [Fraction(1, 6)] * 4 + [Fraction(1, 2)])
 
 
 def coordinate_lattice(m):
@@ -308,6 +317,105 @@ def test_caratheodory_rejects_non_members():
         with pytest.raises(ValueError) as excinfo:
             caratheodory(poly, tau)
         assert str(excinfo.value) == message
+
+
+def mix(points, weights):
+    """The convex combination of the points with the given positive weights."""
+    total = sum(weights)
+    return tuple(sum((w * p[i] for w, p in zip(weights, points)), Fraction(0)) / total
+                 for i in range(len(points[0])))
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(["coordinate", "integer"]))
+@settings(max_examples=60, deadline=None)
+def test_caratheodory_matches_the_fraction_bisection(hyp_rng, maps):
+    # Candidate polytopes over R^2 to R^5, at a vertex, at points of a face
+    # (vertices tight on one row, mixed) and at interior points (every
+    # vertex, mixed). The integer bisection gives the Fraction bisection's
+    # terms, and hands each vertex it reaches on with its gaps and an
+    # echelon of rank n.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    m, n = rng.randint(2, 5), rng.randint(2, 5)
+    if maps == "coordinate":
+        subsets = [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(n)]
+        datum = coordinate_subset_datum(m, subsets, [Fraction(0)] * n)
+    else:
+        datum = HBLDatum(m, tuple(random_matrix(rng, rng.randint(1, m), m, -1, 1)
+                                  for _ in range(n)),
+                         tuple(f"p{i}" for i in range(n)), (Fraction(0),) * n)
+    poly = polytope_from_candidates(datum, generate_lattice(datum, max_size=24))
+    vertices = enumerate_extremes(poly)
+    if not vertices:
+        return  # the maps' total rank is below the dimension
+    tight_on = {v: {r for r, gap in enumerate(poly.gaps(v)[1]) if gap == 0} for v in vertices}
+    faces = [[v for v in vertices if r in tight_on[v]] for r in range(len(poly.rows))]
+    faces = [face for face in faces if 1 < len(face) < len(vertices)]
+    points = [rng.choice(vertices),
+              mix(vertices, [Fraction(rng.randint(1, 9)) for _ in vertices])]
+    for face in rng.sample(faces, min(2, len(faces))):
+        chosen = rng.sample(face, rng.randint(2, len(face)))
+        points.append(mix(chosen, [Fraction(rng.randint(1, 9)) for _ in chosen]))
+    for tau in points:
+        reached = {}
+        decomposition = caratheodory(poly, tau, reached=reached)
+        assert decomposition == reference_caratheodory(poly, tau)
+        assert {p for _, p in decomposition.terms} <= set(reached) <= set(vertices)
+        for vertex, (den, gaps, tight) in reached.items():
+            at_den, lazy = poly.gaps(vertex)
+            assert (den, gaps) == (at_den, list(lazy)) and len(tight[1]) == n
+
+
+def test_each_node_meets_an_exponent_vector_once(monkeypatch):
+    # Per (node, exponent vector) the gaps and the tight echelon are formed
+    # once: the vertices Caratheodory reaches come with theirs, and every
+    # node forms its own polytope, so the polytope's identity names the node.
+    gaps, tight = builder.ExponentPolytope.gaps, builder._tight
+    met, ranked = Counter(), Counter()
+
+    def counted_gaps(poly, tau):
+        met[id(poly), tuple(tau)] += 1
+        return gaps(poly, tau)
+
+    def counted_tight(poly, row_gaps):
+        ranked[id(poly)] += 1
+        return tight(poly, row_gaps)
+
+    monkeypatch.setattr(builder.ExponentPolytope, "gaps", counted_gaps)
+    monkeypatch.setattr(builder, "_tight", counted_tight)
+    counts = []
+    for datum in (loomis_whitney_datum(4), subsets_interior_datum()):
+        met.clear()
+        ranked.clear()
+        build_presentation(datum, generate_lattice(datum))
+        assert max(met.values()) == 1
+        assert ranked == Counter(key for key, _ in met)
+        counts.append((sum(met.values()), sum(ranked.values())))
+    assert counts == [(7, 7), (6, 6)]
+
+
+def test_build_reads_scaling_off_the_root_polytope(monkeypatch):
+    # The root polytope's equality row is H's, so the build makes no
+    # subspace_slack call, and a failure keeps check_scaling's message, on
+    # a ready family, on one that is not, and on a dimension-one root.
+    slack, calls = data_module.subspace_slack, []
+    monkeypatch.setattr(data_module, "subspace_slack", lambda *a: calls.append(a) or slack(*a))
+    lw3 = loomis_whitney_datum(3)
+    build_presentation(lw3, generate_lattice(lw3))
+    assert calls == []
+    quarter = lw3.with_exponents((Fraction(1, 4),) * 4)
+    line = HBLDatum(1, (identity(1), identity(1)), ("a", "b"), (Fraction(1, 2), Fraction(1, 4)))
+    for datum, family, message in [
+            (quarter, generate_lattice(quarter), "4 != 3"),
+            (quarter, CandidateLattice.from_subspaces(4, []), "4 != 3"),
+            (line, generate_lattice(line), "1 != 3/4")]:
+        with pytest.raises(BuildError) as excinfo:
+            build_presentation(datum, family)
+        assert str(excinfo.value) == f"scaling equality fails: {message}"
+    assert calls == []
+    # A family closed inside a proper interval has no scaling row to read.
+    inner = generate_lattice(lw3, [], interval=(Subspace.zero(4), lw3.kernels[0]))
+    with pytest.raises(ValueError, match="does not hold the full space"):
+        build_presentation(lw3, inner)
 
 
 def test_base_case_examples():

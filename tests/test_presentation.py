@@ -16,7 +16,7 @@ from hblcert.fixtures import (
     loomis_whitney_datum,
     loomis_whitney_presentation,
 )
-from hblcert.flowgraph import GraphDecomposition, WeightFunction
+from hblcert.flowgraph import GraphDecomposition, WeightFunction, total_mass, unbalanced_vertices
 from hblcert.linalg import Matrix, Subspace, image, span
 from hblcert.presentation import (
     Presentation,
@@ -36,7 +36,11 @@ from conftest import (
     random_matrix,
     random_signed_permutation,
     random_subspace,
+    rand_fraction,
     reference_summary,
+    reference_total_mass,
+    reference_unbalanced,
+    reference_verify,
     weight_rows,
     zero_weights,
 )
@@ -218,6 +222,55 @@ def test_edge_norms_match_orthogonal_projection(hyp_rng):
             u = apply(pi, w)
             residual = [x - y for x, y in zip(u, apply(low.projector(), u))]
             assert edge_norm_squared(datum, pres, i, k) == norm_sq(residual) / norm_sq(w)
+
+
+def chain_through(graph, k):
+    """The edges of a maximal chain of the graph through edge k, lowest-index first."""
+    chain = [k]
+    while not graph.vertices[graph.edges[chain[0]][0]].is_zero():
+        chain.insert(0, graph.incoming[graph.edges[chain[0]][0]][0])
+    while not graph.vertices[graph.edges[chain[-1]][1]].is_full():
+        chain.append(graph.outgoing[graph.edges[chain[-1]][1]][0])
+    return chain
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(ALL_FIXTURES)),
+       st.sampled_from(["negative", "unbalanced", "mass", "sigma", "mixed"]))
+@settings(max_examples=80, deadline=None)
+def test_verification_matches_the_fraction_reference(hyp_rng, name, kind):
+    # Mutants of the fixture certificates: a negative entry, an entry moved
+    # off balance, a chain of one map shifted (balanced, mass off), the same
+    # with that map's exponent shifted too (theta holds, sigma may not), and
+    # several entries moved. The integer checks give the Fraction
+    # reference's report, field by field and problem by problem.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    make_datum, make_pres = ALL_FIXTURES[name]
+    datum, pres = make_datum(), make_pres()
+    graph = pres.graph
+    rows = [list(row) for row in pres.theta.values]
+    exponents = list(datum.exponents)
+    k, i = rng.randrange(len(rows)), rng.randrange(datum.n_maps)
+    if kind == "negative":
+        rows[k][i] = -Fraction(rng.randint(1, 5), rng.randint(1, 7))
+    elif kind == "unbalanced":
+        rows[k][i] += rand_fraction(rng) or Fraction(1, 3)
+    elif kind in ("mass", "sigma"):
+        shift = Fraction(rng.randint(1, 4), rng.randint(5, 12))
+        shift = shift if exponents[i] + shift <= 1 else -min(shift, exponents[i])
+        for e in chain_through(graph, k):
+            rows[e][i] += shift
+        if kind == "sigma":
+            exponents[i] += shift
+    else:
+        for _ in range(rng.randint(2, 6)):
+            rows[rng.randrange(len(rows))][rng.randrange(datum.n_maps)] += rand_fraction(rng)
+    datum = HBLDatum(datum.dim, datum.maps, datum.names, tuple(exponents))
+    theta = WeightFunction(datum.n_maps, tuple(map(tuple, rows)))
+    mutant = Presentation(graph, theta)
+    report = verify_presentation(datum, mutant)
+    assert report == reference_verify(datum, mutant)
+    assert total_mass(graph, theta) == reference_total_mass(graph, theta)
+    assert list(unbalanced_vertices(graph, theta)) == reference_unbalanced(graph, theta)
 
 
 def test_verification_forms_no_image(monkeypatch):
