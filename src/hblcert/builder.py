@@ -30,7 +30,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub
 
 from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, is_ready
@@ -327,7 +327,10 @@ def convex_combine(terms) -> EdgeTable:
     """Union the edge tables and mix the rows; absent edges contribute zero.
 
     Coefficients must be nonnegative and sum to one; callers verify the
-    result against the mixed exponents.
+    result against the mixed exponents. The mix runs in integers: with part
+    j's rows over their lcm d_j and c_j = n_j / q_j, every product c_j x is
+    put over L = lcm_j(q_j d_j), and each entry's sum becomes one Fraction
+    over L at the end.
     """
     terms = [(Fraction(c), edges) for c, edges in terms]
     if not terms:
@@ -339,11 +342,16 @@ def convex_combine(terms) -> EdgeTable:
     widths = {len(row) for _, edges in terms for row in edges.values()}
     if len(ambients) > 1 or len(widths) > 1:
         raise ValueError("edge tables must share ambient and width")
-    mixed: EdgeTable = {}
-    for c, edges in terms:
+    dens = [lcm(*(x.denominator for row in edges.values() for x in row)) for _, edges in terms]
+    den = lcm(*(c.denominator * d for (c, _), d in zip(terms, dens)))
+    sums: dict[tuple[Subspace, Subspace], list[int]] = {}
+    for (c, edges), d in zip(terms, dens):
+        scale = c.numerator * (den // (c.denominator * d))
         for edge, row in edges.items():
-            mixed[edge] = tuple(a + c * x for a, x in zip(mixed.get(edge, (0,) * len(row)), row))
-    return mixed
+            acc = sums.setdefault(edge, [0] * len(row))
+            for k, x in enumerate(row):
+                acc[k] += x.numerator * (d // x.denominator) * scale
+    return {edge: tuple(Fraction(x, den) for x in acc) for edge, acc in sums.items()}
 
 
 def vertex_count_bound(n_maps: int, dim: int) -> int:

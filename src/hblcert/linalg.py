@@ -341,6 +341,32 @@ def image_rank(map_: Matrix, v: Subspace) -> int:
     return len(_echelon(_image_rows(map_, v), map_.rows)[1])
 
 
+def off_image_ratio(map_: Matrix, v: Subspace, w: Sequence[int]) -> Fraction:
+    """|P-perp map(w)|^2 / |w|^2 for a nonzero integer vector w, with P-perp
+    projecting off map(v); no subspace or null space is formed.
+
+    With E the independent integer rows of den * map(v) that elimination
+    leaves and x = den * map(w), |P-perp x|^2 = det G([E; x]) / det G(E), G
+    the Gram matrix (det 1 for an empty E). One fraction-free (Bareiss)
+    elimination on the upper triangle of G([E; x]) gives both: G(E) is
+    positive definite, so no pivot is zero, and the pivot before the last is
+    det G(E).
+    """
+    rows = [*_echelon(_image_rows(map_, v), map_.rows)[0],
+            [sum(map(mul, row, w)) for row in map_.ints]]
+    g = [[sum(map(mul, a, b)) if j >= i else 0 for j, b in enumerate(rows)]
+         for i, a in enumerate(rows)]
+    n, prev = len(g), 1
+    for k in range(n - 1):
+        gk, p = g[k], g[k][k]
+        for i in range(k + 1, n):
+            gi, f = g[i], gk[i]
+            for j in range(i, n):
+                gi[j] = (p * gi[j] - f * gk[j]) // prev
+        prev = p
+    return Fraction(g[-1][-1], prev * map_.den ** 2 * sum(x * x for x in w))
+
+
 def kernel(map_: Matrix) -> Subspace:
     """Null space of the map, in canonical form."""
     return _null_space(*_echelon(map_.ints, map_.cols), map_.cols)

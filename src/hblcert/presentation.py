@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from hblcert.data import HBLDatum
@@ -23,7 +22,7 @@ from hblcert.flowgraph import (
     unbalanced_vertices,
     validate_graph,
 )
-from hblcert.linalg import Matrix, Subspace, image
+from hblcert.linalg import Subspace, off_image_ratio
 
 THETA_NEGATIVE = "theta-negative"
 THETA_BALANCE = "theta-balance"
@@ -161,15 +160,16 @@ def edge_norm_squared(datum: HBLDatum, pres: Presentation, i: int, edge: int) ->
     With w any nonzero vector of V2 cap V1-perp (one-dimensional, so unique up
     to sign) the value is |P-perp pi_i(w)|^2 / |w|^2, where P-perp projects
     onto the complement of pi_i(V1). The ratio is scale-invariant in w, so the
-    line's primitive integer vector works and no square roots appear.
+    line's primitive integer vector works and no square roots appear, and
+    `off_image_ratio` takes it as a ratio of Gram determinants. The map must
+    distinguish the edge: its endpoints' image dimensions, read off the
+    datum's table, must differ.
     """
     a, b = pres.graph.edges[edge]
     v1, v2 = pres.graph.vertices[a], pres.graph.vertices[b]
-    m = datum.maps[i]
-    low, high = image(m, v1), image(m, v2)
-    if low == high:
+    if datum.image_dims(v1)[i] == datum.image_dims(v2)[i]:
         raise ValueError(f"map {datum.names[i]} does not distinguish the endpoints of edge {edge}")
-    return _norm_squared(m, low, high, _new_direction(v1, v2))
+    return off_image_ratio(datum.maps[i], v1, _new_direction(v1, v2))
 
 
 def _new_direction(low: Subspace, high: Subspace) -> tuple[int, ...]:
@@ -178,21 +178,6 @@ def _new_direction(low: Subspace, high: Subspace) -> tuple[int, ...]:
     if line.dim != 1:
         raise ValueError("edge does not raise dimension by one")
     return line.echelon[0]
-
-
-def _norm_squared(m: Matrix, low: Subspace, high: Subspace, w: tuple[int, ...]) -> Fraction:
-    """|P-perp m(w)|^2 / |w|^2, with P-perp projecting off `low` = m(V1).
-
-    The residual lies on the image edge's line d = high cap low-perp, so it is
-    the projection of m(w) onto d, of squared length (m(w) . d)^2 / |d|^2.
-    With m = M / D in integers this is (sum_r (M_r . w) d_r)^2 / (D^2 |d|^2 |w|^2),
-    one Fraction of integers; scaling w or d does not change the ratio.
-    """
-    d = _new_direction(low, high)
-    den, rows = m.den, m.ints
-    along = sum(sum(map(mul, row, w)) * x for row, x in zip(rows, d) if x)
-    return Fraction(along * along,
-                    den * den * sum(x * x for x in d) * sum(x * x for x in w))
 
 
 @dataclass(frozen=True)
@@ -234,19 +219,23 @@ def bound_constant(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
 
 
 def _certificate(datum: HBLDatum, pres: Presentation) -> BoundCertificate:
-    """bound_constant on a presentation that verify_presentation has found valid."""
+    """bound_constant on a presentation that verify_presentation has found valid.
+
+    Each weighted edge takes its primitive new direction w once; each weighted
+    map's base is then one Gram-determinant ratio in integers
+    (`off_image_ratio`), with no image subspace or image line formed.
+    """
     graph, theta = pres.graph, pres.theta
     factors = []
     for k, ((a, b), maps) in enumerate(zip(graph.edges, _distinguishing(datum, graph))):
         weighted = [i for i in maps if theta.values[k][i] != 0]
         if not weighted:
             continue
-        v1, v2 = graph.vertices[a], graph.vertices[b]
-        w = _new_direction(v1, v2)
+        v1 = graph.vertices[a]
+        w = _new_direction(v1, graph.vertices[b])
         for i in weighted:
-            m = datum.maps[i]
-            base = _norm_squared(m, image(m, v1), image(m, v2), w)
-            factors.append(BoundFactor(i, k, base, -theta.values[k][i] / 2))
+            factors.append(BoundFactor(i, k, off_image_ratio(datum.maps[i], v1, w),
+                                       -theta.values[k][i] / 2))
     factors.sort(key=lambda f: (f.map_index, f.base, f.exponent, f.edge))
     value = 1.0
     for f in factors:

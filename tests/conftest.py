@@ -26,7 +26,7 @@ from hblcert.linalg import (
     image,
     kernel,
 )
-from hblcert.presentation import VerificationReport
+from hblcert.presentation import BoundCertificate, BoundFactor, VerificationReport
 
 
 def apply(m: Matrix, vec) -> tuple[Fraction, ...]:
@@ -106,6 +106,45 @@ def reference_summary(datum, pres) -> tuple[tuple[Fraction], ...]:
         (sum((row[i] for i, m in enumerate(datum.maps)
               if image(m, graph.vertices[a]) != image(m, graph.vertices[b])), Fraction(0)),)
         for (a, b), row in zip(graph.edges, pres.theta.values))
+
+
+def reference_certificate(datum, pres) -> BoundCertificate:
+    """Reference constant by the image-line formula, in Fractions. For a map
+    with theta_i(e) != 0 whose images of the endpoints V1 < V2 differ, the
+    residual of pi_i(w) off pi_i(V1), w spanning V2 cap V1-perp, lies on the
+    image edge's line d = pi_i(V2) cap pi_i(V1)-perp, so the base is
+    (pi_i(w) . d)^2 / (|d|^2 |w|^2). Factors are sorted and multiplied as
+    `bound_constant` does."""
+    graph, theta = pres.graph, pres.theta
+    factors = []
+    for k, (a, b) in enumerate(graph.edges):
+        v1, v2 = graph.vertices[a], graph.vertices[b]
+        w = (v2 & v1.perp()).basis.row(0)
+        for i, m in enumerate(datum.maps):
+            low, high = image(m, v1), image(m, v2)
+            if low == high or theta.values[k][i] == 0:
+                continue
+            d = (high & low.perp()).basis.row(0)
+            along = sum((x * y for x, y in zip(apply(m, w), d)), Fraction(0))
+            factors.append(BoundFactor(i, k, along * along / (norm_sq(d) * norm_sq(w)),
+                                       -theta.values[k][i] / 2))
+    factors.sort(key=lambda f: (f.map_index, f.base, f.exponent, f.edge))
+    value = 1.0
+    for f in factors:
+        value *= float(f.base) ** float(f.exponent)
+    return BoundCertificate(tuple(factors), value, all(f.base == 1 for f in factors))
+
+
+def reference_convex_combine(terms) -> dict:
+    """Reference mix of edge tables, entry by entry in Fractions: each part's
+    rows times its coefficient, added into the rows met so far, with an
+    edge absent from a part contributing zero."""
+    mixed = {}
+    for c, edges in terms:
+        c = Fraction(c)
+        for edge, row in edges.items():
+            mixed[edge] = tuple(a + c * x for a, x in zip(mixed.get(edge, (0,) * len(row)), row))
+    return mixed
 
 
 def reference_caratheodory(poly, tau) -> ExtremeDecomposition:

@@ -50,9 +50,11 @@ from hblcert.presentation import Presentation, bound_constant, verify_presentati
 
 from conftest import (
     identity,
+    random_flag_graph,
     random_matrix,
     random_subspace,
     reference_caratheodory,
+    reference_convex_combine,
     reference_extremes,
     reference_violation,
     transformed_lw4,
@@ -523,13 +525,40 @@ def test_convex_combine_trivial_cases():
     assert convex_combine([(Fraction(1, 2), edges), (Fraction(1, 2), edges)]) == edges
     assert verify_presentation(datum, presentation_of(datum, convex_combine(
         [(Fraction(1, 3), edges), (Fraction(2, 3), edges)]))).valid
-    with pytest.raises(ValueError, match="sum 1"):
+    with pytest.raises(ValueError, match="^coefficients must be nonnegative with sum 1, got sum 1/2$"):
         convex_combine([(Fraction(1, 2), edges)])
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^coefficients must be nonnegative with sum 1, got sum 1$"):
         convex_combine([(Fraction(3, 2), edges), (Fraction(-1, 2), edges)])
-    with pytest.raises(ValueError, match="share ambient and width"):
+    with pytest.raises(ValueError, match="^edge tables must share ambient and width$"):
         convex_combine([(Fraction(1, 2), edges),
                         (Fraction(1, 2), {edge: row[:2] for edge, row in edges.items()})])
+    with pytest.raises(ValueError, match="^nothing to combine$"):
+        convex_combine([])
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_convex_combine_matches_the_fraction_mix(hyp_rng):
+    # Three to five parts, each a random subset of one graph's edges in its
+    # own order, with rows over its own denominators, mixed with
+    # coefficients of unequal denominators, one of them zero. The integer
+    # mix gives the Fraction reference's table, key order included.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    graph, _ = random_flag_graph(rng, rng.randint(2, 4), 3)
+    pool = [(graph.vertices[a], graph.vertices[b]) for a, b in graph.edges]
+    n, width = rng.randint(3, 5), rng.randint(1, 4)
+    coeffs = [Fraction(rng.randint(0, q), q * (n - 1)) for q in rng.sample(range(1, 10), n - 2)]
+    coeffs.append(1 - sum(coeffs))
+    coeffs.insert(rng.randrange(n), Fraction(0))
+    terms = []
+    for c in coeffs:
+        dens = rng.sample([1, 2, 3, 4, 5, 7, 9], 2)
+        edges = rng.sample(pool, rng.randint(1, len(pool)))
+        terms.append((c, {edge: tuple(Fraction(rng.randint(0, 6), rng.choice(dens))
+                                      for _ in range(width)) for edge in edges}))
+    mixed = convex_combine(terms)
+    assert list(mixed.items()) == list(reference_convex_combine(terms).items())
+    assert all(type(x) is Fraction for row in mixed.values() for x in row)
 
 
 def test_convex_combine_of_distinct_chains_is_valid():

@@ -3,10 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hblcert import data, formats, presentation
+from hblcert import data, flowgraph, formats, linalg, presentation
 from hblcert.builder import build_presentation
 from hblcert.data import HBLDatum, generate_lattice, transform_datum
 from hblcert.fixtures import (
@@ -37,6 +37,7 @@ from conftest import (
     random_signed_permutation,
     random_subspace,
     rand_fraction,
+    reference_certificate,
     reference_summary,
     reference_total_mass,
     reference_unbalanced,
@@ -273,16 +274,24 @@ def test_verification_matches_the_fraction_reference(hyp_rng, name, kind):
     assert list(unbalanced_vertices(graph, theta)) == reference_unbalanced(graph, theta)
 
 
+def count_calls(monkeypatch, calls: Counter, *names: str) -> None:
+    """Count calls of the named linalg functions in `calls`, through every
+    module that binds them."""
+    for name in names:
+        for module in (linalg, data, flowgraph, presentation):
+            if hasattr(module, name):
+                def counted(*args, original=getattr(module, name), name=name):
+                    calls[name] += 1
+                    return original(*args)
+                monkeypatch.setattr(module, name, counted)
+
+
 def test_verification_forms_no_image(monkeypatch):
     # Distinguishing maps come from the datum's image-dimension table, so a
     # verification forms no image subspace, and a second one of the same
     # datum computes no rank either.
     calls = Counter()
-    for module, name in ((presentation, "image"), (data, "image_rank")):
-        def counted(*args, original=getattr(module, name), name=name):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(module, name, counted)
+    count_calls(monkeypatch, calls, "image", "image_rank")
     for make_datum, make_pres in ALL_FIXTURES.values():
         datum, pres = make_datum(), make_pres()
         calls.clear()
@@ -346,6 +355,85 @@ def test_bound_constant_r6():
     assert cert.value == pytest.approx(2 ** -0.5, rel=1e-12)
     # theta = 0 on a distinguished pair contributes no factor.
     assert all(pres.theta.values[f.edge][f.map_index] > 0 for f in cert.factors)
+
+
+def dense_map(rng, rows: int, cols: int, killed=None) -> Matrix:
+    """A random map with fractional entries (den > 1 before any projection);
+    with `killed` given, its rows are made orthogonal to that vector, which
+    then lies in the map's kernel."""
+    entries = [[rand_fraction(rng, den=5) for _ in range(cols)] for _ in range(rows)]
+    entries[0][0] += Fraction(1, 7)
+    if killed is not None:
+        u = [Fraction(x) for x in killed]
+        entries = [[x - sum(a * b for a, b in zip(row, u)) / norm_sq(u) * y
+                    for x, y in zip(row, u)] for row in entries]
+    return Matrix.from_rows(entries, cols=cols)
+
+
+@given(st.sampled_from(["random", *sorted(ALL_FIXTURES)]), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example("lw2", random.Random(0))
+@example("lw3", random.Random(0))
+@example("lw4", random.Random(0))
+@example("lw5", random.Random(0))
+@example("r6", random.Random(0))
+def test_certificate_matches_the_image_line_reference(case, hyp_rng):
+    # Random flags in R^2..R^6, whose first edges start at V1 = {0}, under
+    # dense maps with den > 1, some of which kill a vector of a flag vertex
+    # so that the images of that vertex's rows are dependent; and each
+    # fixture with its own presentation (the four-map r6 one for r6), its
+    # built certificate and both moved by a unimodular change of variables.
+    # The Gram-determinant bases give the image-line formula's factors.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    if case == "random":
+        ambient = rng.randint(2, 6)
+        graph, flags = random_flag_graph(rng, ambient, rng.randint(1, 3))
+        maps = []
+        for _ in range(rng.randint(2, 4)):
+            vertex = rng.choice(rng.choice(flags)[1:])
+            killed = rng.choice(vertex.echelon) if rng.random() < 0.5 else None
+            maps.append(dense_map(rng, rng.randint(1, ambient), ambient, killed))
+        n = len(maps)
+        datum = HBLDatum(ambient, tuple(maps), tuple(f"p{i}" for i in range(n)),
+                         (Fraction(0),) * n)
+        cases = [(datum, Presentation(graph, random_balanced_weight(rng, graph, flags, n)))]
+    else:
+        make_datum, make_pres = ALL_FIXTURES[case]
+        datum = make_datum()
+        t = random_invertible(rng, datum.dim)
+        moved = transform_datum(datum, t, [random_invertible(rng, m.rows) for m in datum.maps])
+        cases = [(datum, make_pres()), (datum, build_presentation(datum, generate_lattice(datum)))]
+        cases += [(moved, transport_presentation(pres, t)) for _, pres in cases]
+    for datum, pres in cases:
+        cert = presentation._certificate(datum, pres)
+        assert cert == reference_certificate(datum, pres)
+        for f in cert.factors:
+            assert edge_norm_squared(datum, pres, f.map_index, f.edge) == f.base
+
+
+@pytest.mark.parametrize("name", ["lw4", "r6-built", "r6"])
+def test_the_constant_forms_one_edge_line_per_weighted_edge_and_no_image(name, monkeypatch):
+    # bound_constant takes each weighted edge's new direction once (one
+    # perp_in) and each factor's base from the Gram determinants of the
+    # image rows, so it forms no image subspace and no image edge line.
+    make_datum, make_pres = ALL_FIXTURES[name.removesuffix("-built")]
+    datum = make_datum()
+    pres = (build_presentation(datum, generate_lattice(datum)) if name.endswith("-built")
+            else make_pres())
+    weighted = sum(1 for (s,) in summary_weight(datum, pres).values if s != 0)
+    calls = Counter()
+    perp_in = Subspace.perp_in
+
+    def counted_perp_in(self, high):
+        calls["perp_in"] += 1
+        return perp_in(self, high)
+
+    monkeypatch.setattr(Subspace, "perp_in", counted_perp_in)
+    count_calls(monkeypatch, calls, "image")
+    cert = bound_constant(datum, pres)
+    assert len({f.edge for f in cert.factors}) == weighted
+    assert calls["perp_in"] == weighted
+    assert calls["image"] == 0
 
 
 def test_bound_constant_requires_validity():
