@@ -7,21 +7,26 @@ subspace pair -> theta row, all in the top-level space: dimension one is the
 edge A -> B carrying the exponents; a non-extreme exponent vector is split
 into extreme points of the node's polytope, whose rows are the dimension
 inequalities of B/A read off the build's image-dimension table, and their
-tables convexly combined; at an extreme point a critical subspace V (zero
-slack, proper) splits [A, B] into [A, V] and [V, B], whose tables are
-unioned. On a ready top-level family (data.is_ready) the children are its
-intervals, read off the kept inclusion order, and the image dimensions come
-from its meets; other families are closed afresh inside each child. A node's
-polytope and splits do not depend on its exponents, so its extreme points and
-its revisits share them, and each node forms the row gaps and the tight
-echelon of an exponent vector once: the vertices Caratheodory reaches come
-with theirs. The scaling equality is read off the root polytope's equality
-row and checked again, in integers, on each dimension-one edge
-(base_case_dim1); the nodes between inherit it: extreme points lie on the
-polytope's B row, and the children of a split at a critical V inherit it.
+tables convexly combined, after a check in integers that the weights sum to
+one and mix back to the exponents; at an extreme point the least critical
+subspace V (zero slack, proper), for which only the critical rows of least
+dimension are ordered, splits [A, B] into [A, V] and [V, B], whose tables
+are unioned. On a ready top-level family (data.is_ready) the children are
+its intervals, read off the kept inclusion order, and the image dimensions
+come from its meets; other families are closed afresh inside each child. A
+node's polytope and splits do not depend on its exponents, so its extreme
+points and its revisits share them, and each node forms the row gaps and the
+tight echelon of an exponent vector once: the vertices Caratheodory reaches
+come with theirs. A tight echelon stops at rank n, and a bisection point's
+extends its parent's by the rows that became tight. The scaling equality is
+read off the root polytope's equality row and checked again, in integers, on
+each dimension-one edge (base_case_dim1); the nodes between inherit it:
+extreme points lie on the polytope's B row, and the children of a split at a
+critical V inherit it.
 The one presentation made from the top-level table is verified exactly, so
 an impoverished candidate family can only cause an explicit failure, never a
-wrong certificate.
+wrong certificate. Trace lines are formed only when the caller passes a
+trace list.
 """
 
 from __future__ import annotations
@@ -91,9 +96,21 @@ class ExponentPolytope:
     def criticals(self, gaps: Iterable[int]) -> list[PolytopeRow]:
         """The rows of the critical subspaces, in `linalg.ordered` order: the
         candidate rows of gap zero but the equality row's."""
-        rows = {row.subspace: row for row, gap in zip(self.rows, gaps)
-                if gap == 0 and row.subspace is not None and not row.equality}
+        rows = {row.subspace: row for row in self._critical_rows(gaps)}
         return [rows[v] for v in ordered(rows)]
+
+    def least_critical(self, gaps: Iterable[int]) -> Subspace | None:
+        """The subspace of `criticals(gaps)[0]`, or None, ordering only the
+        critical rows of least dimension: a row's rhs is dim V - dim low."""
+        rows = self._critical_rows(gaps)
+        if not rows:
+            return None
+        least = min(row.rhs for row in rows)
+        return ordered(row.subspace for row in rows if row.rhs == least)[0]
+
+    def _critical_rows(self, gaps: Iterable[int]) -> list[PolytopeRow]:
+        return [row for row, gap in zip(self.rows, gaps)
+                if gap == 0 and row.subspace is not None and not row.equality]
 
     def member(self, tau) -> PolytopeRow | None:
         """None if tau satisfies every row, else the first violated row."""
@@ -180,8 +197,8 @@ def caratheodory(poly: ExponentPolytope, tau, *,
     """Exact convex decomposition of a member point into at most n+1 vertices.
 
     Walks tight-set bisections down to vertices, then trims the combination
-    by eliminating affine dependences; every step is rational arithmetic and
-    the reconstruction sum c_k tau_k = tau is verified before returning.
+    by eliminating affine dependences; every step is exact, and before
+    returning sum c_k = 1 and sum c_k tau_k = tau are checked in integers.
     `gaps`, when given, is D and the list of row gaps of `poly.gaps(tau)`,
     and `tight` the `_tight` echelon of those gaps, which a caller that has
     them passes rather than compute them again. `reached`, when given,
@@ -202,19 +219,29 @@ def caratheodory(poly: ExponentPolytope, tau, *,
                            _tight(poly, row_gaps) if tight is None else tight,
                            {} if reached is None else reached)
     terms = _reduce_caratheodory(poly.n, raw)
-    total = sum((c for c, _ in terms), Fraction(0))
-    recon = tuple(
-        sum((c * p[i] for c, p in terms), Fraction(0)) for i in range(poly.n)
-    )
-    if total != 1 or recon != tau:
+    if not _reconstructs(terms, den, nums):
         raise BuildError("convex decomposition failed to reconstruct the exponents")
     return ExtremeDecomposition(tuple(terms))
 
 
+def _reconstructs(terms: list[tuple[Fraction, tuple[Fraction, ...]]], den: int,
+                  nums: tuple[int, ...]) -> bool:
+    """Whether sum c_k = 1 and sum c_k p_k = nums / D, in integers: with
+    p_k = P_k / d_k and L = lcm(D, denominator(c_k) d_k), c_k = s_k d_k / L
+    and c_k p_k = s_k P_k / L."""
+    parts = [(c, *_over_common_denominator(p)) for c, p in terms]
+    big = lcm(den, *(c.denominator * d for c, d, _ in parts))
+    scales = [c.numerator * (big // (c.denominator * d)) for c, d, _ in parts]
+    return (sum(s * d for s, (_, d, _) in zip(scales, parts)) == big
+            and [sum(map(mul, scales, column)) for column in zip(*(p for _, _, p in parts))]
+            == [x * (big // den) for x in nums])
+
+
 def _tight(poly: ExponentPolytope, gaps: list[int]) -> Echelon:
     """`_echelon` of the rows of gap zero: tau is a vertex when it has rank n,
-    and its null space holds the directions that keep those rows tight."""
-    return _echelon([row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0], poly.n)
+    and the rows past that rank are never read; below n, its null space holds
+    the directions that keep those rows tight."""
+    return _echelon((row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0), poly.n)
 
 
 def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, gaps: list[int],
@@ -229,14 +256,14 @@ def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, ga
     the least g_r / k over the rows with k = -s_r > 0, at the point
     (k N + g d) / (k D) with gaps k g_r + g s_r, all divided by their gcd;
     going back, k = s_r and g is negated. Its tight rows are this point's
-    and those that became tight, so its echelon extends `tight`.
+    and those that became tight, so its echelon is `tight` with only the
+    latter eliminated into it.
     """
-    null = _null_space(*tight, poly.n)
-    if null.dim == 0:
+    if len(tight[1]) == poly.n:
         tau = tuple(Fraction(x, den) for x in nums)
         reached[tau] = den, gaps, tight
         return [(Fraction(1), tau)]
-    direction = null.echelon[0]
+    direction = _null_space(*tight, poly.n).echelon[0]
     rows = poly.rows
     speeds = {r: sum(map(mul, rows[r].coeffs, direction)) for r, gap in enumerate(gaps) if gap}
     ends = []
@@ -261,9 +288,9 @@ def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, ga
         if g > 1:
             point = [x // g for x in point]
             point_gaps = [gap // g for gap in point_gaps]
-        fresh = [rows[r].coeffs for r, gap in enumerate(point_gaps) if gap == 0 and gaps[r]]
+        fresh = (rows[r].coeffs for r, gap in enumerate(point_gaps) if gap == 0 and gaps[r])
         for c, vertex in _decompose_point(poly, tuple(point), k * den // g, point_gaps,
-                                          _echelon([*tight[0], *fresh], poly.n), reached):
+                                          _echelon(fresh, poly.n, tight), reached):
             out.append((weight * c, vertex))
     return out
 
@@ -418,16 +445,16 @@ def _split(datum: HBLDatum, node: _Node, v: Subspace, max_size: int) -> tuple[_N
 
 
 def _split_subspace(datum: HBLDatum, node: _Node, poly: ExponentPolytope,
-                    tau: tuple[Fraction, ...], gaps: list[int]) -> tuple[Subspace, str]:
+                    tau: tuple[Fraction, ...], gaps: list[int]) -> tuple[Subspace, int | None]:
     """The subspace a node splits at, at extreme exponents tau with the
-    polytope's row gaps, and the trace line naming it: the least critical
-    subspace in `linalg.ordered` order, else the first tau_i = 1 hyperplane
-    of _codim1_critical, on a map of positive rank on high/low, if critical."""
+    polytope's row gaps, and the branch taken: the least critical subspace
+    in `linalg.ordered` order, with None, else the first tau_i = 1
+    hyperplane of _codim1_critical, on a map of positive rank on high/low,
+    if critical, with i."""
     low, high = node.low, node.high
-    criticals = poly.criticals(gaps)
-    if criticals:
-        v = criticals[0].subspace
-        return v, f"critical subspace of dim {v.dim - low.dim}"
+    v = poly.least_critical(gaps)
+    if v is not None:
+        return v, None
     base = datum.image_dims(low)
     den, nums = _over_common_denominator(tau)
     for i, (t, top, bottom) in enumerate(zip(tau, datum.image_dims(high), base)):
@@ -435,7 +462,7 @@ def _split_subspace(datum: HBLDatum, node: _Node, poly: ExponentPolytope,
             v = _codim1_critical(datum.kernels[i], low, high)
             rise = map(sub, datum.image_dims(v), base)
             if sum(map(mul, nums, rise)) == den * (v.dim - low.dim):
-                return v, f"tau{i + 1}=1 branch: codim-1 critical subspace"
+                return v, i
     raise InsufficientCandidates("candidate set insufficient: extreme exponents admit no "
                                  "critical subspace among the candidates")
 
@@ -455,10 +482,6 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
 
     exponents = datum.exponents
 
-    def log(msg: str) -> None:
-        if trace is not None:
-            trace.append(msg)
-
     def meet(node: _Node, tau: tuple[Fraction, ...]) -> tuple[ExponentPolytope, Met]:
         """The node's polytope and its D, row gaps and tight echelon at tau,
         each formed the first time the node meets them."""
@@ -473,10 +496,12 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
         return poly, met
 
     def recurse(node: _Node, tau: tuple[Fraction, ...], depth: int) -> EdgeTable:
+        # A trace line is formed only when the caller passed a trace list.
         indent = "  " * depth
         low, high = node.low, node.high
         if high.dim - low.dim == 1:
-            log(f"{indent}dim 1 base case")
+            if trace is not None:
+                trace.append(f"{indent}dim 1 base case")
             return base_case_dim1(tau, low, high,
                                   tuple(map(sub, top.image_dims(high), top.image_dims(low))))
 
@@ -497,17 +522,21 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             raise InsufficientCandidates(
                 f"candidate set insufficient: at exponents ({at}), a {reason}")
         if len(tight[1]) < poly.n:
-            log(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
+            if trace is not None:
+                trace.append(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
             parts = []
             # The vertices reached are met here with their gaps and echelons.
             for c, point in caratheodory(poly, tau, gaps=(den, gaps), tight=tight,
                                          reached=node.met).terms:
-                log(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
+                if trace is not None:
+                    trace.append(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
                 parts.append((c, recurse(node, point, depth + 1)))
             return convex_combine(parts)
 
-        v, line = _split_subspace(top, node, poly, tau, gaps)
-        log(indent + line)
+        v, branch = _split_subspace(top, node, poly, tau, gaps)
+        if trace is not None:
+            trace.append(indent + (f"critical subspace of dim {v.dim - low.dim}" if branch is None
+                                   else f"tau{branch + 1}=1 branch: codim-1 critical subspace"))
         children = node.splits.get(v)
         if children is None:
             children = node.splits[v] = _split(top, node, v, max_lattice)

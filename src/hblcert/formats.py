@@ -157,6 +157,9 @@ def parse_presentation(text: str) -> Presentation:
                 )
         if not isinstance(entry["theta"], list):
             raise ParseError(f"presentation: edges[{k}].theta must be a list of rationals")
+        if not entry["theta"]:
+            raise ParseError(f"presentation: edges[{k}].theta must be a non-empty list "
+                             "of rationals")
         theta = tuple(parse_rational(x, f"presentation: edges[{k}].theta[{j}]")
                       for j, x in enumerate(entry["theta"]))
         if width is None:

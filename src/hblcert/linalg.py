@@ -46,40 +46,44 @@ def _over_common_denominator(values: Sequence[Fraction | int]) -> tuple[int, tup
     return den, tuple(x.numerator * (den // x.denominator) for x in values)
 
 
-def _echelon(rows: Sequence[Sequence[int]], cols: int
+def _echelon(rows: Iterable[Sequence[int]], cols: int,
+             start: tuple[Sequence[Sequence[int]], Sequence[int]] = ((), ())
              ) -> tuple[list[Sequence[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on integer rows.
+    """Fraction-free Gauss-Jordan on integer rows, one row at a time.
 
-    Returns the nonzero rows and the pivot column of each: every pivot column
-    is zero outside its own row, so dividing each row by its pivot entry
-    gives the reduced row echelon form. Each row made by elimination is
-    divided by its content, which keeps the entries small.
+    Returns the nonzero rows and the pivot column of each, by pivot: every
+    pivot column is zero outside its own row, so dividing each row by its
+    pivot entry gives the reduced row echelon form. Each row is reduced by
+    the pivot rows so far; if anything is left, its first nonzero column
+    becomes a pivot and is eliminated from them. Each row made by
+    elimination is divided by its content, which keeps the entries small.
+    A lazy `rows` is read only up to the row that brings the rank to
+    `cols`. `start`, an output of this routine, is extended by `rows`
+    without being eliminated again.
     """
-    rows = [r for r in rows if any(r)]
-    n = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == n:
-            break
-        for i in range(r, n):
-            if rows[i][c]:
+    reduced, pivots = list(start[0]), list(start[1])
+    for row in rows:
+        for prow, p in zip(reduced, pivots):
+            f = row[p]
+            if f:
+                g = gcd(prow[p], f)
+                row = _primitive([prow[p] // g * x - f // g * y for x, y in zip(row, prow)])
+        for c, p in enumerate(row):
+            if p:
                 break
         else:
-            continue
-        prow = rows[i]
-        rows[i] = rows[r]
-        rows[r] = prow
-        p = prow[c]
-        for i in range(n):
-            f = rows[i][c]
-            if f and i != r:
+            continue  # the row is in the span of the pivot rows
+        for k, prow in enumerate(reduced):
+            f = prow[c]
+            if f:
                 g = gcd(p, f)
-                a, b = p // g, f // g
-                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+                reduced[k] = _primitive([p // g * x - f // g * y for x, y in zip(prow, row)])
+        k = bisect_left(pivots, c)
+        reduced.insert(k, row)
+        pivots.insert(k, c)
+        if len(pivots) == cols:
+            break
+    return reduced, pivots
 
 
 @dataclass(frozen=True)
@@ -261,8 +265,8 @@ class Subspace:
         high-perp: one elimination over m columns, not 2m as in a meet."""
         if self.ambient != high.ambient:
             raise ValueError("ambient mismatch in relative complement")
-        return _null_space(*_echelon([*self.echelon, *high.perp().echelon], self.ambient),
-                           self.ambient)
+        return _null_space(*_echelon(high.perp().echelon, self.ambient,
+                                     (self.echelon, self.pivots)), self.ambient)
 
     def projector(self) -> Matrix:
         """Orthogonal projector onto this subspace: B^T (B B^T)^-1 B."""
@@ -412,8 +416,9 @@ def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:
         raise ValueError("ambient mismatch in subspace sum and intersection")
     m = u.ambient
     zeros = (0,) * m
-    rows = [b + b for b in u.echelon] + [b + zeros for b in w.echelon]
-    reduced, pivots = _echelon(rows, 2 * m)
+    # The rows [u, u] are reduced already, with U's pivots: only W's are eliminated.
+    reduced, pivots = _echelon([b + zeros for b in w.echelon], 2 * m,
+                               ([b + b for b in u.echelon], u.pivots))
     k = bisect_left(pivots, m)
     meet_pivots = [p - m for p in pivots[k:]]
     return (Subspace(m, _normalized([row[:m] for row in reduced[:k]], pivots[:k])),

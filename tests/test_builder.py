@@ -191,6 +191,11 @@ def test_caratheodory_reconstruction_guard_is_an_exception(monkeypatch):
                         lambda n, terms: [(Fraction(1), terms[0][1])])
     with pytest.raises(BuildError, match="failed to reconstruct"):
         caratheodory(poly, (Fraction(1, 2),) * 3)
+    # Weights that mix to tau but do not sum to one fail the check too.
+    monkeypatch.setattr(builder, "_reduce_caratheodory",
+                        lambda n, terms: [(Fraction(2), (Fraction(1, 4),) * 3)])
+    with pytest.raises(BuildError, match="failed to reconstruct"):
+        caratheodory(poly, (Fraction(1, 2),) * 3)
 
 
 def test_caratheodory_recovers_random_combinations():
@@ -716,10 +721,10 @@ def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
         return h
 
     def choice(d, node, poly, tau, gaps):
-        v, line = original_choice(d, node, poly, tau, gaps)
-        if "branch" in line:
+        v, branch = original_choice(d, node, poly, tau, gaps)
+        if branch is not None:
             branches.append((node, tau, v))
-        return v, line
+        return v, branch
 
     monkeypatch.setattr(builder, "_codim1_critical", hyperplane)
     monkeypatch.setattr(builder, "_split_subspace", choice)
@@ -847,10 +852,11 @@ def test_regenerated_children_are_the_closures_inside_their_intervals():
     assert {u + v for u in flag} <= set(high.family)
 
 
-def _random_datum(rng: random.Random) -> HBLDatum | None:
-    """Maps on R^3-R^5 with entries in {-1, 0, 1} and exponents in quarters,
-    the last positive-rank map's exponent solving the scaling equality."""
-    m = rng.randint(3, 5)
+def _random_datum(rng: random.Random, dims: tuple[int, int] = (3, 5)) -> HBLDatum | None:
+    """Maps on R^m, m drawn from `dims` (R^3-R^5 by default), with entries in
+    {-1, 0, 1} and exponents in quarters, the last positive-rank map's
+    exponent solving the scaling equality."""
+    m = rng.randint(*dims)
     maps = tuple(random_matrix(rng, rng.randint(1, m), m, -1, 1)
                  for _ in range(rng.randint(2, 4)))
     ranks = [mp.cols - kernel(mp).dim for mp in maps]
@@ -888,9 +894,9 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
     original = builder._split_subspace
 
     def choice(d, node, poly, tau, gaps):
-        v, line = original(d, node, poly, tau, gaps)
+        v, branch = original(d, node, poly, tau, gaps)
         chosen.append((node, tau, v))
-        return v, line
+        return v, branch
 
     with mock.patch.object(builder, "_split_subspace", choice):
         try:
@@ -908,6 +914,84 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
                            key=lambda u: (u.dim, u.basis.entries))
         if criticals:
             assert v == criticals[0]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_the_split_subspace_is_the_first_critical(hyp_rng):
+    """On random data in R^2-R^5, at every extreme point the build meets,
+    a node with a critical row splits at `criticals(gaps)[0]`, though only
+    the critical rows of least dimension are ordered."""
+    datum = _random_datum(random.Random(hyp_rng.randint(0, 10**9)), dims=(2, 5))
+    if datum is None:
+        return
+    met = []
+    original = builder._split_subspace
+
+    def choice(d, node, poly, tau, gaps):
+        v, branch = original(d, node, poly, tau, gaps)
+        met.append((poly, gaps, v, branch))
+        return v, branch
+
+    with mock.patch.object(builder, "_split_subspace", choice):
+        try:
+            build_presentation(datum, generate_lattice(datum, max_size=64))
+        except BuildError:
+            pass
+    for poly, gaps, v, branch in met:
+        criticals = poly.criticals(gaps)
+        if criticals:
+            assert (v, branch) == (criticals[0].subspace, None)
+        else:
+            assert branch is not None
+
+
+def test_an_lw5_build_orders_only_its_least_dimension_criticals(monkeypatch):
+    # At the lw5 root every proper coordinate subspace is critical, 62 rows;
+    # the split reads only the first, so only the 5 lines are ordered.
+    received, least, critical_rows = [], [], 0
+    ordered, original = builder.ordered, builder._split_subspace
+
+    def counted_ordered(subspaces):
+        subspaces = list(subspaces)
+        received.append(set(subspaces))
+        return ordered(subspaces)
+
+    def choice(d, node, poly, tau, gaps):
+        nonlocal critical_rows
+        rows = [row for row, gap in zip(poly.rows, gaps)
+                if gap == 0 and row.subspace is not None and not row.equality]
+        critical_rows += len(rows)
+        if rows:
+            least.append({row.subspace for row in rows
+                          if row.rhs == min(r.rhs for r in rows)})
+        return original(d, node, poly, tau, gaps)
+
+    monkeypatch.setattr(builder, "ordered", counted_ordered)
+    monkeypatch.setattr(builder, "_split_subspace", choice)
+    datum = loomis_whitney_datum(5)
+    build_presentation(datum, generate_lattice(datum))
+    assert received == least
+    assert (len(received), sum(map(len, received)), critical_rows) == (15, 50, 198)
+
+
+def test_an_untraced_build_formats_no_fraction(monkeypatch):
+    """Trace lines are formed only for a caller's trace list: without one,
+    no Fraction becomes text, and the build returns what a traced build
+    returns."""
+
+    def refuse(self):
+        raise AssertionError("an untraced build formatted a Fraction")
+
+    for datum in (loomis_whitney_datum(3), subsets_interior_datum()):
+        lattice = generate_lattice(datum)
+        trace: list[str] = []
+        traced = build_presentation(datum, lattice, trace=trace)
+        assert any("not extreme" in line for line in trace)
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__str__", refuse)
+            untraced = build_presentation(datum, lattice)
+        assert untraced == traced
 
 
 def _reference_node(datum, node):

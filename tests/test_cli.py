@@ -36,6 +36,16 @@ def fixture(name: str) -> str:
     return str(FIXTURE_DIR / name)
 
 
+def cli_subprocess(argv, cwd) -> subprocess.CompletedProcess:
+    """`hblcert argv` as its own process in cwd, with this checkout's src
+    first on the path; it raises subprocess.TimeoutExpired after 60 s."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "hblcert.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
@@ -546,6 +556,18 @@ def test_theta_that_is_not_a_list_exits_two(capsys, tmp_path, theta):
     assert code == 2 and out == ""
 
 
+def test_empty_theta_exits_two_naming_its_edge(tmp_path):
+    # As a subprocess: the exit status and the one error line are what a user sees.
+    pres = json.loads(pathlib.Path(fixture("lw2.presentation.json")).read_text())
+    pres["edges"][0]["theta"] = []
+    (tmp_path / "bad.presentation.json").write_text(json.dumps(pres))
+    result = cli_subprocess(["verify", "--data", fixture("lw2.datum.json"),
+                             "--presentation", "bad.presentation.json"], tmp_path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == ("error: presentation: edges[0].theta must be a non-empty "
+                             "list of rationals\n")
+
+
 def test_missing_file_exits_two(capsys):
     code = main(["check-data", "--data", "/nonexistent/nowhere.json"])
     assert code == 2
@@ -702,13 +724,8 @@ def test_flow_commands_reject_a_graph_that_is_not_a_decomposition(
     argv = [command, "--presentation", "p.json"]
     if command == "project":
         argv += ["--data", "d.json", "--map-index", "0"]
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     try:
-        result = subprocess.run([sys.executable, "-m", "hblcert.cli", *argv],
-                                capture_output=True, text=True, env=env, cwd=tmp_path,
-                                timeout=60)
+        result = cli_subprocess(argv, tmp_path)
     except subprocess.TimeoutExpired:
         pytest.fail(f"{command} did not stop within 60 s")
     assert result.returncode == 2 and result.stdout == ""

@@ -105,6 +105,19 @@ def test_parse_presentation_rejects_theta_that_is_not_a_list(theta):
         parse_presentation(text)
 
 
+def test_parse_presentation_rejects_an_empty_theta_at_its_own_edge():
+    # An empty first row used to set the width to 0 and blame the next edge.
+    edges = [{"from": "a", "to": "b", "theta": []}, {"from": "b", "to": "c", "theta": ["1"]}]
+    text = json.dumps({
+        "vertices": [{"id": "a", "basis": []}, {"id": "b", "basis": [["1", "0"]]},
+                     {"id": "c", "basis": [["1", "0"], ["0", "1"]]}],
+        "edges": edges,
+    })
+    with pytest.raises(ParseError, match=r"^presentation: edges\[0\]\.theta must be a "
+                                         r"non-empty list of rationals$"):
+        parse_presentation(text)
+
+
 def test_parse_candidates():
     text = "# comment line\n1 0 0; 0 1 0\n\n0 0 2\n"
     subs = parse_candidates(text, 3)

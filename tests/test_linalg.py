@@ -10,6 +10,8 @@ from hblcert.data import HBLDatum
 from hblcert.linalg import (
     Matrix,
     Subspace,
+    _echelon,
+    _null_space,
     canonicalize,
     image,
     kernel,
@@ -227,6 +229,47 @@ def assert_echelon_is_the_primitive_basis(s):
 def test_rref_matches_fraction_gauss_jordan(mat):
     rows = [mat.row(i) for i in range(mat.rows)]
     assert canonicalize(mat).basis == reference_span(rows, mat.cols)
+
+
+def reference_null_space(rows, cols):
+    """The RREF basis of the null space, as a Matrix: one vector per free
+    column of the Fraction Gauss-Jordan."""
+    reduced, pivots = reference_rref(rows, cols)
+    vectors = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    return reference_span(vectors, cols)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_echelon_stops_at_full_rank_and_extends_a_start(data):
+    """Rows read lazily up to full rank, and an echelon extended by fresh
+    rows, give the pivots, rows and null space of the Fraction Gauss-Jordan
+    of all the rows; zero rows and rows dependent after full rank included."""
+    cols = data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+    rows = data.draw(st.lists(row, max_size=6))
+    if data.draw(st.booleans()):
+        # Full rank, then a zero row and a dependent one.
+        units = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        rows += data.draw(st.permutations(units)) + [[0] * cols, [2 * x for x in units[0]]]
+    rows.insert(data.draw(st.integers(0, len(rows))), [0] * cols)
+    reduced, pivots = reference_rref(rows, cols)
+    null = reference_null_space(rows, cols)
+    lazy = iter(rows)
+    cut = data.draw(st.integers(0, len(rows)))
+    for got in (_echelon(rows, cols), _echelon(lazy, cols),
+                _echelon(rows[cut:], cols, _echelon(rows[:cut], cols))):
+        assert got[1] == pivots
+        assert [[Fraction(x, r[p]) for x in r] for r, p in zip(*got)] == reduced
+        assert _null_space(*got, cols).basis == null
+    # The lazy read stopped at the row that brought the rank to cols.
+    full = (k for k in range(len(rows)) if len(reference_rref(rows[:k + 1], cols)[1]) == cols)
+    assert len(rows) - len(list(lazy)) == next(full, len(rows) - 1) + 1
 
 
 @given(st.data())

@@ -142,6 +142,7 @@ def test_structure_mismatch_lands_in_report():
     report = verify_presentation(datum, pres)
     assert not report.valid
     assert any(p.startswith("structure") for p in report.problems)
+    assert report.map_masses == () and report.sigma == () and report.sigma_mass == 0
 
 
 @pytest.mark.parametrize("stranger, edge_problems", [
@@ -160,7 +161,7 @@ def test_vertex_of_the_wrong_ambient_lands_in_report(stranger, edge_problems):
     report = verify_presentation(datum, bad)
     assert not report.valid
     assert report.problems == ("graph: vertex 1 has ambient 2, graph has 3", *edge_problems)
-    assert report.sigma == () and not report.sigma_balanced
+    assert report.sigma == () and not report.sigma_balanced and report.sigma_mass == 0
     with pytest.raises(ValueError, match="requires a valid presentation"):
         bound_constant(datum, bad)
 
