@@ -2,31 +2,33 @@
 inequalities over a candidate family.
 
 The construction recurses over intervals [A, B] of top-level subspaces, each
-with a candidate family inside it, and passes edge tables, (low, high)
-subspace pair -> theta row, all in the top-level space: dimension one is the
-edge A -> B carrying the exponents; a non-extreme exponent vector is split
-into extreme points of the node's polytope, whose rows are the dimension
-inequalities of B/A read off the build's image-dimension table, and their
-tables convexly combined, after a check in integers that the weights sum to
-one and mix back to the exponents; at an extreme point the least critical
-subspace V (zero slack, proper), for which only the critical rows of least
-dimension are ordered, splits [A, B] into [A, V] and [V, B], whose tables
-are unioned. On a ready top-level family (data.is_ready) the children are
-its intervals, read off the kept inclusion order, and the image dimensions
-come from its meets; other families are closed afresh inside each child. A
-node's polytope and splits do not depend on its exponents, so its extreme
-points and its revisits share them, and each node forms the row gaps and the
-tight echelon of an exponent vector once: the vertices Caratheodory reaches
-come with theirs. A tight echelon stops at rank n, and a bisection point's
-extends its parent's by the rows that became tight. The scaling equality is
-read off the root polytope's equality row and checked again, in integers, on
-each dimension-one edge (base_case_dim1); the nodes between inherit it:
-extreme points lie on the polytope's B row, and the children of a split at a
-critical V inherit it.
-The one presentation made from the top-level table is verified exactly, so
-an impoverished candidate family can only cause an explicit failure, never a
-wrong certificate. Trace lines are formed only when the caller passes a
-trace list.
+with a candidate family inside it, in integers: it passes exponent vectors
+as points (D, N), N / D in lowest terms, and edge tables, (low, high)
+subspace pair -> theta row in the top-level space, as D and integer rows
+over D: dimension one is the edge A -> B carrying the exponents; a
+non-extreme point is split into extreme points of the node's polytope, whose
+rows are the dimension inequalities of B/A read off the build's
+image-dimension table, and their tables convexly combined, after a check in
+integers that the weights sum to one and mix back to the exponents; at an
+extreme point the least critical subspace V (zero slack, proper), for which
+only the critical rows of least dimension are ordered, splits [A, B] into
+[A, V] and [V, B], whose tables are unioned. On a ready top-level family
+(data.is_ready) the children are its intervals, read off the kept inclusion
+order, and the image dimensions come from its meets; other families are
+closed afresh inside each child. A node's polytope and splits do not depend
+on its exponents, so its extreme points and its revisits share them, and
+each node forms the row gaps and the tight echelon of an exponent vector
+once: the vertices Caratheodory reaches come with theirs. A tight echelon
+stops at rank n, and a bisection point's extends its parent's by the rows
+that became tight. The scaling equality is read off the root polytope's
+equality row and checked again, in integers, on each dimension-one edge
+(base_case_dim1); the nodes between inherit it: extreme points lie on the
+polytope's B row, and the children of a split at a critical V inherit it.
+The one presentation made from the top-level table, in Fractions, is verified
+exactly, so an impoverished candidate family can only cause an explicit
+failure, never a wrong certificate. Other Fractions are formed only for
+Caratheodory's weights and for error text, and trace lines only when the
+caller passes a trace list.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul, sub
+from typing import NamedTuple
 
 from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, is_ready
 from hblcert.linalg import (
@@ -61,21 +64,29 @@ class InsufficientCandidates(BuildError):
     """The candidate family was too small to decide: a larger one may build."""
 
 
-EdgeTable = dict[tuple[Subspace, Subspace], tuple[Fraction, ...]]
+Point = tuple[int, tuple[int, ...]]  # (D, N): the exponent vector N / D, in lowest terms
+EdgeTable = tuple[int, dict[tuple[Subspace, Subspace], tuple[int, ...]]]  # D, D * theta rows
 Echelon = tuple[list[Sequence[int]], list[int]]  # reduced rows and pivots, as _echelon gives
-Met = tuple[int, list[int], Echelon]  # D, row gaps and tight echelon of a point of a polytope
+Met = tuple[list[int], Echelon]  # row gaps and tight echelon of a point of a polytope
 
 
-@dataclass(frozen=True)
-class PolytopeRow:
+class PolytopeRow(NamedTuple):
     """The constraint coeffs . tau >= rhs (== rhs if `equality`), in integers;
     `subspace` is a dimension row's candidate V, None for a box row."""
 
     coeffs: tuple[int, ...]
     rhs: int
     equality: bool
-    provenance: str
     subspace: Subspace | None
+
+    @property
+    def provenance(self) -> str:
+        """The row's name in reports: a candidate row's rhs is dim V - dim low,
+        and a box row's unit coefficient is +1 for tau_i >= 0, -1 for tau_i <= 1."""
+        if self.subspace is not None:
+            return f"dim-{self.rhs} candidate"
+        i = next(i for i, c in enumerate(self.coeffs) if c)
+        return f"tau{i + 1} >= 0" if self.coeffs[i] > 0 else f"tau{i + 1} <= 1"
 
 
 @dataclass(frozen=True)
@@ -83,10 +94,10 @@ class ExponentPolytope:
     n: int
     rows: tuple[PolytopeRow, ...]
 
-    def gaps(self, tau) -> tuple[int, Iterator[int]]:
-        """D, the common denominator of tau, and lazily D * (coeffs . tau - rhs) per row."""
-        den, nums = _over_common_denominator(tau)
-        return den, (sum(map(mul, row.coeffs, nums)) - row.rhs * den for row in self.rows)
+    def gaps(self, point: Point) -> Iterator[int]:
+        """Lazily D * (coeffs . tau - rhs) per row, at the point tau = N / D."""
+        den, nums = point
+        return (sum(map(mul, row.coeffs, nums)) - row.rhs * den for row in self.rows)
 
     def violated(self, gaps: Iterable[int]) -> tuple[PolytopeRow, int] | None:
         """The first row the gaps violate, with its gap, or None."""
@@ -113,14 +124,14 @@ class ExponentPolytope:
                 if gap == 0 and row.subspace is not None and not row.equality]
 
     def member(self, tau) -> PolytopeRow | None:
-        """None if tau satisfies every row, else the first violated row."""
-        violated = self.violated(self.gaps(tau)[1])
+        """None if tau, in Fractions, satisfies every row, else the first violated row."""
+        violated = self.violated(self.gaps(_over_common_denominator(tau)))
         return None if violated is None else violated[0]
 
 
 @dataclass(frozen=True)
 class ExtremeDecomposition:
-    terms: tuple[tuple[Fraction, tuple[Fraction, ...]], ...]  # (coefficient, extreme tau)
+    terms: tuple[tuple[Fraction, Point], ...]  # (coefficient, extreme point)
 
 
 def polytope_from_candidates(datum: HBLDatum, candidates: Iterable[Subspace],
@@ -143,13 +154,10 @@ def polytope_from_candidates(datum: HBLDatum, candidates: Iterable[Subspace],
         top = d == span and v == high
         if not (0 < d < span or top):
             continue  # low itself, whose row is vacuous, or no member of [low, high]
-        rows.append(PolytopeRow(tuple(map(sub, datum.image_dims(v), base)), d, top,
-                                f"dim-{d} candidate", v))
+        rows.append(PolytopeRow(tuple(map(sub, datum.image_dims(v), base)), d, top, v))
     for i in range(n):
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        rows.append(PolytopeRow(unit, 0, False, f"tau{i + 1} >= 0", None))
-        neg = tuple(-1 if j == i else 0 for j in range(n))
-        rows.append(PolytopeRow(neg, -1, False, f"tau{i + 1} <= 1", None))
+        rows.append(PolytopeRow(tuple(1 if j == i else 0 for j in range(n)), 0, False, None))
+        rows.append(PolytopeRow(tuple(-1 if j == i else 0 for j in range(n)), -1, False, None))
     return ExponentPolytope(n, tuple(rows))
 
 
@@ -190,50 +198,44 @@ def enumerate_extremes(poly: ExponentPolytope) -> tuple[tuple[Fraction, ...], ..
     return tuple(sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays))
 
 
-def caratheodory(poly: ExponentPolytope, tau, *,
-                 gaps: tuple[int, list[int]] | None = None,
+def caratheodory(poly: ExponentPolytope, point: Point, *,
+                 gaps: list[int] | None = None,
                  tight: Echelon | None = None,
-                 reached: dict[tuple[Fraction, ...], Met] | None = None) -> ExtremeDecomposition:
-    """Exact convex decomposition of a member point into at most n+1 vertices.
+                 reached: dict[Point, Met] | None = None) -> ExtremeDecomposition:
+    """Exact convex decomposition of a member point N / D into at most n+1 vertices.
 
     Walks tight-set bisections down to vertices, then trims the combination
     by eliminating affine dependences; every step is exact, and before
     returning sum c_k = 1 and sum c_k tau_k = tau are checked in integers.
-    `gaps`, when given, is D and the list of row gaps of `poly.gaps(tau)`,
-    and `tight` the `_tight` echelon of those gaps, which a caller that has
+    `gaps`, when given, is the list of row gaps `poly.gaps(point)`, and
+    `tight` the `_tight` echelon of those gaps, which a caller that has
     them passes rather than compute them again. `reached`, when given,
-    receives each vertex the bisections reach with its D, gaps and echelon.
+    receives each vertex the bisections reach with its gaps and echelon.
     """
-    tau = tuple(Fraction(t) for t in tau)
     if gaps is None:
-        den, lazy = poly.gaps(tau)
-        gaps = den, list(lazy)
-    den, row_gaps = gaps
-    violated = poly.violated(row_gaps)
+        gaps = list(poly.gaps(point))
+    violated = poly.violated(gaps)
     if violated is not None:
         row, gap = violated
         raise ValueError(f"tau violates constraint {row.provenance}: "
-                         f"{row.rhs + Fraction(gap, den)} vs {row.rhs}")
-    nums = tuple(t.numerator * (den // t.denominator) for t in tau)
-    raw = _decompose_point(poly, nums, den, row_gaps,
-                           _tight(poly, row_gaps) if tight is None else tight,
+                         f"{row.rhs + Fraction(gap, point[0])} vs {row.rhs}")
+    raw = _decompose_point(poly, point, gaps, _tight(poly, gaps) if tight is None else tight,
                            {} if reached is None else reached)
     terms = _reduce_caratheodory(poly.n, raw)
-    if not _reconstructs(terms, den, nums):
+    if not _reconstructs(terms, point):
         raise BuildError("convex decomposition failed to reconstruct the exponents")
     return ExtremeDecomposition(tuple(terms))
 
 
-def _reconstructs(terms: list[tuple[Fraction, tuple[Fraction, ...]]], den: int,
-                  nums: tuple[int, ...]) -> bool:
-    """Whether sum c_k = 1 and sum c_k p_k = nums / D, in integers: with
+def _reconstructs(terms: list[tuple[Fraction, Point]], point: Point) -> bool:
+    """Whether sum c_k = 1 and sum c_k p_k = N / D, in integers: with
     p_k = P_k / d_k and L = lcm(D, denominator(c_k) d_k), c_k = s_k d_k / L
     and c_k p_k = s_k P_k / L."""
-    parts = [(c, *_over_common_denominator(p)) for c, p in terms]
-    big = lcm(den, *(c.denominator * d for c, d, _ in parts))
-    scales = [c.numerator * (big // (c.denominator * d)) for c, d, _ in parts]
-    return (sum(s * d for s, (_, d, _) in zip(scales, parts)) == big
-            and [sum(map(mul, scales, column)) for column in zip(*(p for _, _, p in parts))]
+    den, nums = point
+    big = lcm(den, *(c.denominator * d for c, (d, _) in terms))
+    scales = [c.numerator * (big // (c.denominator * d)) for c, (d, _) in terms]
+    return (sum(s * d for s, (_, (d, _)) in zip(scales, terms)) == big
+            and [sum(map(mul, scales, column)) for column in zip(*(p for _, (_, p) in terms))]
             == [x * (big // den) for x in nums])
 
 
@@ -244,10 +246,9 @@ def _tight(poly: ExponentPolytope, gaps: list[int]) -> Echelon:
     return _echelon((row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0), poly.n)
 
 
-def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, gaps: list[int],
-                     tight: Echelon, reached: dict[tuple[Fraction, ...], Met]
-                     ) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """Convex weights and vertices of the member point nums / D, in lowest
+def _decompose_point(poly: ExponentPolytope, point: Point, gaps: list[int], tight: Echelon,
+                     reached: dict[Point, Met]) -> list[tuple[Fraction, Point]]:
+    """Convex weights and vertices of the member point N / D, in lowest
     terms, with row gaps `gaps` (D * slack) and tight echelon `tight`.
 
     Along the direction d, a positive integer multiple of the first RREF
@@ -260,9 +261,9 @@ def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, ga
     latter eliminated into it.
     """
     if len(tight[1]) == poly.n:
-        tau = tuple(Fraction(x, den) for x in nums)
-        reached[tau] = den, gaps, tight
-        return [(Fraction(1), tau)]
+        reached[point] = gaps, tight
+        return [(Fraction(1), point)]
+    den, nums = point
     direction = _null_space(*tight, poly.n).echelon[0]
     rows = poly.rows
     speeds = {r: sum(map(mul, rows[r].coeffs, direction)) for r, gap in enumerate(gaps) if gap}
@@ -282,31 +283,36 @@ def _decompose_point(poly: ExponentPolytope, nums: tuple[int, ...], den: int, ga
     lam = Fraction(g_minus * k_plus, g_plus * k_minus + g_minus * k_plus)
     out = []
     for weight, k, step in ((lam, k_plus, g_plus), (1 - lam, k_minus, -g_minus)):
-        point = [k * x + step * d for x, d in zip(nums, direction)]
-        point_gaps = [k * gap + step * speeds[r] if gap else 0 for r, gap in enumerate(gaps)]
-        g = gcd(k * den, *point)
+        end = [k * x + step * d for x, d in zip(nums, direction)]
+        end_gaps = [k * gap + step * speeds[r] if gap else 0 for r, gap in enumerate(gaps)]
+        g = gcd(k * den, *end)
         if g > 1:
-            point = [x // g for x in point]
-            point_gaps = [gap // g for gap in point_gaps]
-        fresh = (rows[r].coeffs for r, gap in enumerate(point_gaps) if gap == 0 and gaps[r])
-        for c, vertex in _decompose_point(poly, tuple(point), k * den // g, point_gaps,
+            end = [x // g for x in end]
+            end_gaps = [gap // g for gap in end_gaps]
+        fresh = (rows[r].coeffs for r, gap in enumerate(end_gaps) if gap == 0 and gaps[r])
+        for c, vertex in _decompose_point(poly, (k * den // g, tuple(end)), end_gaps,
                                           _echelon(fresh, poly.n, tight), reached):
             out.append((weight * c, vertex))
     return out
 
 
-def _reduce_caratheodory(n: int, terms):
-    """Merge duplicates and eliminate affine dependences until <= n+1 terms."""
-    merged: dict[tuple[Fraction, ...], Fraction] = {}
+def _reduce_caratheodory(n: int, terms: list[tuple[Fraction, Point]]
+                         ) -> list[tuple[Fraction, Point]]:
+    """Merge duplicates and eliminate affine dependences until <= n+1 terms.
+    The points are sorted as their Fraction vectors are: by their numerators
+    over the points' common denominator."""
+    merged: dict[Point, Fraction] = {}
     for c, p in terms:
         if c != 0:
-            merged[p] = merged.get(p, Fraction(0)) + c
-    points = sorted(merged)
+            merged[p] = merged.get(p, 0) + c
+    big = lcm(*(d for d, _ in merged))
+    points = sorted(merged, key=lambda p: [x * (big // p[0]) for x in p[1]])
     coeffs = [merged[p] for p in points]
     while len(points) > n + 1:
         # Rows are the points with a trailing 1; a kernel vector is an
         # affine dependence sum lam_k p_k = 0, sum lam_k = 0, so some lam_k > 0.
-        mat = Matrix.from_rows([list(p) + [Fraction(1)] for p in points], cols=n + 1)
+        mat = Matrix.from_rows([[Fraction(x, d) for x in p] + [Fraction(1)] for d, p in points],
+                               cols=n + 1)
         dep = kernel(mat.transpose())
         if dep.dim == 0:
             raise BuildError("more than n+1 vertices without an affine dependence")
@@ -324,21 +330,20 @@ def _reduce_caratheodory(n: int, terms):
     return list(zip(coeffs, points))
 
 
-def base_case_dim1(tau: Sequence[Fraction], low: Subspace, high: Subspace,
-                   rise: Sequence[int]) -> EdgeTable:
-    """Single edge low -> high carrying the exponents, for an interval of
-    dimension one; rise is (dim pi_i(high) - dim pi_i(low))_i, and the
+def base_case_dim1(point: Point, low: Subspace, high: Subspace, rise: Sequence[int]) -> EdgeTable:
+    """Single edge low -> high carrying the exponents N / D, for an interval
+    of dimension one; rise is (dim pi_i(high) - dim pi_i(low))_i, and the
     scaling equality sum_i tau_i rise_i = 1 must hold."""
     if high.dim - low.dim != 1:
         raise ValueError("base case needs an interval of dimension 1")
-    den, nums = _over_common_denominator(tau)
+    den, nums = point
     total = sum(map(mul, nums, rise))
     if total != den:
         raise BuildError(f"scaling equality fails in dimension 1: 1 != {Fraction(total, den)}")
-    return {(low, high): tuple(tau)}
+    return den, {(low, high): nums}
 
 
-def _endpoints(edges: EdgeTable) -> dict[Subspace, None]:
+def _endpoints(edges: Iterable[tuple[Subspace, Subspace]]) -> dict[Subspace, None]:
     """The distinct endpoints of the edges, in first-seen order."""
     return dict.fromkeys(w for edge in edges for w in edge)
 
@@ -346,8 +351,10 @@ def _endpoints(edges: EdgeTable) -> dict[Subspace, None]:
 def concatenate(low: EdgeTable, high: EdgeTable) -> EdgeTable:
     """Splice an edge table of [A, V] with one of [V, B]: both are in the
     top-level space, so the result is their union, low edges first, with no
-    vertex moved. It is not verified here."""
-    return {**low, **high}
+    vertex moved, over the lcm of their denominators. It is not verified here."""
+    den = lcm(low[0], high[0])
+    return den, {edge: tuple(x * (den // d) for x in row)
+                 for d, rows in (low, high) for edge, row in rows.items()}
 
 
 def convex_combine(terms) -> EdgeTable:
@@ -355,30 +362,36 @@ def convex_combine(terms) -> EdgeTable:
 
     Coefficients must be nonnegative and sum to one; callers verify the
     result against the mixed exponents. The mix runs in integers: with part
-    j's rows over their lcm d_j and c_j = n_j / q_j, every product c_j x is
-    put over L = lcm_j(q_j d_j), and each entry's sum becomes one Fraction
-    over L at the end.
+    j's rows over d_j and c_j = n_j / q_j, every product c_j x is put over
+    L = lcm_j(q_j d_j), and the table is divided by the gcd of L and its
+    entries, so that it is in lowest terms.
     """
-    terms = [(Fraction(c), edges) for c, edges in terms]
+    terms = [(Fraction(c), table) for c, table in terms]
     if not terms:
         raise ValueError("nothing to combine")
     total = sum((c for c, _ in terms), Fraction(0))
     if total != 1 or any(c < 0 for c, _ in terms):
         raise ValueError(f"coefficients must be nonnegative with sum 1, got sum {total}")
-    ambients = {w.ambient for _, edges in terms for w in _endpoints(edges)}
-    widths = {len(row) for _, edges in terms for row in edges.values()}
+    ambients = {w.ambient for _, (_, edges) in terms for w in _endpoints(edges)}
+    widths = {len(row) for _, (_, edges) in terms for row in edges.values()}
     if len(ambients) > 1 or len(widths) > 1:
         raise ValueError("edge tables must share ambient and width")
-    dens = [lcm(*(x.denominator for row in edges.values() for x in row)) for _, edges in terms]
-    den = lcm(*(c.denominator * d for (c, _), d in zip(terms, dens)))
+    den = lcm(*(c.denominator * d for c, (d, _) in terms))
     sums: dict[tuple[Subspace, Subspace], list[int]] = {}
-    for (c, edges), d in zip(terms, dens):
+    for c, (d, edges) in terms:
         scale = c.numerator * (den // (c.denominator * d))
         for edge, row in edges.items():
             acc = sums.setdefault(edge, [0] * len(row))
             for k, x in enumerate(row):
-                acc[k] += x.numerator * (d // x.denominator) * scale
-    return {edge: tuple(Fraction(x, den) for x in acc) for edge, acc in sums.items()}
+                acc[k] += x * scale
+    g = gcd(den, *(x for acc in sums.values() for x in acc))
+    return den // g, {edge: tuple(x // g for x in acc) for edge, acc in sums.items()}
+
+
+def _text(point: Point) -> tuple[str, ...]:
+    """The point N / D as the strings of its Fractions, for trace and error text."""
+    den, nums = point
+    return tuple(str(Fraction(x, den)) for x in nums)
 
 
 def vertex_count_bound(n_maps: int, dim: int) -> int:
@@ -408,14 +421,14 @@ class _Node:
     closed and holds low, high and the node's kernels (ker pi_i + low) cap
     high, and that the lattice's order is complete; `splits` maps V to the
     children [low, V] and [V, high], `poly` is the polytope once made, and
-    `met` maps each exponent vector the node has met to its D, row gaps and
+    `met` maps each exponent point the node has met to its row gaps and
     tight echelon on that polytope."""
 
     def __init__(self, lattice: CandidateLattice, members: int,
                  low: Subspace, high: Subspace, ready: bool) -> None:
         self.lattice, self.members, self.low, self.high = lattice, members, low, high
         self.ready, self.splits, self.poly = ready, {}, None
-        self.met: dict[tuple[Fraction, ...], Met] = {}
+        self.met: dict[Point, Met] = {}
 
     @cached_property
     def family(self) -> dict[Subspace, int]:
@@ -445,20 +458,19 @@ def _split(datum: HBLDatum, node: _Node, v: Subspace, max_size: int) -> tuple[_N
 
 
 def _split_subspace(datum: HBLDatum, node: _Node, poly: ExponentPolytope,
-                    tau: tuple[Fraction, ...], gaps: list[int]) -> tuple[Subspace, int | None]:
-    """The subspace a node splits at, at extreme exponents tau with the
+                    point: Point, gaps: list[int]) -> tuple[Subspace, int | None]:
+    """The subspace a node splits at, at extreme exponents N / D with the
     polytope's row gaps, and the branch taken: the least critical subspace
-    in `linalg.ordered` order, with None, else the first tau_i = 1
+    in `linalg.ordered` order, with None, else the first tau_i = 1 (N_i = D)
     hyperplane of _codim1_critical, on a map of positive rank on high/low,
     if critical, with i."""
     low, high = node.low, node.high
     v = poly.least_critical(gaps)
     if v is not None:
         return v, None
-    base = datum.image_dims(low)
-    den, nums = _over_common_denominator(tau)
-    for i, (t, top, bottom) in enumerate(zip(tau, datum.image_dims(high), base)):
-        if t == 1 and top > bottom:
+    base, (den, nums) = datum.image_dims(low), point
+    for i, (x, top, bottom) in enumerate(zip(nums, datum.image_dims(high), base)):
+        if x == den and top > bottom:
             v = _codim1_critical(datum.kernels[i], low, high)
             rise = map(sub, datum.image_dims(v), base)
             if sum(map(mul, nums, rise)) == den * (v.dim - low.dim):
@@ -480,32 +492,31 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     row, raises ValueError.
     """
 
-    exponents = datum.exponents
+    exponents = _over_common_denominator(datum.exponents)
 
-    def meet(node: _Node, tau: tuple[Fraction, ...]) -> tuple[ExponentPolytope, Met]:
-        """The node's polytope and its D, row gaps and tight echelon at tau,
-        each formed the first time the node meets them."""
+    def meet(node: _Node, point: Point) -> tuple[ExponentPolytope, Met]:
+        """The node's polytope and its row gaps and tight echelon at the
+        point, each formed the first time the node meets them."""
         poly = node.poly
         if poly is None:
             poly = node.poly = polytope_from_candidates(top, node.family, node.low, node.high)
-        met = node.met.get(tau)
+        met = node.met.get(point)
         if met is None:
-            den, lazy = poly.gaps(tau)
-            gaps = list(lazy)
-            met = node.met[tau] = den, gaps, _tight(poly, gaps)
+            gaps = list(poly.gaps(point))
+            met = node.met[point] = gaps, _tight(poly, gaps)
         return poly, met
 
-    def recurse(node: _Node, tau: tuple[Fraction, ...], depth: int) -> EdgeTable:
+    def recurse(node: _Node, point: Point, depth: int) -> EdgeTable:
         # A trace line is formed only when the caller passed a trace list.
         indent = "  " * depth
         low, high = node.low, node.high
         if high.dim - low.dim == 1:
             if trace is not None:
                 trace.append(f"{indent}dim 1 base case")
-            return base_case_dim1(tau, low, high,
+            return base_case_dim1(point, low, high,
                                   tuple(map(sub, top.image_dims(high), top.image_dims(low))))
 
-        poly, (den, gaps, tight) = meet(node, tau)
+        poly, (gaps, tight) = meet(node, point)
         # B's row holds by scaling and the box rows for any datum, so a
         # violated row is a candidate V's, with gap D * slack(V) in B/A.
         violated = poly.violated(gaps)
@@ -515,32 +526,32 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
             # the subspace that cuts the vertex off.
             row, gap = violated
             reason = ("candidate subspace violates the dimension inequality "
-                      f"(dim {row.rhs}, slack {Fraction(gap, den)})")
-            if tau == exponents:
+                      f"(dim {row.rhs}, slack {Fraction(gap, point[0])})")
+            if point == exponents:
                 raise BuildError(reason)
-            at = ", ".join(map(str, tau))
+            at = ", ".join(_text(point))
             raise InsufficientCandidates(
                 f"candidate set insufficient: at exponents ({at}), a {reason}")
         if len(tight[1]) < poly.n:
             if trace is not None:
-                trace.append(f"{indent}tau {tuple(map(str, tau))} not extreme; splitting")
+                trace.append(f"{indent}tau {_text(point)} not extreme; splitting")
             parts = []
             # The vertices reached are met here with their gaps and echelons.
-            for c, point in caratheodory(poly, tau, gaps=(den, gaps), tight=tight,
-                                         reached=node.met).terms:
+            for c, vertex in caratheodory(poly, point, gaps=gaps, tight=tight,
+                                          reached=node.met).terms:
                 if trace is not None:
-                    trace.append(f"{indent}  extreme {tuple(map(str, point))} with weight {c}")
-                parts.append((c, recurse(node, point, depth + 1)))
+                    trace.append(f"{indent}  extreme {_text(vertex)} with weight {c}")
+                parts.append((c, recurse(node, vertex, depth + 1)))
             return convex_combine(parts)
 
-        v, branch = _split_subspace(top, node, poly, tau, gaps)
+        v, branch = _split_subspace(top, node, poly, point, gaps)
         if trace is not None:
             trace.append(indent + (f"critical subspace of dim {v.dim - low.dim}" if branch is None
                                    else f"tau{branch + 1}=1 branch: codim-1 critical subspace"))
         children = node.splits.get(v)
         if children is None:
             children = node.splits[v] = _split(top, node, v, max_lattice)
-        low_edges, high_edges = (recurse(child, tau, depth + 1) for child in children)
+        low_edges, high_edges = (recurse(child, point, depth + 1) for child in children)
         return concatenate(low_edges, high_edges)
 
     ready, top = is_ready(datum, candidates), datum
@@ -552,14 +563,15 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     root = _Node(candidates, -1, Subspace.zero(datum.dim), Subspace.full(datum.dim), ready)
     # The family opens with {0} and H, so the root polytope's equality row,
     # H's, carries the scaling slack; a dimension-one root is met here only.
-    poly, (den, gaps, _) = meet(root, exponents)
+    poly, (gaps, _) = meet(root, exponents)
     scaling = next((gap for row, gap in zip(poly.rows, gaps) if row.equality), None)
     if scaling is None:
         raise ValueError("candidate family does not hold the full space")
     if scaling:
         raise BuildError(f"scaling equality fails: {datum.dim} != "
-                         f"{datum.dim + Fraction(scaling, den)}")
-    edges = recurse(root, datum.exponents, 0)
+                         f"{datum.dim + Fraction(scaling, exponents[0])}")
+    den, rows = recurse(root, exponents, 0)
+    edges = {edge: tuple(Fraction(x, den) for x in row) for edge, row in rows.items()}
     pres = Presentation.from_edges(datum.dim, datum.n_maps, _endpoints(edges), edges)
     report = verify_presentation(datum, pres)
     if not report.valid:

@@ -22,6 +22,7 @@ from hblcert import builder as builder_mod
 from hblcert import formats
 from hblcert.data import CandidateLattice, generate_lattice
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
+from hblcert.linalg import _over_common_denominator
 from hblcert.presentation import _certificate, export_dot, verify_presentation
 
 
@@ -57,7 +58,7 @@ def _read(path: str | None, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise formats.ParseError(f"cannot read {what} file: {exc}") from None
 
 
@@ -115,8 +116,8 @@ def _cmd_check_data(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
     poly = builder_mod.polytope_from_candidates(datum, candidates)
-    den, lazy = poly.gaps(datum.exponents)
-    gaps = list(lazy)
+    point = _over_common_denominator(datum.exponents)
+    gaps = list(poly.gaps(point))
     # The family opens with {0} and H, so H's equality row gives the scaling
     # slack, and a scaling failure is the violation reported; exponents lie
     # in [0, 1], so no box row is violated.
@@ -126,7 +127,7 @@ def _cmd_check_data(args) -> tuple[int, dict]:
         "command": "check-data",
         "verdict": "feasible" if violation is None else "violation",
         "scaling": {"holds": scaling == 0, "lhs": str(datum.dim),
-                    "rhs": str(datum.dim + Fraction(scaling, den))},
+                    "rhs": str(datum.dim + Fraction(scaling, point[0]))},
         "lattice": {"size": len(candidates.subspaces), "closed": candidates.closed},
         "criticals": [{"dim": row.rhs, "basis": _basis(row.subspace)}
                       for row in poly.criticals(gaps)],
@@ -135,7 +136,7 @@ def _cmd_check_data(args) -> tuple[int, dict]:
         row, gap = violation
         out["violation"] = {
             "dim": row.rhs,
-            "slack": str(Fraction(gap, den)),
+            "slack": str(Fraction(gap, point[0])),
             "classification": "scaling" if row.equality else "violating",
             "basis": _basis(row.subspace),
         }

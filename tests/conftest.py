@@ -8,8 +8,6 @@ from fractions import Fraction
 
 from hblcert.builder import (
     BuildError,
-    ExtremeDecomposition,
-    _reduce_caratheodory,
     _tight,
     polytope_from_candidates,
 )
@@ -21,6 +19,7 @@ from hblcert.linalg import (
     Subspace,
     _echelon,
     _null_space,
+    _over_common_denominator,
     canonicalize,
     frac,
     image,
@@ -89,12 +88,12 @@ def scan(datum, lattice) -> tuple[tuple[Subspace, Fraction] | None, list[Subspac
     references' terms: the first violated row's subspace and slack, or None,
     and the subspaces of its critical rows."""
     poly = polytope_from_candidates(datum, lattice)
-    den, lazy = poly.gaps(datum.exponents)
-    gaps = list(lazy)
+    point = _over_common_denominator(datum.exponents)
+    gaps = list(poly.gaps(point))
     violated = poly.violated(gaps)
     if violated is not None:
         row, gap = violated
-        violated = row.subspace, Fraction(gap, den)
+        violated = row.subspace, Fraction(gap, point[0])
     return violated, [row.subspace for row in poly.criticals(gaps)]
 
 
@@ -147,15 +146,50 @@ def reference_convex_combine(terms) -> dict:
     return mixed
 
 
-def reference_caratheodory(poly, tau) -> ExtremeDecomposition:
-    """Reference Caratheodory decomposition of a member point: the bisection
-    in Fractions, each end point's row gaps and tight rows formed afresh
-    from the polytope, then the builder's trimming of the combination."""
+def fraction_point(point) -> tuple[Fraction, ...]:
+    """The builder's exponent point (D, N) as the vector of Fractions N / D."""
+    den, nums = point
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def fraction_terms(decomposition) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+    """The terms of a Caratheodory decomposition, each point as its Fraction vector."""
+    return tuple((c, fraction_point(p)) for c, p in decomposition.terms)
+
+
+def reference_reduce(n: int, terms) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
+    """Reference trimming of a convex combination of Fraction points: merge
+    equal points, sort them, and eliminate affine dependences, in Fractions,
+    until at most n+1 terms are left."""
+    merged: dict[tuple[Fraction, ...], Fraction] = {}
+    for c, p in terms:
+        if c != 0:
+            merged[p] = merged.get(p, Fraction(0)) + c
+    points = sorted(merged)
+    coeffs = [merged[p] for p in points]
+    while len(points) > n + 1:
+        mat = Matrix.from_rows([list(p) + [Fraction(1)] for p in points], cols=n + 1)
+        dep = kernel(mat.transpose())
+        if dep.dim == 0:
+            raise BuildError("more than n+1 vertices without an affine dependence")
+        lam = list(dep.basis.row(0))
+        step = min(c / l for c, l in zip(coeffs, lam) if l > 0)
+        coeffs = [c - step * l for c, l in zip(coeffs, lam)]
+        keep = [k for k, c in enumerate(coeffs) if c != 0]
+        points = [points[k] for k in keep]
+        coeffs = [coeffs[k] for k in keep]
+    return list(zip(coeffs, points))
+
+
+def reference_caratheodory(poly, tau) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+    """Reference Caratheodory terms of a member point, in Fractions: the
+    bisection, each end point's row gaps and tight rows formed afresh from
+    the polytope, then the reference trimming of the combination."""
     tau = tuple(Fraction(t) for t in tau)
 
     def split(point):
-        den, lazy = poly.gaps(point)
-        gaps = list(lazy)
+        ints = _over_common_denominator(point)
+        den, gaps = ints[0], list(poly.gaps(ints))
         null = _null_space(*_tight(poly, gaps), poly.n)
         if null.dim == 0:
             return [(Fraction(1), point)]
@@ -177,7 +211,7 @@ def reference_caratheodory(poly, tau) -> ExtremeDecomposition:
         return [(weight * c, vertex) for weight, end in ((lam, hi), (1 - lam, lo))
                 for c, vertex in split(end)]
 
-    return ExtremeDecomposition(tuple(_reduce_caratheodory(poly.n, split(tau))))
+    return tuple(reference_reduce(poly.n, split(tau)))
 
 
 def reference_total_mass(graph, weight) -> tuple[Fraction, ...]:

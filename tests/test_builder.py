@@ -7,6 +7,7 @@ import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import numpy as np
@@ -44,11 +45,21 @@ from hblcert.fixtures import (
     loomis_whitney_datum,
 )
 from hblcert.flowgraph import GraphDecomposition
-from hblcert.linalg import Matrix, Subspace, _echelon, image, kernel, span
+from hblcert.linalg import (
+    Matrix,
+    Subspace,
+    _echelon,
+    _over_common_denominator,
+    image,
+    kernel,
+    span,
+)
 from hblcert.oracle import GaussianInput, gaussian_ratio
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
 from conftest import (
+    fraction_point,
+    fraction_terms,
     identity,
     random_flag_graph,
     random_matrix,
@@ -56,23 +67,42 @@ from conftest import (
     reference_caratheodory,
     reference_convex_combine,
     reference_extremes,
+    reference_reduce,
     reference_violation,
     transformed_lw4,
 )
 
 
+def integer_table(edges):
+    """The builder's form of a table of Fraction theta rows: D, the lcm of
+    their denominators, and the rows times D, which is in lowest terms."""
+    den = lcm(*(x.denominator for row in edges.values() for x in row))
+    return den, {edge: tuple(x.numerator * (den // x.denominator) for x in row)
+                 for edge, row in edges.items()}
+
+
+def fraction_rows(table):
+    """The (low, high) subspace pair -> Fraction theta row table of an
+    integer table (D, rows)."""
+    den, rows = table
+    return {edge: tuple(Fraction(x, den) for x in row) for edge, row in rows.items()}
+
+
 def edge_table(pres):
-    """The (low, high) subspace pair -> theta row table of a presentation."""
+    """The (low, high) subspace pair -> theta row table of a presentation,
+    in the builder's integer form."""
     ends = pres.graph.vertices
-    return {(ends[a], ends[b]): row for (a, b), row in zip(pres.graph.edges, pres.theta.values)}
+    return integer_table({(ends[a], ends[b]): row
+                          for (a, b), row in zip(pres.graph.edges, pres.theta.values)})
 
 
-def vertices_of(edges):
-    return {w for edge in edges for w in edge}
+def vertices_of(table):
+    return {w for edge in table[1] for w in edge}
 
 
-def presentation_of(datum, edges):
-    return Presentation.from_edges(datum.dim, datum.n_maps, vertices_of(edges), edges)
+def presentation_of(datum, table):
+    return Presentation.from_edges(datum.dim, datum.n_maps, vertices_of(table),
+                                   fraction_rows(table))
 
 
 def built_edges(datum):
@@ -159,8 +189,8 @@ def test_single_map_polytope():
 def test_caratheodory_on_an_extreme_point_is_trivial():
     datum = fourmap_r6_datum()
     poly = polytope_from_candidates(datum, forcing_lattice())
-    decomposition = caratheodory(poly, (Fraction(1, 2),) * 4)
-    assert decomposition.terms == ((Fraction(1), (Fraction(1, 2),) * 4),)
+    decomposition = caratheodory(poly, (2, (1, 1, 1, 1)))
+    assert decomposition.terms == ((Fraction(1), (2, (1, 1, 1, 1))),)
 
 
 def lines_and_plane_polytope():
@@ -176,11 +206,10 @@ def test_caratheodory_midpoint():
         (Fraction(0), Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(1), Fraction(0)),
     }
-    mid = (Fraction(1, 2),) * 3
-    decomposition = caratheodory(poly, mid)
+    decomposition = caratheodory(poly, (2, (1, 1, 1)))
     assert sorted(decomposition.terms) == [
-        (Fraction(1, 2), (Fraction(0), Fraction(0), Fraction(1))),
-        (Fraction(1, 2), (Fraction(1), Fraction(1), Fraction(0))),
+        (Fraction(1, 2), (1, (0, 0, 1))),
+        (Fraction(1, 2), (1, (1, 1, 0))),
     ]
 
 
@@ -190,12 +219,12 @@ def test_caratheodory_reconstruction_guard_is_an_exception(monkeypatch):
     monkeypatch.setattr(builder, "_reduce_caratheodory",
                         lambda n, terms: [(Fraction(1), terms[0][1])])
     with pytest.raises(BuildError, match="failed to reconstruct"):
-        caratheodory(poly, (Fraction(1, 2),) * 3)
+        caratheodory(poly, (2, (1, 1, 1)))
     # Weights that mix to tau but do not sum to one fail the check too.
     monkeypatch.setattr(builder, "_reduce_caratheodory",
-                        lambda n, terms: [(Fraction(2), (Fraction(1, 4),) * 3)])
+                        lambda n, terms: [(Fraction(2), (4, (1, 1, 1)))])
     with pytest.raises(BuildError, match="failed to reconstruct"):
-        caratheodory(poly, (Fraction(1, 2),) * 3)
+        caratheodory(poly, (2, (1, 1, 1)))
 
 
 def test_caratheodory_recovers_random_combinations():
@@ -214,10 +243,10 @@ def test_caratheodory_recovers_random_combinations():
             sum((c * p[i] for c, p in zip(coeffs, chosen)), Fraction(0))
             for i in range(4)
         )
-        decomposition = caratheodory(poly, tau)
+        decomposition = caratheodory(poly, _over_common_denominator(tau))
         assert len(decomposition.terms) <= 5
         recovered = tuple(
-            sum((c * p[i] for c, p in decomposition.terms), Fraction(0))
+            sum((c * p[i] for c, p in fraction_terms(decomposition)), Fraction(0))
             for i in range(4)
         )
         assert recovered == tau
@@ -256,7 +285,7 @@ def test_vertices_match_the_subset_reference(hyp_rng, maps, family):
     if maps == "short":
         assert vertices == ()
     for vertex in vertices:
-        _, gaps = poly.gaps(vertex)
+        gaps = poly.gaps(_over_common_denominator(vertex))
         tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
         assert poly.member(vertex) is None and len(_echelon(tight, n)[1]) == n
     probes = [tuple(Fraction(rng.randint(0, 4), 4) for _ in range(n))]
@@ -267,7 +296,8 @@ def test_vertices_match_the_subset_reference(hyp_rng, maps, family):
                             / sum(weights) for i in range(n)))
     for tau in probes:
         if poly.member(tau) is None:
-            assert {p for _, p in caratheodory(poly, tau).terms} <= set(vertices)
+            decomposition = caratheodory(poly, _over_common_denominator(tau))
+            assert {p for _, p in fraction_terms(decomposition)} <= set(vertices)
 
 
 def fraction_value(row, tau):
@@ -302,7 +332,8 @@ def test_integer_rows_agree_with_fraction_evaluation(hyp_rng):
         if not all(fraction_satisfied(row, tau) for row in poly.rows):
             outside.append(tau)
     for tau in points + outside:
-        den, gaps = poly.gaps(tau)
+        point = _over_common_denominator(tau)
+        den, gaps = point[0], poly.gaps(point)
         for row, gap in zip(poly.rows, gaps):
             assert isinstance(gap, int)
             assert Fraction(gap, den) == fraction_value(row, tau) - row.rhs
@@ -322,7 +353,7 @@ def test_caratheodory_rejects_non_members():
     ]
     for tau, message in cases:
         with pytest.raises(ValueError) as excinfo:
-            caratheodory(poly, tau)
+            caratheodory(poly, _over_common_denominator(tau))
         assert str(excinfo.value) == message
 
 
@@ -354,7 +385,8 @@ def test_caratheodory_matches_the_fraction_bisection(hyp_rng, maps):
     vertices = enumerate_extremes(poly)
     if not vertices:
         return  # the maps' total rank is below the dimension
-    tight_on = {v: {r for r, gap in enumerate(poly.gaps(v)[1]) if gap == 0} for v in vertices}
+    tight_on = {v: {r for r, gap in enumerate(poly.gaps(_over_common_denominator(v))) if gap == 0}
+                for v in vertices}
     faces = [[v for v in vertices if r in tight_on[v]] for r in range(len(poly.rows))]
     faces = [face for face in faces if 1 < len(face) < len(vertices)]
     points = [rng.choice(vertices),
@@ -364,12 +396,14 @@ def test_caratheodory_matches_the_fraction_bisection(hyp_rng, maps):
         points.append(mix(chosen, [Fraction(rng.randint(1, 9)) for _ in chosen]))
     for tau in points:
         reached = {}
-        decomposition = caratheodory(poly, tau, reached=reached)
-        assert decomposition == reference_caratheodory(poly, tau)
-        assert {p for _, p in decomposition.terms} <= set(reached) <= set(vertices)
-        for vertex, (den, gaps, tight) in reached.items():
-            at_den, lazy = poly.gaps(vertex)
-            assert (den, gaps) == (at_den, list(lazy)) and len(tight[1]) == n
+        decomposition = caratheodory(poly, _over_common_denominator(tau), reached=reached)
+        assert fraction_terms(decomposition) == reference_caratheodory(poly, tau)
+        assert {p for _, p in decomposition.terms} <= set(reached)
+        assert set(map(fraction_point, reached)) <= set(vertices)
+        for vertex, (gaps, tight) in reached.items():
+            # Each vertex reached is in lowest terms, the key of its Fractions.
+            assert vertex == _over_common_denominator(fraction_point(vertex))
+            assert gaps == list(poly.gaps(vertex)) and len(tight[1]) == n
 
 
 def test_each_node_meets_an_exponent_vector_once(monkeypatch):
@@ -379,9 +413,9 @@ def test_each_node_meets_an_exponent_vector_once(monkeypatch):
     gaps, tight = builder.ExponentPolytope.gaps, builder._tight
     met, ranked = Counter(), Counter()
 
-    def counted_gaps(poly, tau):
-        met[id(poly), tuple(tau)] += 1
-        return gaps(poly, tau)
+    def counted_gaps(poly, point):
+        met[id(poly), point] += 1
+        return gaps(poly, point)
 
     def counted_tight(poly, row_gaps):
         ranked[id(poly)] += 1
@@ -428,24 +462,25 @@ def test_build_reads_scaling_off_the_root_polytope(monkeypatch):
 def test_base_case_examples():
     zero, line = Subspace.zero(1), Subspace.full(1)
     one = HBLDatum(1, (identity(1),), ("id",), (Fraction(1),))
-    assert base_case_dim1(one.exponents, zero, line, one.ranks) == {(zero, line): (Fraction(1),)}
+    assert _over_common_denominator(one.exponents) == (1, (1,))
+    assert base_case_dim1((1, (1,)), zero, line, one.ranks) == (1, {(zero, line): (1,)})
     assert verify_presentation(one, presentation_of(one, base_case_dim1(
-        one.exponents, zero, line, one.ranks))).valid
+        (1, (1,)), zero, line, one.ranks))).valid
 
-    half = (Fraction(1, 2), Fraction(1, 2))
-    assert base_case_dim1(half, zero, line, (1, 1)) == {(zero, line): half}
+    half = (2, (1, 1))
+    assert base_case_dim1(half, zero, line, (1, 1)) == (2, {(zero, line): (1, 1)})
 
     with_rank0 = HBLDatum(1, (identity(1), Matrix.zeros(1, 1)), ("a", "z"),
                           (Fraction(1), Fraction(1)))
     report = verify_presentation(with_rank0, presentation_of(with_rank0, base_case_dim1(
-        with_rank0.exponents, zero, line, with_rank0.ranks)))
+        _over_common_denominator(with_rank0.exponents), zero, line, with_rank0.ranks)))
     assert report.valid
     assert report.sigma == (Fraction(1),)
 
     with pytest.raises(BuildError, match=r"scaling equality fails in dimension 1: 1 != 1/2"):
-        base_case_dim1((Fraction(1, 2),), zero, line, (1,))
+        base_case_dim1((2, (1,)), zero, line, (1,))
     with pytest.raises(ValueError, match="dimension 1"):
-        base_case_dim1((Fraction(1),), zero, Subspace.full(2), (2,))
+        base_case_dim1((1, (1,)), zero, Subspace.full(2), (2,))
 
 
 def test_base_case_is_an_interval_of_the_top_level_space():
@@ -455,18 +490,20 @@ def test_base_case_is_an_interval_of_the_top_level_space():
     low, high = span([[1, 0, 0]], 3), span([[1, 0, 0], [0, 1, 0]], 3)
     rise = tuple(h - l for h, l in zip(datum.image_dims(high), datum.image_dims(low)))
     assert rise == (1, 0, 1)
-    assert base_case_dim1(datum.exponents, low, high, rise) == {(low, high): datum.exponents}
+    point = _over_common_denominator(datum.exponents)
+    assert fraction_rows(base_case_dim1(point, low, high, rise)) == {(low, high): datum.exponents}
     with pytest.raises(BuildError, match="dimension 1: 1 != 3/2"):
-        base_case_dim1(datum.exponents, low, high, (1, 1, 1))
+        base_case_dim1(point, low, high, (1, 1, 1))
 
 
-def embedded(edges, v, high_part: bool):
+def embedded(table, v, high_part: bool):
     """A chart edge table of the restriction to V (or of the quotient by V,
     when high_part) in the top-level space: low vertices through the chart of
     V, high vertices W as V + W through the chart of V-perp."""
     chart = v.perp().chart() if high_part else v.chart()
-    at = {w: image(chart, w) + v if high_part else image(chart, w) for w in vertices_of(edges)}
-    return {(at[a], at[b]): row for (a, b), row in edges.items()}
+    at = {w: image(chart, w) + v if high_part else image(chart, w) for w in vertices_of(table)}
+    den, rows = table
+    return den, {(at[a], at[b]): row for (a, b), row in rows.items()}
 
 
 def split_tables(datum, v):
@@ -508,7 +545,8 @@ def test_concatenate_embeds_each_part_vertex_once():
               [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
     low, high = split_tables(datum, v)
     edges = concatenate(low, high)
-    assert list(edges.items()) == [*low.items(), *high.items()]
+    assert list(fraction_rows(edges).items()) == [*fraction_rows(low).items(),
+                                                  *fraction_rows(high).items()]
     assert vertices_of(low) & vertices_of(high) == {v}
     assert vertices_of(edges) == vertices_of(low) | vertices_of(high)
     assert verify_presentation(datum, presentation_of(datum, edges)).valid
@@ -519,8 +557,8 @@ def test_concatenate_at_the_zero_subspace_reembeds_the_high_part():
     # table, so concatenating returns it as it is, from either side.
     datum = loomis_whitney_datum(2)
     high = built_edges(datum)
-    assert concatenate({}, high) == high == concatenate(high, {})
-    assert verify_presentation(datum, presentation_of(datum, concatenate({}, high))).valid
+    assert concatenate((1, {}), high) == high == concatenate(high, (1, {}))
+    assert verify_presentation(datum, presentation_of(datum, concatenate((1, {}), high))).valid
 
 
 def test_convex_combine_trivial_cases():
@@ -536,7 +574,7 @@ def test_convex_combine_trivial_cases():
         convex_combine([(Fraction(3, 2), edges), (Fraction(-1, 2), edges)])
     with pytest.raises(ValueError, match="^edge tables must share ambient and width$"):
         convex_combine([(Fraction(1, 2), edges),
-                        (Fraction(1, 2), {edge: row[:2] for edge, row in edges.items()})])
+                        (Fraction(1, 2), (edges[0], {e: row[:2] for e, row in edges[1].items()}))])
     with pytest.raises(ValueError, match="^nothing to combine$"):
         convex_combine([])
 
@@ -561,9 +599,11 @@ def test_convex_combine_matches_the_fraction_mix(hyp_rng):
         edges = rng.sample(pool, rng.randint(1, len(pool)))
         terms.append((c, {edge: tuple(Fraction(rng.randint(0, 6), rng.choice(dens))
                                       for _ in range(width)) for edge in edges}))
-    mixed = convex_combine(terms)
-    assert list(mixed.items()) == list(reference_convex_combine(terms).items())
-    assert all(type(x) is Fraction for row in mixed.values() for x in row)
+    mixed = convex_combine([(c, integer_table(edges)) for c, edges in terms])
+    assert list(fraction_rows(mixed).items()) == list(reference_convex_combine(terms).items())
+    # The mix is an integer table in lowest terms.
+    assert all(type(x) is int for row in mixed[1].values() for x in row)
+    assert mixed == integer_table(fraction_rows(mixed))
 
 
 def test_convex_combine_of_distinct_chains_is_valid():
@@ -581,8 +621,9 @@ def test_convex_combine_of_distinct_chains_is_valid():
         v = span(axis, 2)
         rises = [tuple(h - l for h, l in zip(datum.image_dims(b), datum.image_dims(a)))
                  for a, b in ((zero, v), (v, full))]
-        chains.append(concatenate(base_case_dim1(datum.exponents, zero, v, rises[0]),
-                                  base_case_dim1(datum.exponents, v, full, rises[1])))
+        point = _over_common_denominator(datum.exponents)
+        chains.append(concatenate(base_case_dim1(point, zero, v, rises[0]),
+                                  base_case_dim1(point, v, full, rises[1])))
     mixed = convex_combine([(Fraction(1, 2), chains[0]), (Fraction(1, 2), chains[1])])
     assert len(vertices_of(mixed)) == 4
     assert verify_presentation(datum, presentation_of(datum, mixed)).valid
@@ -720,10 +761,10 @@ def test_tau_one_branch_builds_valid_certificates(name, monkeypatch):
         hyperplanes.append((kernel, low, high, h))
         return h
 
-    def choice(d, node, poly, tau, gaps):
-        v, branch = original_choice(d, node, poly, tau, gaps)
+    def choice(d, node, poly, point, gaps):
+        v, branch = original_choice(d, node, poly, point, gaps)
         if branch is not None:
-            branches.append((node, tau, v))
+            branches.append((node, fraction_point(point), v))
         return v, branch
 
     monkeypatch.setattr(builder, "_codim1_critical", hyperplane)
@@ -893,9 +934,9 @@ def test_builder_splits_at_the_least_critical_and_reports_the_first_violation(hy
     chosen = []
     original = builder._split_subspace
 
-    def choice(d, node, poly, tau, gaps):
-        v, branch = original(d, node, poly, tau, gaps)
-        chosen.append((node, tau, v))
+    def choice(d, node, poly, point, gaps):
+        v, branch = original(d, node, poly, point, gaps)
+        chosen.append((node, fraction_point(point), v))
         return v, branch
 
     with mock.patch.object(builder, "_split_subspace", choice):
@@ -928,8 +969,8 @@ def test_the_split_subspace_is_the_first_critical(hyp_rng):
     met = []
     original = builder._split_subspace
 
-    def choice(d, node, poly, tau, gaps):
-        v, branch = original(d, node, poly, tau, gaps)
+    def choice(d, node, poly, point, gaps):
+        v, branch = original(d, node, poly, point, gaps)
         met.append((poly, gaps, v, branch))
         return v, branch
 
@@ -957,7 +998,7 @@ def test_an_lw5_build_orders_only_its_least_dimension_criticals(monkeypatch):
         received.append(set(subspaces))
         return ordered(subspaces)
 
-    def choice(d, node, poly, tau, gaps):
+    def choice(d, node, poly, point, gaps):
         nonlocal critical_rows
         rows = [row for row, gap in zip(poly.rows, gaps)
                 if gap == 0 and row.subspace is not None and not row.equality]
@@ -965,7 +1006,7 @@ def test_an_lw5_build_orders_only_its_least_dimension_criticals(monkeypatch):
         if rows:
             least.append({row.subspace for row in rows
                           if row.rhs == min(r.rhs for r in rows)})
-        return original(d, node, poly, tau, gaps)
+        return original(d, node, poly, point, gaps)
 
     monkeypatch.setattr(builder, "ordered", counted_ordered)
     monkeypatch.setattr(builder, "_split_subspace", choice)
@@ -992,6 +1033,58 @@ def test_an_untraced_build_formats_no_fraction(monkeypatch):
             patched.setattr(Fraction, "__str__", refuse)
             untraced = build_presentation(datum, lattice)
         assert untraced == traced
+
+
+def test_an_untraced_build_hashes_no_fraction(monkeypatch):
+    """Exponent vectors pass between nodes as integer points (D, N), which
+    key the nodes' tables and Caratheodory's merge: an untraced build,
+    Caratheodory path included, hashes no Fraction, and returns what a
+    traced build returns."""
+
+    def refuse(self):
+        raise AssertionError("the build hashed a Fraction")
+
+    for datum in (loomis_whitney_datum(4), subsets_interior_datum()):
+        lattice = generate_lattice(datum)
+        trace: list[str] = []
+        traced = build_presentation(datum, lattice, trace=trace)
+        with monkeypatch.context() as patched:
+            patched.setattr(Fraction, "__hash__", refuse)
+            untraced = build_presentation(datum, lattice)
+        assert untraced == traced
+    assert any("not extreme" in line for line in trace)
+
+
+def test_polytope_rows_name_themselves_from_their_fields():
+    # A row stores no text: its provenance, read by reports and errors, is
+    # derived from its dimension over low or its unit box coefficient.
+    _, poly = lines_and_plane_polytope()
+    assert all(not isinstance(field, str) for row in poly.rows for field in row)
+    assert [row.provenance for row in poly.rows] == [
+        "dim-2 candidate", "dim-1 candidate", "dim-1 candidate",
+        "tau1 >= 0", "tau1 <= 1", "tau2 >= 0", "tau2 <= 1", "tau3 >= 0", "tau3 <= 1"]
+    assert [row.equality for row in poly.rows] == [True] + [False] * 8
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_the_integer_merge_and_sort_gives_the_fraction_order(hyp_rng):
+    # Points of R^1 to R^4 over unequal denominators, some repeated and some
+    # with weight zero, more of them than n + 1, so the affine loop runs:
+    # merging on (D, N) and sorting by numerators over the common lcm gives
+    # the Fraction reference's points, order and weights.
+    rng = random.Random(hyp_rng.randint(0, 10**9))
+    n = rng.randint(1, 4)
+    pool = [tuple(Fraction(rng.randint(0, 6), rng.choice([1, 2, 3, 4, 6])) for _ in range(n))
+            for _ in range(rng.randint(n + 2, n + 5))]
+    terms = [(Fraction(rng.randint(0, 5), rng.randint(1, 7)), rng.choice(pool))
+             for _ in range(rng.randint(len(pool), 2 * len(pool)))]
+    reduced = builder._reduce_caratheodory(
+        n, [(c, _over_common_denominator(p)) for c, p in terms])
+    expected = reference_reduce(n, terms)
+    assert [(c, fraction_point(p)) for c, p in reduced] == expected
+    assert all(p == _over_common_denominator(fraction_point(p)) for _, p in reduced)
+    assert len(reduced) <= n + 1
 
 
 def _reference_node(datum, node):

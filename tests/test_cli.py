@@ -573,6 +573,21 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["check-data", "--data", "bad.bin"], "data"),
+    (["verify", "--data", fixture("lw2.datum.json"), "--presentation", "bad.bin"],
+     "presentation"),
+    (["polytope", "--data", fixture("lw2.datum.json"), "--candidates", "bad.bin"],
+     "candidates"),
+])
+def test_a_file_that_is_not_utf8_names_its_flag(tmp_path, argv, what):
+    (tmp_path / "bad.bin").write_bytes(b"\xff\xfe")
+    result = cli_subprocess(argv, tmp_path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == (f"error: cannot read {what} file: 'utf-8' codec can't decode "
+                             "byte 0xff in position 0: invalid start byte\n")
+
+
 def test_reports_are_deterministic(capsys):
     _, first = run_cli(capsys, "verify",
                        "--data", fixture("r6.datum.json"),
