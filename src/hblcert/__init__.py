@@ -1,10 +1,8 @@
 """Graph certificates for finiteness of Holder-Brascamp-Lieb constants."""
 
-from hblcert.builder import BuildError, build_presentation
 from hblcert.data import (
     CandidateLattice,
     HBLDatum,
-    check_scaling,
     generate_lattice,
     quotient_datum,
     restrict_datum,
@@ -37,9 +35,18 @@ __all__ = [
     "BoundCertificate", "BuildError", "CandidateLattice", "GraphDecomposition",
     "HBLDatum", "Matrix", "Presentation", "Subspace", "VerificationReport",
     "WeightFunction", "bound_constant", "build_presentation", "canonicalize",
-    "check_scaling", "decompose_flow", "edge_norm_squared", "export_dot",
-    "generate_lattice", "image", "is_balanced", "kernel", "project_graph",
-    "project_weight", "quotient_datum", "restrict_datum", "span", "subspace_slack",
-    "summary_weight", "total_mass", "transform_datum", "validate_graph",
-    "verify_presentation",
+    "decompose_flow", "edge_norm_squared", "export_dot", "generate_lattice", "image",
+    "is_balanced", "kernel", "project_graph", "project_weight", "quotient_datum",
+    "restrict_datum", "span", "subspace_slack", "summary_weight", "total_mass",
+    "transform_datum", "validate_graph", "verify_presentation",
 ]
+
+
+def __getattr__(name: str):
+    # The builder is imported on first use: of the command-line tools only
+    # those that build need it, and the others never compile it.
+    if name in ("BuildError", "build_presentation"):
+        from hblcert import builder
+
+        return getattr(builder, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,6 @@ caller passes a trace list.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -70,6 +69,12 @@ Echelon = tuple[list[Sequence[int]], list[int]]  # reduced rows and pivots, as _
 Met = tuple[list[int], Echelon]  # row gaps and tight echelon of a point of a polytope
 
 
+def as_point(tau: Sequence[Fraction]) -> Point:
+    """The exponent vector tau, in Fractions, as the point (D, N): D is the
+    lcm of the denominators, so N / D is in lowest terms."""
+    return _over_common_denominator(tau)
+
+
 class PolytopeRow(NamedTuple):
     """The constraint coeffs . tau >= rhs (== rhs if `equality`), in integers;
     `subspace` is a dimension row's candidate V, None for a box row."""
@@ -89,8 +94,7 @@ class PolytopeRow(NamedTuple):
         return f"tau{i + 1} >= 0" if self.coeffs[i] > 0 else f"tau{i + 1} <= 1"
 
 
-@dataclass(frozen=True)
-class ExponentPolytope:
+class ExponentPolytope(NamedTuple):
     n: int
     rows: tuple[PolytopeRow, ...]
 
@@ -125,12 +129,11 @@ class ExponentPolytope:
 
     def member(self, tau) -> PolytopeRow | None:
         """None if tau, in Fractions, satisfies every row, else the first violated row."""
-        violated = self.violated(self.gaps(_over_common_denominator(tau)))
+        violated = self.violated(self.gaps(as_point(tau)))
         return None if violated is None else violated[0]
 
 
-@dataclass(frozen=True)
-class ExtremeDecomposition:
+class ExtremeDecomposition(NamedTuple):
     terms: tuple[tuple[Fraction, Point], ...]  # (coefficient, extreme point)
 
 
@@ -492,7 +495,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
     row, raises ValueError.
     """
 
-    exponents = _over_common_denominator(datum.exponents)
+    exponents = as_point(datum.exponents)
 
     def meet(node: _Node, point: Point) -> tuple[ExponentPolytope, Met]:
         """The node's polytope and its row gaps and tight echelon at the

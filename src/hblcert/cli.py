@@ -18,11 +18,9 @@ import math
 import sys
 from fractions import Fraction
 
-from hblcert import builder as builder_mod
 from hblcert import formats
 from hblcert.data import CandidateLattice, generate_lattice
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
-from hblcert.linalg import _over_common_denominator
 from hblcert.presentation import _certificate, export_dot, verify_presentation
 
 
@@ -112,11 +110,15 @@ def _basis(v) -> list[list[str]]:
     return [[str(x) for x in row] for row in v.basis_rows()]
 
 
+# Only the commands that build import the builder, once their input is read,
+# so the others never compile it.
 def _cmd_check_data(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
-    poly = builder_mod.polytope_from_candidates(datum, candidates)
-    point = _over_common_denominator(datum.exponents)
+    from hblcert import builder
+
+    poly = builder.polytope_from_candidates(datum, candidates)
+    point = builder.as_point(datum.exponents)
     gaps = list(poly.gaps(point))
     # The family opens with {0} and H, so H's equality row gives the scaling
     # slack, and a scaling failure is the violation reported; exponents lie
@@ -142,8 +144,8 @@ def _cmd_check_data(args) -> tuple[int, dict]:
         }
         return 1, out
     try:  # only a certificate on the family, verified by the build, proves feasibility
-        builder_mod.build_presentation(datum, candidates, max_lattice=args.max_lattice)
-    except builder_mod.BuildError as exc:
+        builder.build_presentation(datum, candidates, max_lattice=args.max_lattice)
+    except builder.BuildError as exc:
         out.update(verdict="inconclusive", reason=str(exc))
         return 4, out
     return 0, out
@@ -152,8 +154,10 @@ def _cmd_check_data(args) -> tuple[int, dict]:
 def _cmd_polytope(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
-    poly = builder_mod.polytope_from_candidates(datum, candidates)
-    vertices = builder_mod.enumerate_extremes(poly)
+    from hblcert import builder
+
+    poly = builder.polytope_from_candidates(datum, candidates)
+    vertices = builder.enumerate_extremes(poly)
     violated = poly.member(datum.exponents)
     out = {
         "command": "polytope",
@@ -169,14 +173,16 @@ def _cmd_polytope(args) -> tuple[int, dict]:
 def _cmd_build(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     candidates = _load_candidates(args, datum)
+    from hblcert import builder
+
     trace: list[str] = []
     try:
-        pres = builder_mod.build_presentation(
+        pres = builder.build_presentation(
             datum, candidates, max_lattice=args.max_lattice, trace=trace
         )
-    except builder_mod.BuildError as exc:
+    except builder.BuildError as exc:
         # A larger family may yet build; only other failures are a "no".
-        insufficient = isinstance(exc, builder_mod.InsufficientCandidates)
+        insufficient = isinstance(exc, builder.InsufficientCandidates)
         return (4 if insufficient else 1), {
             "command": "build", "verdict": "inconclusive" if insufficient else "failed",
             "reason": str(exc), "trace": trace}

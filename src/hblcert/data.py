@@ -11,10 +11,10 @@ downstream, not the lattice, is the source of truth.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import NamedTuple
 
 from hblcert.linalg import (
     Matrix,
@@ -27,29 +27,35 @@ from hblcert.linalg import (
     sum_and_intersection,
 )
 
-@dataclass(frozen=True)
-class HBLDatum:
+
+class _DatumFields(NamedTuple):
     dim: int
     maps: tuple[Matrix, ...]
     names: tuple[str, ...]
     exponents: tuple[Fraction, ...]
-    # V -> (dim pi_i(V))_i. The dimensions depend on the maps alone, so data
-    # that differ only in their exponents share one table.
-    _image_dims: dict[Subspace, tuple[int, ...]] = field(
-        default_factory=dict, compare=False, repr=False, kw_only=True)
 
-    def __post_init__(self) -> None:
-        n = len(self.maps)
+
+class HBLDatum(_DatumFields):
+    def __new__(cls, dim: int, maps: tuple[Matrix, ...], names: tuple[str, ...],
+                exponents: tuple[Fraction, ...], *,
+                _image_dims: dict[Subspace, tuple[int, ...]] | None = None) -> HBLDatum:
+        n = len(maps)
         if n < 1:
             raise ValueError("datum needs at least one map")
-        if len(self.names) != n or len(self.exponents) != n:
+        if len(names) != n or len(exponents) != n:
             raise ValueError("maps, names and exponents must have equal length")
-        for m in self.maps:
-            if m.cols != self.dim:
+        for m in maps:
+            if m.cols != dim:
                 raise ValueError("map domain does not match ambient dimension")
-        for t in self.exponents:
+        for t in exponents:
             if not (0 <= t <= 1):
                 raise ValueError(f"exponent {t} outside [0,1]")
+        self = super().__new__(cls, dim, maps, names, exponents)
+        # V -> (dim pi_i(V))_i. The dimensions depend on the maps alone, so data
+        # that differ only in their exponents share one table. It is not a
+        # field, so `==`, `hash` and `repr` leave it out.
+        self._image_dims = {} if _image_dims is None else _image_dims
+        return self
 
     @property
     def n_maps(self) -> int:
@@ -76,12 +82,6 @@ class HBLDatum:
         return dims
 
 
-def check_scaling(datum: HBLDatum) -> tuple[bool, Fraction, Fraction]:
-    """Scaling equality dim H = sum_i tau_i rank(pi_i); returns (holds, lhs, rhs)."""
-    slack = subspace_slack(datum, Subspace.full(datum.dim))
-    return slack == 0, Fraction(datum.dim), datum.dim + slack
-
-
 def subspace_slack(datum: HBLDatum, v: Subspace) -> Fraction:
     """Exact slack sum_i tau_i dim pi_i(V) - dim V of one subspace."""
     if v.ambient != datum.dim:
@@ -90,25 +90,30 @@ def subspace_slack(datum: HBLDatum, v: Subspace) -> Fraction:
     return Fraction(sum(map(mul, nums, datum.image_dims(v))) - den * v.dim, den)
 
 
-@dataclass(frozen=True)
-class CandidateLattice:
+class _LatticeFields(NamedTuple):
+    subspaces: tuple[Subspace, ...]
+    closed: bool
+    generation_log: tuple[str, ...]
+
+
+class CandidateLattice(_LatticeFields):
     """Finite surrogate for "all subspaces": a deduplicated family with provenance.
 
     Order is insertion order ({0}, H, kernels, seeds, then closure
     products), and iterating a family gives its members in that order;
     `closed` records whether sum/intersection closure reached a fixpoint
     before the size cap. `order` is the inclusion order of the members,
-    complete when the family is closed.
+    complete when the family is closed; it is not a field, so `==`, `hash`
+    and `repr` leave it out.
     """
 
-    subspaces: tuple[Subspace, ...]
-    closed: bool
-    generation_log: tuple[str, ...]
-    order: _Inclusions = field(compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(set(self.subspaces)) != len(self.subspaces):
+    def __new__(cls, subspaces: tuple[Subspace, ...], closed: bool,
+                generation_log: tuple[str, ...], order: _Inclusions) -> CandidateLattice:
+        if len(set(subspaces)) != len(subspaces):
             raise ValueError("duplicate subspaces in candidate lattice")
+        self = super().__new__(cls, subspaces, closed, generation_log)
+        self.order = order
+        return self
 
     def __iter__(self) -> Iterator[Subspace]:
         return iter(self.subspaces)

@@ -10,26 +10,26 @@ graphs and weights can be pushed forward through a linear map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hblcert.linalg import Matrix, Subspace, frac, image, ordered
 
 
-@dataclass(frozen=True)
-class GraphDecomposition:
+class _GraphFields(NamedTuple):
+    ambient: int
+    vertices: tuple[Subspace, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+class GraphDecomposition(_GraphFields):
     """Directed graph on subspaces, canonically ordered.
 
     Vertices are sorted by (dimension, lexicographic basis) and edges by
     (from, to) index, so isomorphic inputs produce identical values.
     """
-
-    ambient: int
-    vertices: tuple[Subspace, ...]
-    edges: tuple[tuple[int, int], ...]
 
     @staticmethod
     def build(
@@ -127,17 +127,19 @@ def validate_graph(graph: GraphDecomposition) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Vector-valued edge weights; scalar weights have width 1."""
-
+class _WeightFields(NamedTuple):
     width: int
     values: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        for vec in self.values:
-            if len(vec) != self.width:
+
+class WeightFunction(_WeightFields):
+    """Vector-valued edge weights; scalar weights have width 1."""
+
+    def __new__(cls, width: int, values: tuple[tuple[Fraction, ...], ...]) -> WeightFunction:
+        for vec in values:
+            if len(vec) != width:
                 raise ValueError("weight vector width mismatch")
+        return super().__new__(cls, width, values)
 
     @staticmethod
     def scalar(values: Sequence) -> WeightFunction:
@@ -212,15 +214,13 @@ def total_mass(graph: GraphDecomposition, weight: WeightFunction) -> tuple[Fract
     return tuple(Fraction(x, den) for x in mass)
 
 
-@dataclass(frozen=True)
-class ChainTerm:
+class ChainTerm(NamedTuple):
     component: int
     coefficient: Fraction
     edges: tuple[int, ...]  # edge indices ordered from {0} to the full space
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     terms: tuple[ChainTerm, ...]
 
 

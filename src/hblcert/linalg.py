@@ -14,12 +14,11 @@ of a subspace, are formed only when something reads them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Scalar = Fraction | int | str
 Rows = tuple[tuple[int, ...], ...]
@@ -86,8 +85,20 @@ def _echelon(rows: Iterable[Sequence[int]], cols: int,
     return reduced, pivots
 
 
-@dataclass(frozen=True)
-class Matrix:
+# The package's records are NamedTuples, so `==` and `hash` are those of the
+# tuple of their fields. A record that checks its fields, or has cached
+# properties, subclasses the NamedTuple of its fields: it checks them in
+# `__new__`, which a NamedTuple cannot override, and its instances get the
+# `__dict__` that `cached_property` writes. Matrix and Subspace, made by
+# every elimination, call `tuple.__new__` directly.
+class _MatrixFields(NamedTuple):
+    rows: int
+    cols: int
+    den: int
+    ints: Rows
+
+
+class Matrix(_MatrixFields):
     """Immutable dense rational matrix, stored as ints / den.
 
     `den` is the least common denominator of the entries and `ints` the
@@ -97,16 +108,12 @@ class Matrix:
     entries, row-major, are formed only when read.
     """
 
-    rows: int
-    cols: int
-    den: int
-    ints: Rows
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, den: int, ints: Rows) -> Matrix:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.ints) != self.rows or any(len(r) != self.cols for r in self.ints):
-            raise ValueError(f"matrix needs {self.rows} rows of {self.cols} entries")
+        if len(ints) != rows or any(len(r) != cols for r in ints):
+            raise ValueError(f"matrix needs {rows} rows of {cols} entries")
+        return tuple.__new__(cls, (rows, cols, den, ints))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> Matrix:
@@ -174,8 +181,12 @@ def _reduced(den: int, ints: Sequence[Sequence[int]], cols: int) -> Matrix:
     return Matrix(len(ints), cols, den, tuple(map(tuple, ints)))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _SubspaceFields(NamedTuple):
+    ambient: int
+    echelon: Rows
+
+
+class Subspace(_SubspaceFields):
     """A subspace of Q^ambient, stored as the unique echelon form of its span.
 
     `echelon` holds the reduced row echelon rows scaled to primitive integers
@@ -185,12 +196,10 @@ class Subspace:
     basis with leading ones is formed only when read.
     """
 
-    ambient: int
-    echelon: Rows
-
-    def __post_init__(self) -> None:
-        if any(len(row) != self.ambient for row in self.echelon):
+    def __new__(cls, ambient: int, echelon: Rows) -> Subspace:
+        if any(len(row) != ambient for row in echelon):
             raise ValueError("echelon row width does not match ambient dimension")
+        return tuple.__new__(cls, (ambient, echelon))
 
     @staticmethod
     def zero(ambient: int) -> Subspace:

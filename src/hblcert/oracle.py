@@ -13,7 +13,7 @@ factorization in low dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ def orthonormal_forms(datum: HBLDatum) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class GaussianInput:
+class GaussianInput(NamedTuple):
     """One positive-definite matrix per map, sized by the map's rank."""
 
     matrices: tuple[np.ndarray, ...]
@@ -197,24 +196,28 @@ def gaussian_ascent(datum: HBLDatum, iterations: int = 400, seed: int = 0) -> tu
     return math.exp(min(best, 700.0)), bool(best > log_threshold)
 
 
-@dataclass
-class GridFunction:
+class _GridFields(NamedTuple):
+    bounds: tuple[tuple[float, float], ...]
+    values: np.ndarray
+
+
+class GridFunction(_GridFields):
     """Nonnegative samples on a regular cell grid over a box, m <= 3."""
 
-    bounds: tuple[tuple[float, float], ...]
-    values: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != len(self.bounds):
+    def __new__(cls, bounds: tuple[tuple[float, float], ...], values) -> GridFunction:
+        values = np.asarray(values, dtype=float)
+        if values.ndim != len(bounds):
             raise ValueError("bounds and value axes disagree")
-        if self.values.ndim > 3:
+        if values.ndim > 3:
             raise ValueError("grids beyond three dimensions are unsupported")
-        if np.any(self.values < 0):
+        if np.any(values < 0):
             raise ValueError("grid values must be nonnegative")
-        for lo, hi in self.bounds:
+        for lo, hi in bounds:
             if not hi > lo:
                 raise ValueError("degenerate grid box")
+        return super().__new__(cls, bounds, values)
 
     @property
     def dims(self) -> int:

@@ -10,9 +10,8 @@ certificate also induces an explicit constant, kept in exact factored form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from hblcert.data import HBLDatum
 from hblcert.flowgraph import (
@@ -33,14 +32,18 @@ GRAPH = "graph"
 STRUCTURE = "structure"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class _PresentationFields(NamedTuple):
     graph: GraphDecomposition
     theta: WeightFunction
 
-    def __post_init__(self) -> None:
-        if len(self.theta.values) != len(self.graph.edges):
+
+class Presentation(_PresentationFields):
+    __slots__ = ()
+
+    def __new__(cls, graph: GraphDecomposition, theta: WeightFunction) -> Presentation:
+        if len(theta.values) != len(graph.edges):
             raise ValueError("theta does not match the edge list")
+        return super().__new__(cls, graph, theta)
 
     @staticmethod
     def from_edges(ambient: int, width: int, vertices: Iterable[Subspace],
@@ -84,8 +87,7 @@ def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
     return _summary(pres.theta, _distinguishing(datum, pres.graph))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     map_masses: tuple[Fraction, ...]
     sigma: tuple[Fraction, ...]
     sigma_balanced: bool
@@ -180,16 +182,14 @@ def _new_direction(low: Subspace, high: Subspace) -> tuple[int, ...]:
     return line.echelon[0]
 
 
-@dataclass(frozen=True)
-class BoundFactor:
+class BoundFactor(NamedTuple):
     map_index: int
     edge: int
     base: Fraction      # squared edge norm
     exponent: Fraction  # -theta_i(e)/2, so base**exponent = |pi_i . e|^(-theta_i(e))
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """The finiteness constant as an exact product of rational powers.
 
     `value` is the floating-point evaluation; factors are sorted by

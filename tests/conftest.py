@@ -9,9 +9,10 @@ from fractions import Fraction
 from hblcert.builder import (
     BuildError,
     _tight,
+    as_point,
     polytope_from_candidates,
 )
-from hblcert.data import HBLDatum, transform_datum
+from hblcert.data import HBLDatum, subspace_slack, transform_datum
 from hblcert.fixtures import loomis_whitney_datum
 from hblcert.flowgraph import GraphDecomposition, WeightFunction, validate_graph
 from hblcert.linalg import (
@@ -19,7 +20,6 @@ from hblcert.linalg import (
     Subspace,
     _echelon,
     _null_space,
-    _over_common_denominator,
     canonicalize,
     frac,
     image,
@@ -65,6 +65,12 @@ def fraction_slack(datum, v) -> Fraction:
                Fraction(0)) - v.dim
 
 
+def check_scaling(datum: HBLDatum) -> tuple[bool, Fraction, Fraction]:
+    """Scaling equality dim H = sum_i tau_i rank(pi_i); returns (holds, lhs, rhs)."""
+    slack = subspace_slack(datum, Subspace.full(datum.dim))
+    return slack == 0, Fraction(datum.dim), datum.dim + slack
+
+
 def reference_violation(datum, lattice) -> tuple[Subspace, Fraction] | None:
     """Reference violation: H and its slack if the scaling equality fails,
     else the first member of negative slack in stored order, or None."""
@@ -88,7 +94,7 @@ def scan(datum, lattice) -> tuple[tuple[Subspace, Fraction] | None, list[Subspac
     references' terms: the first violated row's subspace and slack, or None,
     and the subspaces of its critical rows."""
     poly = polytope_from_candidates(datum, lattice)
-    point = _over_common_denominator(datum.exponents)
+    point = as_point(datum.exponents)
     gaps = list(poly.gaps(point))
     violated = poly.violated(gaps)
     if violated is not None:
@@ -188,7 +194,7 @@ def reference_caratheodory(poly, tau) -> tuple[tuple[Fraction, tuple[Fraction, .
     tau = tuple(Fraction(t) for t in tau)
 
     def split(point):
-        ints = _over_common_denominator(point)
+        ints = as_point(point)
         den, gaps = ints[0], list(poly.gaps(ints))
         null = _null_space(*_tight(poly, gaps), poly.n)
         if null.dim == 0:

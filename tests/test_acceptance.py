@@ -15,7 +15,7 @@ from hblcert.builder import (
     polytope_from_candidates,
     vertex_count_bound,
 )
-from hblcert.data import CandidateLattice, check_scaling, generate_lattice
+from hblcert.data import CandidateLattice, generate_lattice
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -44,7 +44,14 @@ from hblcert.oracle import (
 )
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 
-from conftest import random_balanced_weight, random_flag_graph, random_matrix, scan, weight_rows
+from conftest import (
+    check_scaling,
+    random_balanced_weight,
+    random_flag_graph,
+    random_matrix,
+    scan,
+    weight_rows,
+)
 from test_presentation import transport_presentation
 
 from hblcert.data import transform_datum

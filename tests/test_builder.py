@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import itertools
 import random
@@ -20,6 +19,7 @@ from hblcert import data as data_module
 from hblcert.builder import (
     BuildError,
     InsufficientCandidates,
+    as_point,
     base_case_dim1,
     build_presentation,
     caratheodory,
@@ -49,7 +49,6 @@ from hblcert.linalg import (
     Matrix,
     Subspace,
     _echelon,
-    _over_common_denominator,
     image,
     kernel,
     span,
@@ -243,7 +242,7 @@ def test_caratheodory_recovers_random_combinations():
             sum((c * p[i] for c, p in zip(coeffs, chosen)), Fraction(0))
             for i in range(4)
         )
-        decomposition = caratheodory(poly, _over_common_denominator(tau))
+        decomposition = caratheodory(poly, as_point(tau))
         assert len(decomposition.terms) <= 5
         recovered = tuple(
             sum((c * p[i] for c, p in fraction_terms(decomposition)), Fraction(0))
@@ -285,7 +284,7 @@ def test_vertices_match_the_subset_reference(hyp_rng, maps, family):
     if maps == "short":
         assert vertices == ()
     for vertex in vertices:
-        gaps = poly.gaps(_over_common_denominator(vertex))
+        gaps = poly.gaps(as_point(vertex))
         tight = [row.coeffs for row, gap in zip(poly.rows, gaps) if gap == 0]
         assert poly.member(vertex) is None and len(_echelon(tight, n)[1]) == n
     probes = [tuple(Fraction(rng.randint(0, 4), 4) for _ in range(n))]
@@ -296,7 +295,7 @@ def test_vertices_match_the_subset_reference(hyp_rng, maps, family):
                             / sum(weights) for i in range(n)))
     for tau in probes:
         if poly.member(tau) is None:
-            decomposition = caratheodory(poly, _over_common_denominator(tau))
+            decomposition = caratheodory(poly, as_point(tau))
             assert {p for _, p in fraction_terms(decomposition)} <= set(vertices)
 
 
@@ -332,7 +331,7 @@ def test_integer_rows_agree_with_fraction_evaluation(hyp_rng):
         if not all(fraction_satisfied(row, tau) for row in poly.rows):
             outside.append(tau)
     for tau in points + outside:
-        point = _over_common_denominator(tau)
+        point = as_point(tau)
         den, gaps = point[0], poly.gaps(point)
         for row, gap in zip(poly.rows, gaps):
             assert isinstance(gap, int)
@@ -353,7 +352,7 @@ def test_caratheodory_rejects_non_members():
     ]
     for tau, message in cases:
         with pytest.raises(ValueError) as excinfo:
-            caratheodory(poly, _over_common_denominator(tau))
+            caratheodory(poly, as_point(tau))
         assert str(excinfo.value) == message
 
 
@@ -385,7 +384,7 @@ def test_caratheodory_matches_the_fraction_bisection(hyp_rng, maps):
     vertices = enumerate_extremes(poly)
     if not vertices:
         return  # the maps' total rank is below the dimension
-    tight_on = {v: {r for r, gap in enumerate(poly.gaps(_over_common_denominator(v))) if gap == 0}
+    tight_on = {v: {r for r, gap in enumerate(poly.gaps(as_point(v))) if gap == 0}
                 for v in vertices}
     faces = [[v for v in vertices if r in tight_on[v]] for r in range(len(poly.rows))]
     faces = [face for face in faces if 1 < len(face) < len(vertices)]
@@ -396,13 +395,13 @@ def test_caratheodory_matches_the_fraction_bisection(hyp_rng, maps):
         points.append(mix(chosen, [Fraction(rng.randint(1, 9)) for _ in chosen]))
     for tau in points:
         reached = {}
-        decomposition = caratheodory(poly, _over_common_denominator(tau), reached=reached)
+        decomposition = caratheodory(poly, as_point(tau), reached=reached)
         assert fraction_terms(decomposition) == reference_caratheodory(poly, tau)
         assert {p for _, p in decomposition.terms} <= set(reached)
         assert set(map(fraction_point, reached)) <= set(vertices)
         for vertex, (gaps, tight) in reached.items():
             # Each vertex reached is in lowest terms, the key of its Fractions.
-            assert vertex == _over_common_denominator(fraction_point(vertex))
+            assert vertex == as_point(fraction_point(vertex))
             assert gaps == list(poly.gaps(vertex)) and len(tight[1]) == n
 
 
@@ -462,7 +461,7 @@ def test_build_reads_scaling_off_the_root_polytope(monkeypatch):
 def test_base_case_examples():
     zero, line = Subspace.zero(1), Subspace.full(1)
     one = HBLDatum(1, (identity(1),), ("id",), (Fraction(1),))
-    assert _over_common_denominator(one.exponents) == (1, (1,))
+    assert as_point(one.exponents) == (1, (1,))
     assert base_case_dim1((1, (1,)), zero, line, one.ranks) == (1, {(zero, line): (1,)})
     assert verify_presentation(one, presentation_of(one, base_case_dim1(
         (1, (1,)), zero, line, one.ranks))).valid
@@ -473,7 +472,7 @@ def test_base_case_examples():
     with_rank0 = HBLDatum(1, (identity(1), Matrix.zeros(1, 1)), ("a", "z"),
                           (Fraction(1), Fraction(1)))
     report = verify_presentation(with_rank0, presentation_of(with_rank0, base_case_dim1(
-        _over_common_denominator(with_rank0.exponents), zero, line, with_rank0.ranks)))
+        as_point(with_rank0.exponents), zero, line, with_rank0.ranks)))
     assert report.valid
     assert report.sigma == (Fraction(1),)
 
@@ -490,7 +489,7 @@ def test_base_case_is_an_interval_of_the_top_level_space():
     low, high = span([[1, 0, 0]], 3), span([[1, 0, 0], [0, 1, 0]], 3)
     rise = tuple(h - l for h, l in zip(datum.image_dims(high), datum.image_dims(low)))
     assert rise == (1, 0, 1)
-    point = _over_common_denominator(datum.exponents)
+    point = as_point(datum.exponents)
     assert fraction_rows(base_case_dim1(point, low, high, rise)) == {(low, high): datum.exponents}
     with pytest.raises(BuildError, match="dimension 1: 1 != 3/2"):
         base_case_dim1(point, low, high, (1, 1, 1))
@@ -621,7 +620,7 @@ def test_convex_combine_of_distinct_chains_is_valid():
         v = span(axis, 2)
         rises = [tuple(h - l for h, l in zip(datum.image_dims(b), datum.image_dims(a)))
                  for a, b in ((zero, v), (v, full))]
-        point = _over_common_denominator(datum.exponents)
+        point = as_point(datum.exponents)
         chains.append(concatenate(base_case_dim1(point, zero, v, rises[0]),
                                   base_case_dim1(point, v, full, rises[1])))
     mixed = convex_combine([(Fraction(1, 2), chains[0]), (Fraction(1, 2), chains[1])])
@@ -1080,10 +1079,10 @@ def test_the_integer_merge_and_sort_gives_the_fraction_order(hyp_rng):
     terms = [(Fraction(rng.randint(0, 5), rng.randint(1, 7)), rng.choice(pool))
              for _ in range(rng.randint(len(pool), 2 * len(pool)))]
     reduced = builder._reduce_caratheodory(
-        n, [(c, _over_common_denominator(p)) for c, p in terms])
+        n, [(c, as_point(p)) for c, p in terms])
     expected = reference_reduce(n, terms)
     assert [(c, fraction_point(p)) for c, p in reduced] == expected
-    assert all(p == _over_common_denominator(fraction_point(p)) for _, p in reduced)
+    assert all(p == as_point(fraction_point(p)) for _, p in reduced)
     assert len(reduced) <= n + 1
 
 
@@ -1231,14 +1230,13 @@ def test_build_frees_its_node_tree_by_reference_counting(name, monkeypatch):
     datum = ALL_FIXTURES[name][0]()
     lattice = generate_lattice(datum)
     made = []
-    original = builder.polytope_from_candidates
 
-    def recording(*args):
-        poly = original(*args)
-        made.append(weakref.ref(poly))
-        return poly
+    class Recording(builder._Node):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
 
-    monkeypatch.setattr(builder, "polytope_from_candidates", recording)
+    monkeypatch.setattr(builder, "_Node", Recording)
     gc.disable()
     try:
         build_presentation(datum, lattice)
@@ -1282,7 +1280,8 @@ def test_a_corrupt_inclusion_order_never_passes_a_wrong_certificate(name):
     rng = random.Random(20)
     tried = 0
     for _ in range(2000):
-        corrupt = dataclasses.replace(lattice, order=_flipped(lattice.order, rng))
+        corrupt = CandidateLattice(lattice.subspaces, lattice.closed, lattice.generation_log,
+                                   _flipped(lattice.order, rng))
         datum = make()
         if corrupt.order.down == lattice.order.down \
                 and corrupt.meet_image_dims(datum.kernels) == exact:

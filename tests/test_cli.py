@@ -36,14 +36,19 @@ def fixture(name: str) -> str:
     return str(FIXTURE_DIR / name)
 
 
-def cli_subprocess(argv, cwd) -> subprocess.CompletedProcess:
-    """`hblcert argv` as its own process in cwd, with this checkout's src
-    first on the path; it raises subprocess.TimeoutExpired after 60 s."""
+def python_subprocess(args, cwd, timeout: float = 60) -> subprocess.CompletedProcess:
+    """`python args` as its own process in cwd, with this checkout's src
+    first on the path; it raises subprocess.TimeoutExpired after `timeout` s."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "hblcert.cli", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd, timeout=60)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
+
+
+def cli_subprocess(argv, cwd) -> subprocess.CompletedProcess:
+    """`hblcert argv` as its own process in cwd, as `python_subprocess` runs it."""
+    return python_subprocess(["-m", "hblcert.cli", *argv], cwd)
 
 
 def run_cli(capsys, *args):
@@ -759,11 +764,33 @@ def test_exact_commands_never_import_numpy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
         "sys.exit(f'imported {loaded[:3]}' if loaded else 0)\n"
     )
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run(
-        [sys.executable, "-c", script, fixture("lw2.datum.json"),
-         fixture("lw2.presentation.json")],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    result = python_subprocess(["-c", script, fixture("lw2.datum.json"),
+                                fixture("lw2.presentation.json")], tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_commands_that_do_not_build_never_import_the_builder_or_dataclasses(tmp_path):
+    """verify, bound and export-dot load neither the builder nor dataclasses,
+    whose inspect import is start-up that no command needs; build loads the
+    builder, and the package still serves its names."""
+    script = (
+        "import sys\n"
+        "from hblcert import cli\n"
+        "data, pres = sys.argv[1:]\n"
+        "for command in ('verify', 'bound', 'export-dot'):\n"
+        "    argv = [command, '--data', data, '--presentation', pres, '--format', 'json']\n"
+        "    assert cli.main(argv) == 0, command\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'hblcert.builder') if m in sys.modules]\n"
+        "if loaded:\n"
+        "    sys.exit(f'imported {loaded}')\n"
+        "assert cli.main(['build', '--data', data, '--format', 'json']) == 0\n"
+        "if 'hblcert.builder' not in sys.modules:\n"
+        "    sys.exit('build did not load the builder')\n"
+        "from hblcert import BuildError, build_presentation\n"
+        "from hblcert import builder\n"
+        "if (BuildError, build_presentation) != (builder.BuildError, builder.build_presentation):\n"
+        "    sys.exit('the package serves other names')\n"
+    )
+    result = python_subprocess(["-c", script, fixture("r6.datum.json"),
+                                fixture("r6.presentation.json")], tmp_path, timeout=120)
     assert result.returncode == 0, result.stderr

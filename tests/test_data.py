@@ -11,7 +11,6 @@ from hblcert.data import (
     CandidateLattice,
     HBLDatum,
     _related,
-    check_scaling,
     generate_lattice,
     is_ready,
     quotient_datum,
@@ -23,6 +22,7 @@ from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datu
 from hblcert.linalg import Matrix, Subspace, image, image_rank, kernel, span
 
 from conftest import (
+    check_scaling,
     fraction_slack,
     identity,
     random_invertible,

@@ -1,9 +1,9 @@
 """Source scans: soundness guards must survive `python -O`, which strips
-`assert`, the package imports nothing beyond its declared dependencies,
-every function the benchmark's tracer wraps exists, every exported name is
-bound, every public name, private module-level function or class and
-module constant of the package has a reader outside the tests, and no
-module but linalg reads a private attribute of Matrix or Subspace."""
+`assert`, the package imports nothing beyond its declared dependencies and
+not dataclasses, every function the benchmark's tracer wraps exists, every
+exported name is bound, every public name, private module-level function or
+class and module constant of the package has a reader outside the tests,
+and no module but linalg reads a private attribute of Matrix or Subspace."""
 
 import ast
 import importlib
@@ -28,15 +28,26 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert at lines {lines}; raise an exception instead"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_scipy_imports(path):
-    # numpy is the only float dependency; scipy is not installed with the package.
+def _imported(path: Path) -> list[str]:
+    """The top-level names of the modules a source file imports."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    found = [name for name in modules if name.split(".")[0] == "scipy"]
-    assert not found, f"{path.name}: imports {found}"
+    return [name.split(".")[0] for name in modules]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    # numpy is the only float dependency; scipy is not installed with the package.
+    assert "scipy" not in _imported(path), f"{path.name}: imports scipy"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_imports(path):
+    # The records are NamedTuples: dataclasses imports inspect, and with it
+    # ast, dis and tokenize, some 10 ms of every hblcert process's start-up.
+    assert "dataclasses" not in _imported(path), f"{path.name}: imports dataclasses"
 
 
 def test_every_export_is_bound():

@@ -132,6 +132,7 @@ def test_canonical_form_is_span_invariant(mat, rng):
         scale = Fraction(rng.choice([1, 2, 3, -1, -2]))
         rows[k] = [scale * x for x in rows[k]]
     assert canonicalize(Matrix.from_rows(rows, cols=mat.cols)) == v
+    assert hash(v) == hash((v.ambient, v.echelon))
 
 
 @given(st.integers(1, 5), st.randoms(use_true_random=False))
@@ -283,6 +284,7 @@ def test_matrix_is_one_denominator_over_integer_rows(data):
     assert [x for row in rows for x in row] == [Fraction(x, mat.den) for x in flat]
     copy = Matrix.from_rows(rows, cols=mat.cols)
     assert copy == mat and hash(copy) == hash(mat)
+    assert hash(mat) == hash((mat.rows, mat.cols, mat.den, mat.ints))
     assert mat.transpose().transpose() == mat
     other = data.draw(rational_matrices(rows=mat.cols))
     assert mat @ other == Matrix.from_rows(product(mat, other), cols=other.cols)
