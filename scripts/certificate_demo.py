@@ -13,8 +13,8 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hblcert.builder import build_presentation
-from hblcert.data import generate_lattice
 from hblcert.fixtures import ALL_FIXTURES
+from hblcert.lattice import generate_lattice
 from hblcert.linalg import span
 from hblcert.oracle import gaussian_ascent
 from hblcert.presentation import bound_constant, verify_presentation

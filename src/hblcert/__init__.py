@@ -1,9 +1,7 @@
 """Graph certificates for finiteness of Holder-Brascamp-Lieb constants."""
 
 from hblcert.data import (
-    CandidateLattice,
     HBLDatum,
-    generate_lattice,
     quotient_datum,
     restrict_datum,
     subspace_slack,
@@ -43,10 +41,15 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # The builder is imported on first use: of the command-line tools only
-    # those that build need it, and the others never compile it.
+    # The builder and the candidate family are imported on first use: of the
+    # command-line tools only those that build need them, and the others
+    # never compile them.
     if name in ("BuildError", "build_presentation"):
         from hblcert import builder
 
         return getattr(builder, name)
+    if name in ("CandidateLattice", "generate_lattice"):
+        from hblcert import lattice
+
+        return getattr(lattice, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

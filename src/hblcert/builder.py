@@ -13,7 +13,7 @@ integers that the weights sum to one and mix back to the exponents; at an
 extreme point the least critical subspace V (zero slack, proper), for which
 only the critical rows of least dimension are ordered, splits [A, B] into
 [A, V] and [V, B], whose tables are unioned. On a ready top-level family
-(data.is_ready) the children are its intervals, read off the kept inclusion
+(lattice.is_ready) the children are its intervals, read off the kept inclusion
 order, and the image dimensions come from its meets; other families are
 closed afresh inside each child. A node's polytope and splits do not depend
 on its exponents, so its extreme points and its revisits share them, and
@@ -40,7 +40,8 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import NamedTuple
 
-from hblcert.data import CandidateLattice, HBLDatum, generate_lattice, is_ready
+from hblcert.data import HBLDatum
+from hblcert.lattice import CandidateLattice, generate_lattice, is_ready
 from hblcert.linalg import (
     Matrix,
     Subspace,

@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 
 from hblcert import formats
-from hblcert.data import CandidateLattice, generate_lattice
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
 from hblcert.presentation import _certificate, export_dot, verify_presentation
 
@@ -68,7 +67,11 @@ def _load_presentation(args):
     return formats.parse_presentation(_read(args.presentation, "presentation"))
 
 
-def _load_candidates(args, datum) -> CandidateLattice:
+def _load_candidates(args, datum):
+    # Only check-data, polytope and build read a candidate family, so only
+    # they compile the lattice closure.
+    from hblcert.lattice import CandidateLattice, generate_lattice
+
     if args.candidates:
         subs = formats.parse_candidates(_read(args.candidates, "candidates"), datum.dim)
         return CandidateLattice.from_subspaces(datum.dim, subs)

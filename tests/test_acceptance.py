@@ -15,7 +15,6 @@ from hblcert.builder import (
     polytope_from_candidates,
     vertex_count_bound,
 )
-from hblcert.data import CandidateLattice, generate_lattice
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -33,6 +32,7 @@ from hblcert.flowgraph import (
     total_mass,
     validate_graph,
 )
+from hblcert.lattice import CandidateLattice, generate_lattice
 from hblcert.linalg import Subspace, kernel, span
 from hblcert.oracle import (
     GaussianInput,

@@ -29,15 +29,7 @@ from hblcert.builder import (
     polytope_from_candidates,
     vertex_count_bound,
 )
-from hblcert.data import (
-    CandidateLattice,
-    HBLDatum,
-    _related,
-    generate_lattice,
-    is_ready,
-    quotient_datum,
-    restrict_datum,
-)
+from hblcert.data import HBLDatum, quotient_datum, restrict_datum
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -45,6 +37,7 @@ from hblcert.fixtures import (
     loomis_whitney_datum,
 )
 from hblcert.flowgraph import GraphDecomposition
+from hblcert.lattice import CandidateLattice, _related, generate_lattice, is_ready
 from hblcert.linalg import (
     Matrix,
     Subspace,

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from hblcert import cli, flowgraph, formats
 from hblcert.builder import build_presentation
 from hblcert.cli import main
-from hblcert.data import HBLDatum, generate_lattice
+from hblcert.data import HBLDatum
+from hblcert.lattice import generate_lattice
 from hblcert.linalg import kernel
 from hblcert.presentation import verify_presentation
 
@@ -770,27 +771,50 @@ def test_exact_commands_never_import_numpy(tmp_path):
 
 
 def test_commands_that_do_not_build_never_import_the_builder_or_dataclasses(tmp_path):
-    """verify, bound and export-dot load neither the builder nor dataclasses,
-    whose inspect import is start-up that no command needs; build loads the
-    builder, and the package still serves its names."""
-    script = (
+    """The commands that only check a certificate, and a malformed input,
+    load neither the builder, the candidate family nor dataclasses, whose
+    inspect import is start-up that no command needs, and data defines no
+    part of the family; check-data, polytope and build load the family and
+    the builder, and the package and data still serve their names."""
+    bad = tmp_path / "bad.datum.json"
+    bad.write_text("{", encoding="utf-8")
+    checking = (
         "import sys\n"
-        "from hblcert import cli\n"
-        "data, pres = sys.argv[1:]\n"
-        "for command in ('verify', 'bound', 'export-dot'):\n"
-        "    argv = [command, '--data', data, '--presentation', pres, '--format', 'json']\n"
+        "from hblcert import cli, data\n"
+        "datum, pres, bad = sys.argv[1:]\n"
+        "for command in ('verify', 'bound', 'export-dot', 'decompose-flow', 'project'):\n"
+        "    argv = [command, '--data', datum, '--presentation', pres, '--format', 'json']\n"
         "    assert cli.main(argv) == 0, command\n"
-        "loaded = [m for m in ('dataclasses', 'inspect', 'hblcert.builder') if m in sys.modules]\n"
+        "assert cli.main(['check-data', '--data', bad]) == 2\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'hblcert.builder', 'hblcert.lattice')\n"
+        "          if m in sys.modules]\n"
         "if loaded:\n"
         "    sys.exit(f'imported {loaded}')\n"
-        "assert cli.main(['build', '--data', data, '--format', 'json']) == 0\n"
-        "if 'hblcert.builder' not in sys.modules:\n"
-        "    sys.exit('build did not load the builder')\n"
-        "from hblcert import BuildError, build_presentation\n"
-        "from hblcert import builder\n"
-        "if (BuildError, build_presentation) != (builder.BuildError, builder.build_presentation):\n"
-        "    sys.exit('the package serves other names')\n"
+        "if hasattr(data, '_Inclusions'):\n"
+        "    sys.exit('data defines the candidate family')\n"
     )
-    result = python_subprocess(["-c", script, fixture("r6.datum.json"),
-                                fixture("r6.presentation.json")], tmp_path, timeout=120)
+    result = python_subprocess(["-c", checking, fixture("r6.datum.json"),
+                                fixture("r6.presentation.json"), str(bad)], tmp_path, timeout=120)
     assert result.returncode == 0, result.stderr
+    building = (
+        "import sys\n"
+        "from hblcert import cli\n"
+        "command, datum = sys.argv[1:]\n"
+        "assert cli.main([command, '--data', datum, '--format', 'json']) == 0, command\n"
+        "missing = [m for m in ('hblcert.lattice', 'hblcert.builder') if m not in sys.modules]\n"
+        "if missing:\n"
+        "    sys.exit(f'{command} did not load {missing}')\n"
+        "from hblcert import BuildError, CandidateLattice, build_presentation, generate_lattice\n"
+        "from hblcert import builder, data, lattice\n"
+        "if (BuildError, build_presentation) != (builder.BuildError, builder.build_presentation):\n"
+        "    sys.exit('the package serves other builder names')\n"
+        "if (CandidateLattice, generate_lattice) != (lattice.CandidateLattice,\n"
+        "                                            lattice.generate_lattice):\n"
+        "    sys.exit('the package serves other family names')\n"
+        "if data.generate_lattice is not lattice.generate_lattice:\n"
+        "    sys.exit('data serves another generate_lattice')\n"
+    )
+    for command in ("check-data", "polytope", "build"):
+        result = python_subprocess(["-c", building, command, fixture("r6.datum.json")],
+                                   tmp_path, timeout=120)
+        assert result.returncode == 0, result.stderr

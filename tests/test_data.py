@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hblcert import data as data_module
+from hblcert import lattice as lattice_module
 from hblcert.data import (
-    CandidateLattice,
     HBLDatum,
-    _related,
-    generate_lattice,
-    is_ready,
     quotient_datum,
     restrict_datum,
     subspace_slack,
     transform_datum,
 )
 from hblcert.fixtures import ALL_FIXTURES, fourmap_r6_datum, loomis_whitney_datum
+from hblcert.lattice import CandidateLattice, _related, generate_lattice, is_ready
 from hblcert.linalg import Matrix, Subspace, image, image_rank, kernel, span
 
 from conftest import (
@@ -405,8 +402,8 @@ def test_a_cap_between_a_sum_and_its_intersection():
 def test_closure_eliminates_only_for_new_subspaces(name, monkeypatch):
     datum, seeds = fixture_closure(name)
     calls = []
-    original = data_module.sum_and_intersection
-    monkeypatch.setattr(data_module, "sum_and_intersection",
+    original = lattice_module.sum_and_intersection
+    monkeypatch.setattr(lattice_module, "sum_and_intersection",
                         lambda u, w: calls.append(1) or original(u, w))
     lattice = generate_lattice(datum, seeds=seeds)
     generated = sum(why.startswith(("sum(", "intersect(")) for why in lattice.generation_log)
@@ -432,9 +429,10 @@ def test_closure_compares_and_ranks_only_what_its_order_leaves_open(
         return lambda u, w: counts.__setitem__(key, counts[key] + 1) or f(u, w)
 
     monkeypatch.setattr(Subspace, "__le__", counted("le", Subspace.__le__))
-    monkeypatch.setattr(data_module, "quotient_rank", counted("rank", data_module.quotient_rank))
-    monkeypatch.setattr(data_module, "sum_and_intersection",
-                        counted("eliminate", data_module.sum_and_intersection))
+    monkeypatch.setattr(lattice_module, "quotient_rank",
+                        counted("rank", lattice_module.quotient_rank))
+    monkeypatch.setattr(lattice_module, "sum_and_intersection",
+                        counted("eliminate", lattice_module.sum_and_intersection))
     lattice = generate_lattice(datum, seeds=seeds)
     generated = sum(why.startswith(("sum(", "intersect(")) for why in lattice.generation_log)
     assert lattice.closed
@@ -491,8 +489,8 @@ def test_the_kept_order_is_the_inclusion_order(rng):
 # nothing, and the exact rank decides.
 def test_a_short_mod2_rank_falls_back_to_the_exact_rank(monkeypatch):
     calls = []
-    original = data_module.quotient_rank
-    monkeypatch.setattr(data_module, "quotient_rank",
+    original = lattice_module.quotient_rank
+    monkeypatch.setattr(lattice_module, "quotient_rank",
                         lambda u, w: calls.append(1) or original(u, w))
     rng = random.Random(23)
     for _ in range(40):

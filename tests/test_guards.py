@@ -1,9 +1,10 @@
 """Source scans: soundness guards must survive `python -O`, which strips
 `assert`, the package imports nothing beyond its declared dependencies and
-not dataclasses, every function the benchmark's tracer wraps exists, every
-exported name is bound, every public name, private module-level function or
-class and module constant of the package has a reader outside the tests,
-and no module but linalg reads a private attribute of Matrix or Subspace."""
+not dataclasses, every function the benchmark's tracer wraps exists and a
+call through data reaches its lattice span, every exported name is bound,
+every public name, private module-level function or class and module
+constant of the package has a reader outside the tests, and no module but
+linalg reads a private attribute of Matrix or Subspace."""
 
 import ast
 import importlib
@@ -61,11 +62,15 @@ def test_every_export_is_bound():
     assert set(package.__all__) <= set(namespace)
 
 
-def _trace_targets() -> tuple[tuple[str, str, str], ...]:
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return tracing
+
+
+def _trace_targets() -> tuple[tuple[str, str, str], ...]:
+    return _tracing().TARGETS
 
 
 def test_trace_targets_resolve():
@@ -83,6 +88,27 @@ def test_trace_targets_resolve():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert targets and not missing, missing
+
+
+def test_the_tracer_reaches_the_lattice_through_data():
+    # The benchmark calls and wraps data.generate_lattice, which data serves
+    # from hblcert.lattice. A wrapped name that no call reaches would read 0
+    # in every per-layer lattice metric, with no warning.
+    data = importlib.import_module("hblcert.data")
+    lattice = importlib.import_module("hblcert.lattice")
+    fixtures = importlib.import_module("hblcert.fixtures")
+    original = lattice.generate_lattice
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        result = data.generate_lattice(fixtures.loomis_whitney_datum(2))
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("data.generate_lattice") == 1
+    assert tracer.lattice_size == len(result.subspaces)
+    assert data.generate_lattice is lattice.generate_lattice is original
+    assert importlib.import_module("hblcert.builder").generate_lattice is original
 
 
 def _trees() -> dict[Path, ast.Module]:

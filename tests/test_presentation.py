@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hblcert import data, flowgraph, formats, linalg, presentation
 from hblcert.builder import build_presentation
-from hblcert.data import HBLDatum, generate_lattice, transform_datum
+from hblcert.data import HBLDatum, transform_datum
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -17,6 +17,7 @@ from hblcert.fixtures import (
     loomis_whitney_presentation,
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction, total_mass, unbalanced_vertices
+from hblcert.lattice import generate_lattice
 from hblcert.linalg import Matrix, Subspace, image, span
 from hblcert.presentation import (
     Presentation,

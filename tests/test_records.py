@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from hblcert.builder import as_point, build_presentation, caratheodory, polytope_from_candidates
-from hblcert.data import CandidateLattice, HBLDatum, generate_lattice
+from hblcert.data import HBLDatum
 from hblcert.fixtures import fourmap_r6_datum, loomis_whitney_datum
 from hblcert.flowgraph import GraphDecomposition, WeightFunction, decompose_flow
+from hblcert.lattice import CandidateLattice, generate_lattice
 from hblcert.linalg import Matrix, Subspace
 from hblcert.oracle import GaussianInput, GridFunction
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
