@@ -44,8 +44,8 @@ def orthonormal_forms(datum: HBLDatum) -> list[np.ndarray]:
 
     The chart is the QR orthonormalization of the image's RREF basis, so it
     is deterministic, and being orthonormal it preserves the codomain volume
-    normalization that the certificate constant refers to. Surjective maps
-    pass through unchanged up to sign conventions of QR.
+    normalization that the certificate constant refers to. A surjective map
+    is returned as it is, with no QR.
     """
     out = []
     for m in datum.maps:
@@ -312,10 +312,15 @@ def quadrature_check(datum: HBLDatum, c: float, fs, *,
                      box, resolution: int = 64) -> tuple[float, float, float]:
     """Tensor quadrature of both sides of the inequality on a box.
 
-    lhs integrates prod f_i(pi_i x)^tau_i over the box by the midpoint rule;
-    rhs is c times the product of the f_i masses raised to tau_i. Pullback
-    values are looked up per cell, which is exact when the maps carry cell
-    centers onto cell centers (coordinate-style maps over aligned grids).
+    Each f_i is a grid function of the pivot coordinates y of its map's
+    image, whose RREF basis B carries y to the point B^T y. lhs integrates
+    prod f_i(pi_i x)^tau_i over the box by the midpoint rule; rhs is c times
+    the product of the f_i masses raised to tau_i, each mass taken in the
+    image's own Lebesgue measure, sqrt(det B B^T) dy, the measure the
+    constant refers to (see orthonormal_forms); for a surjective map that is
+    dy. Pullback values are looked up per cell, which is exact when the maps
+    carry cell centers onto cell centers (coordinate-style maps over aligned
+    grids).
     """
     m = datum.dim
     if m > 3:
@@ -324,6 +329,8 @@ def quadrature_check(datum: HBLDatum, c: float, fs, *,
     if len(fs) != datum.n_maps:
         raise ValueError("need one grid function per map")
     forms = [_float_matrix(_surjective_chart(mat)) for mat in datum.maps]
+    bases = [_float_matrix(image(mat, Subspace.full(m)).basis) for mat in datum.maps]
+    volumes = [math.sqrt(float(np.linalg.det(b @ b.T))) for b in bases]  # 1.0 when B = I
 
     axes_centers = []
     for k in range(m):
@@ -355,7 +362,8 @@ def quadrature_check(datum: HBLDatum, c: float, fs, *,
         integrand = integrand * np.where(vals > 0, vals, 0.0) ** t
 
     lhs = float(integrand.sum()) * cell_vol
-    rhs = float(c) * float(np.prod([g.mass() ** float(t) for g, t in zip(fs, datum.exponents)]))
+    rhs = float(c) * float(np.prod([(g.mass() * vol) ** float(t)
+                                    for g, vol, t in zip(fs, volumes, datum.exponents)]))
     if rhs == 0.0:
         ratio = 0.0 if lhs == 0.0 else math.inf
     else:

@@ -1,14 +1,18 @@
 """Source scans: soundness guards must survive `python -O`, which strips
 `assert`, the package imports nothing beyond its declared dependencies and
 not dataclasses, every function the benchmark's tracer wraps exists and a
-call through data reaches its lattice span, every exported name is bound,
-every public name, private module-level function or class and module
-constant of the package has a reader outside the tests, and no module but
-linalg reads a private attribute of Matrix or Subspace."""
+call through data reaches its lattice span, importing the package root
+loads no module, every public name, private module-level function or class
+and module constant of the package has a reader outside the tests (a
+function the tracer wraps counts as read), and no module but linalg reads a
+private attribute of Matrix or Subspace."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -51,15 +55,13 @@ def test_no_dataclasses_imports(path):
     assert "dataclasses" not in _imported(path), f"{path.name}: imports dataclasses"
 
 
-def test_every_export_is_bound():
-    # A name left in __all__ after its definition went fails only at
-    # `from hblcert import *`.
-    package = importlib.import_module("hblcert")
-    missing = [name for name in package.__all__ if not hasattr(package, name)]
-    assert not missing, f"exported but not bound: {missing}"
-    namespace: dict = {}
-    exec("from hblcert import *", namespace)
-    assert set(package.__all__) <= set(namespace)
+def test_importing_the_package_loads_no_module():
+    # The package root re-exports nothing, so each name is imported from the
+    # module that defines it and a process loads only the modules it uses.
+    script = "import sys, hblcert\nprint([m for m in sys.modules if m.startswith('hblcert.')])"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 def _tracing():
@@ -145,14 +147,13 @@ def _is_static(meth: ast.FunctionDef) -> bool:
 
 def test_every_public_name_has_a_caller():
     # A public function, class or method of the package must be used by the
-    # package, the benchmark or the scripts, not only by tests. The exported
-    # functions and classes (hblcert.__all__) are exempt, but not the methods
-    # of those classes; a "Class.method" the tracer patches counts as read.
-    # A static method counts as read only through "Class.method", so a
-    # method of the same name on another class does not stand in for it.
-    exported = set(importlib.import_module("hblcert").__all__)
+    # package, the benchmark or the scripts, not only by tests. A module
+    # function or a "Class.method" the tracer wraps counts as read. A static
+    # method counts as read only through "Class.method", so a method of the
+    # same name on another class does not stand in for it.
     trees = _trees()
     named = Counter(name for tree in trees.values() for name in _names(tree))
+    named.update(attr for _, attr, _ in _trace_targets() if "." not in attr)
     read = Counter(name for tree in trees.values() for name in _attributes(tree))
     read.update(attr.split(".")[1] for _, attr, _ in _trace_targets() if "." in attr)
     qualified = Counter(name for tree in trees.values() for name in _qualified(tree))
@@ -162,7 +163,7 @@ def test_every_public_name_has_a_caller():
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name not in exported and named[node.name] - _names(node).count(node.name) <= 0:
+            if named[node.name] - _names(node).count(node.name) <= 0:
                 unused.append(f"{path.name}: {node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -194,7 +195,6 @@ def test_every_private_name_and_constant_is_read():
     # module constant, so a helper or a cap whose last reader went would stay
     # unseen. Each must be read by the package, the benchmark or the scripts
     # somewhere besides its own definition; dunder names are exempt.
-    exported = set(importlib.import_module("hblcert").__all__)
     trees = _trees()
     named = Counter(name for tree in trees.values() for name in _names(tree))
     unread = []
@@ -203,7 +203,7 @@ def test_every_private_name_and_constant_is_read():
             constant = not isinstance(node, (ast.FunctionDef, ast.ClassDef))
             own = _names(node)
             for name in _module_names(node):
-                if name.startswith("__") or name in exported:
+                if name.startswith("__"):
                     continue
                 if (constant or name.startswith("_")) and named[name] - own.count(name) <= 0:
                     unread.append(f"{path.name}: {name}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hblcert import oracle
+from hblcert.builder import build_presentation
 from hblcert.data import HBLDatum, transform_datum
 from hblcert.fixtures import (
     ALL_FIXTURES,
@@ -15,6 +16,7 @@ from hblcert.fixtures import (
     loomis_whitney_presentation,
 )
 from hblcert.flowgraph import WeightFunction
+from hblcert.lattice import generate_lattice
 from hblcert.linalg import Matrix
 from hblcert.oracle import (
     GaussianInput,
@@ -297,6 +299,34 @@ def test_quadrature_zero_function_reports_zero_ratio():
     lhs, rhs, ratio = quadrature_check(datum, 1.0, [zero] * 3,
                                        box=((0.0, 1.0),) * 3, resolution=8)
     assert (lhs, rhs, ratio) == (0.0, 0.0, 0.0)
+
+
+# Maps that are not surjective, each with a product extremiser: the pivot
+# chart y of (x1, x1)'s image is the point (y, y), whose own measure is
+# sqrt(2) dy, and (x1, x2) of (x1, x2, x1+x2)'s image is a point of measure
+# sqrt(3) dx1 dx2; the built constants are 1/sqrt(2) and 1/sqrt(3).
+NON_SURJECTIVE = {
+    "diagonal-r2": (HBLDatum(2, (Matrix.from_rows([[1, 0], [1, 0]], cols=2),
+                                 Matrix.from_rows([[0, 1]], cols=2)),
+                             ("d", "y"), (Fraction(1), Fraction(1))), 1 / math.sqrt(2)),
+    "plane-r3": (HBLDatum(3, (Matrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]], cols=3),
+                              Matrix.from_rows([[0, 0, 1]], cols=3)),
+                          ("p", "z"), (Fraction(1), Fraction(1))), 1 / math.sqrt(3)),
+}
+
+
+@pytest.mark.parametrize("name", NON_SURJECTIVE)
+def test_quadrature_measures_each_image_in_its_own_volume(name):
+    datum, constant = NON_SURJECTIVE[name]
+    cert = bound_constant(datum, build_presentation(datum, generate_lattice(datum)))
+    assert cert.value == pytest.approx(constant, rel=1e-12)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        fs = [GridFunction(((0.0, 1.0),) * r, step_function(rng, (16,) * r, block=4, hi=1.0))
+              for r in datum.ranks]
+        _, _, ratio = quadrature_check(datum, cert.value, fs,
+                                       box=((0.0, 1.0),) * datum.dim, resolution=16)
+        assert ratio == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gaussian_domination_for_all_fixtures():
