@@ -3,8 +3,9 @@
 Commands run the library pipelines on datum/presentation/candidate files and
 emit text or JSON reports (DOT for diagram export). Exit status 0 means a
 positive verdict (valid, feasible, dominated), 1 a mathematically negative
-verdict with the report attached, 2 malformed input or usage errors, 3 an
-unexpected internal error, reported on one `error: internal:` line, and 4 an
+verdict with the report attached, 2 malformed input or usage errors, among
+them a datum and presentation that do not match, found before any verdict, 3
+an unexpected internal error, reported on one `error: internal:` line, and 4 an
 inconclusive verdict: a `check-data` that finds no violation but cannot build
 a certificate on the family, or a `build` whose candidate family is
 insufficient.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from hblcert import formats
 from hblcert.flowgraph import decompose_flow, pushforward, total_mass
-from hblcert.presentation import _certificate, export_dot, verify_presentation
+from hblcert.presentation import _certificate, _require_match, export_dot, verify_presentation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,6 +237,7 @@ def _cmd_decompose_flow(args) -> tuple[int, dict]:
 def _cmd_project(args) -> tuple[int, dict]:
     datum = _load_datum(args)
     pres = _load_presentation(args)
+    _require_match(datum, pres)
     i = args.map_index
     if not (0 <= i < datum.n_maps):
         raise formats.ParseError(f"--map-index {i} out of range for {datum.n_maps} maps")
@@ -280,6 +282,11 @@ def _cmd_quadrature(args) -> tuple[int, dict]:
 
     datum = _load_datum(args)
     pres = _load_presentation(args)
+    _require_match(datum, pres)  # input it cannot run on is exit 2 before any verdict
+    if datum.dim > 3:
+        raise ValueError("quadrature beyond dimension 3 is unsupported")
+    if 0 in datum.ranks:
+        raise ValueError("quadrature needs positive-rank maps")
     report = verify_presentation(datum, pres)
     if not report.valid:
         return 1, {"command": "quadrature", "verdict": "invalid",
@@ -291,8 +298,6 @@ def _cmd_quadrature(args) -> tuple[int, dict]:
     for _ in range(8):
         fs = []
         for r in datum.ranks:
-            if r == 0:
-                raise formats.ParseError("quadrature needs positive-rank maps")
             blocks = rng.uniform(0.0, 1.0, size=(4,) * r)
             values = blocks
             for axis in range(r):

@@ -339,15 +339,12 @@ def generate_lattice(datum: HBLDatum, seeds=(), max_size: int = 512,
     # both members complete: each member is related to every later one when
     # its turn comes, and each new one to those whose turn has come, which
     # costs O(processed * |L|) comparisons, not O(|L|^2), when the cap is hit.
-    # One pass finds the pairs of a turn that are not closed; once the turn
-    # has pushed a member, each of the rest is tested again as it comes.
+    # One pass finds the pairs of a turn that are not closed.
     while processed < len(subs) and not overflow:
         order.relate(processed, range(processed + 1, len(subs)))
         related = processed + 1
-        a, before = subs[processed], len(subs)
+        a = subs[processed]
         for j in _bits(order.unclosed(processed, ((1 << processed) - 1) & ~3)):
-            if len(subs) > before and not order.unclosed(processed, 1 << j):
-                continue
             for kind, s in zip(("sum", "intersect"), sum_and_intersection(a, subs[j])):
                 if s not in seen:  # no log entry is formed for a duplicate
                     push(s, f"{kind}({j},{processed})", (kind == "sum", j, processed))

@@ -29,7 +29,6 @@ THETA_MASS = "theta-mass"
 SIGMA_BALANCE = "sigma-balance"
 SIGMA_MASS = "sigma-mass"
 GRAPH = "graph"
-STRUCTURE = "structure"
 
 
 class _PresentationFields(NamedTuple):
@@ -97,19 +96,11 @@ class VerificationReport(NamedTuple):
 
 
 def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationReport:
-    """Full certificate check; every failure lands in the report, none raise."""
+    """Full certificate check. A pair not over one space and one set of maps
+    is the wrong input and raises ValueError (`_require_match`); every
+    failure of a matched pair lands in the report, and none raises."""
+    _require_match(datum, pres)
     problems: list[str] = []
-    if datum.dim != pres.graph.ambient:
-        problems.append(
-            f"{STRUCTURE}: datum dimension {datum.dim} != graph ambient {pres.graph.ambient}"
-        )
-    if pres.theta.width != datum.n_maps:
-        problems.append(
-            f"{STRUCTURE}: theta width {pres.theta.width} != {datum.n_maps} maps"
-        )
-    if problems:
-        return VerificationReport((), (), False, Fraction(0), tuple(problems), False)
-
     graph = pres.graph
     for v in validate_graph(graph):
         problems.append(f"{GRAPH}: {v}")

@@ -80,14 +80,38 @@ def test_verify_fixture_is_valid(capsys):
     assert report["bound"]["value"] == pytest.approx(2 ** -0.5)
 
 
-def test_verify_mismatched_pair_is_invalid(capsys):
-    code, report = run_json(
-        capsys, "verify",
-        "--data", fixture("lw2.datum.json"),
-        "--presentation", fixture("r6.presentation.json"),
-    )
-    assert code == 1
-    assert report["verdict"] == "invalid"
+def test_verify_mismatched_pair_is_malformed_input(capsys):
+    code = main(["verify", "--data", fixture("lw2.datum.json"),
+                 "--presentation", fixture("r6.presentation.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: datum dimension does not match graph ambient\n"
+
+
+def _two_map_lw2(tmp_path) -> str:
+    """lw2's datum on R^3 with its first two maps only."""
+    obj = json.loads(pathlib.Path(fixture("lw2.datum.json")).read_text())
+    obj["maps"], obj["exponents"] = obj["maps"][:2], obj["exponents"][:2]
+    path = tmp_path / "two_maps.datum.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+# A presentation over another space, or with another number of maps, is not a
+# certificate of the datum: every command that reads both rejects the pair
+# as malformed input before any verdict.
+MISMATCH_PROBLEMS = {"lw3": "datum dimension does not match graph ambient",
+                     "two-maps": "theta width does not match the number of maps"}
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "quadrature", "export-dot", "project"])
+@pytest.mark.parametrize("pair", sorted(MISMATCH_PROBLEMS))
+def test_mismatched_pair_is_malformed_input_in_every_command(capsys, tmp_path, command, pair):
+    data = fixture("lw3.datum.json") if pair == "lw3" else _two_map_lw2(tmp_path)
+    code = main([command, "--data", data, "--presentation", fixture("lw2.presentation.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {MISMATCH_PROBLEMS[pair]}\n"
 
 
 def _fixture_args(command: str, name: str) -> tuple[str, ...]:
@@ -511,6 +535,43 @@ def test_quadrature_dominates_a_built_certificate_whose_map_is_not_surjective(
     assert report["bound_value"] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
 
+def _mutated_lw3_presentation(tmp_path) -> str:
+    obj = json.loads(pathlib.Path(fixture("lw3.presentation.json")).read_text())
+    obj["edges"][0]["theta"][0] = "2"
+    path = tmp_path / "mutant.presentation.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _zero_map_pair(tmp_path) -> tuple[str, str]:
+    """R^1 with the identity and the zero map, and a presentation whose
+    mass on the zero map is 1, not its exponent 1/2."""
+    datum, pres = tmp_path / "d.json", tmp_path / "p.json"
+    datum.write_text(json.dumps({"dim": 1, "exponents": ["1", "1/2"],
+                                 "maps": [{"rows": [["1"]]}, {"rows": [["0"]]}]}))
+    pres.write_text(json.dumps({
+        "vertices": [{"id": "z", "basis": []}, {"id": "f", "basis": [["1"]]}],
+        "edges": [{"from": "z", "to": "f", "theta": ["1", "1"]}]}))
+    return str(datum), str(pres)
+
+
+# The command's own limits are malformed input whatever the certificate: an
+# invalid one must not turn them into the mathematical "no" of exit 1.
+@pytest.mark.parametrize("pair", ["lw3-mutant", "zero-map"])
+def test_quadrature_checks_its_limits_before_the_certificate(capsys, tmp_path, pair):
+    if pair == "lw3-mutant":
+        data, pres = fixture("lw3.datum.json"), _mutated_lw3_presentation(tmp_path)
+        problem = "quadrature beyond dimension 3 is unsupported"
+    else:
+        (data, pres), problem = _zero_map_pair(tmp_path), "quadrature needs positive-rank maps"
+    assert main(["verify", "--data", data, "--presentation", pres]) == 1
+    capsys.readouterr()
+    code = main(["quadrature", "--data", data, "--presentation", pres])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {problem}\n"
+
+
 def test_export_dot_json_report_validates(capsys):
     code, report = run_json(
         capsys, "export-dot",
@@ -535,8 +596,8 @@ def test_export_dot_format(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
 def test_export_dot_rejects_a_datum_that_does_not_match(capsys, fmt):
-    # verify reports this pair as a structure problem, so there is no
-    # distinguishing map to star and no diagram to draw.
+    # The pair does not match, so there is no distinguishing map to star
+    # and no diagram to draw.
     code = main(["export-dot", "--data", fixture("lw2.datum.json"),
                  "--presentation", fixture("r6.presentation.json"), "--format", fmt])
     captured = capsys.readouterr()
@@ -748,13 +809,14 @@ LOOP_PRESENTATION = {"vertices": [{"id": "a", "basis": [[]]}, {"id": "b", "basis
 CYCLE_PROBLEM = "not a graph decomposition: edge 1 (span{[0 1]} -> span{[1 0]}) jumps dimension 1 to 1"
 
 
-# No datum has dimension 0, so `project` stops the R^0 file at the ambient check.
+# No datum has dimension 0, so `project` rejects the R^0 file as a pair that
+# does not match.
 @pytest.mark.parametrize("command, presentation, problem", [
     ("decompose-flow", CYCLIC_PRESENTATION, CYCLE_PROBLEM),
     ("project", CYCLIC_PRESENTATION, CYCLE_PROBLEM),
     ("decompose-flow", LOOP_PRESENTATION,
      "not a graph decomposition: edge 0 (0 -> 0) jumps dimension 0 to 0"),
-    ("project", LOOP_PRESENTATION, "map domain does not match graph ambient"),
+    ("project", LOOP_PRESENTATION, "datum dimension does not match graph ambient"),
 ])
 def test_flow_commands_reject_a_graph_that_is_not_a_decomposition(
         tmp_path, command, presentation, problem):
@@ -787,6 +849,33 @@ def test_exact_commands_never_import_numpy(tmp_path):
     result = python_subprocess(["-c", script, fixture("lw2.datum.json"),
                                 fixture("lw2.presentation.json")], tmp_path, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_json_reports_do_not_depend_on_the_hash_seed(tmp_path, monkeypatch):
+    """Five commands whose reports come from sets and dicts of subspaces give
+    the same JSON under two string-hash seeds."""
+    script = (
+        "import sys\n"
+        "from hblcert import cli\n"
+        "r6, r6_pres, candidates, lw4, lw4_pres = sys.argv[1:]\n"
+        "for argv in (['build', '--data', r6],\n"
+        "             ['check-data', '--data', r6, '--candidates', candidates],\n"
+        "             ['polytope', '--data', lw4],\n"
+        "             ['verify', '--data', r6, '--presentation', r6_pres],\n"
+        "             ['decompose-flow', '--presentation', lw4_pres]):\n"
+        "    assert cli.main(argv + ['--format', 'json']) == 0, argv\n"
+    )
+    files = [fixture(name) for name in ("r6.datum.json", "r6.presentation.json",
+                                        "r6_forcing.candidates.txt", "lw4.datum.json",
+                                        "lw4.presentation.json")]
+    outputs = []
+    for seed in ("0", "123"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        result = python_subprocess(["-c", script, *files], tmp_path, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count('"command"') == 5
+    assert outputs[0] == outputs[1]
 
 
 def test_commands_that_do_not_build_never_import_the_builder_or_dataclasses(tmp_path):

@@ -215,10 +215,6 @@ def _mutant(name: str, seed: int):
     return datum, Presentation(pres.graph, weight_rows(rows, datum.n_maps))
 
 
-def _structure_mismatch():
-    return ALL_FIXTURES["lw2"][0](), ALL_FIXTURES["r6"][1]()
-
-
 def _graph_violation():
     # Drop the first edge and add a {0} -> H edge, which jumps dimension.
     datum, pres = ALL_FIXTURES["lw3"][0](), ALL_FIXTURES["lw3"][1]()
@@ -232,7 +228,6 @@ def _graph_violation():
 PROBLEM_CASES = {
     **{f"{name}-mutant-{seed}": (lambda name=name, seed=seed: _mutant(name, seed))
        for name in ("lw3", "lw4", "r6") for seed in range(6)},
-    "structure-mismatch": _structure_mismatch,
     "graph-violation": _graph_violation,
 }
 
@@ -277,8 +272,6 @@ PROBLEM_GOLDEN = {
         "511f3550cc2ee4e9559fccb95db941ed973af203c312f9d46b8c22bd68194a43",
     "r6-mutant-5":
         "c1b07bb1dd5a88a18c53ce144439481273e90cb43117072acb9a27de5cdf91e6",
-    "structure-mismatch":
-        "3b28586a47b728f471288db9832286830407a9563d34b7e67d522c32722c5990",
 }
 
 

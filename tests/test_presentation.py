@@ -138,12 +138,14 @@ def test_mutated_diamond_weight_is_rejected_with_named_conditions():
 
 
 def test_structure_mismatch_lands_in_report():
-    datum = loomis_whitney_datum(2)
-    pres = fourmap_r6_presentation()
-    report = verify_presentation(datum, pres)
-    assert not report.valid
-    assert any(p.startswith("structure") for p in report.problems)
-    assert report.map_masses == () and report.sigma == () and report.sigma_mass == 0
+    # A presentation of another space is not a certificate that failed but
+    # the wrong input, so verify_presentation raises instead of reporting.
+    lw2, pres = loomis_whitney_datum(2), loomis_whitney_presentation(2)
+    two_maps = HBLDatum(3, lw2.maps[:2], lw2.names[:2], lw2.exponents[:2])
+    with pytest.raises(ValueError, match="datum dimension does not match graph ambient"):
+        verify_presentation(lw2, fourmap_r6_presentation())
+    with pytest.raises(ValueError, match="theta width does not match the number of maps"):
+        verify_presentation(two_maps, pres)
 
 
 @pytest.mark.parametrize("stranger, edge_problems", [
@@ -472,8 +474,8 @@ def test_export_dot_survives_invalid_graph():
 
 
 def test_export_dot_rejects_a_datum_that_does_not_match():
-    # Both mismatches are structure problems to verify_presentation; the
-    # rendering would otherwise star the wrong entries or none.
+    # Both mismatches make verify_presentation raise too; the rendering
+    # would otherwise star the wrong entries or none.
     lw2, pres = loomis_whitney_datum(2), loomis_whitney_presentation(2)
     two_maps = HBLDatum(3, lw2.maps[:2], lw2.names[:2], lw2.exponents[:2])
     with pytest.raises(ValueError, match="theta width does not match the number of maps"):
