@@ -202,7 +202,7 @@ class _GridFields(NamedTuple):
 
 
 class GridFunction(_GridFields):
-    """Nonnegative samples on a regular cell grid over a box, m <= 3."""
+    """Finite nonnegative samples on a regular cell grid over a box, m <= 3."""
 
     __slots__ = ()
 
@@ -212,6 +212,8 @@ class GridFunction(_GridFields):
             raise ValueError("bounds and value axes disagree")
         if values.ndim > 3:
             raise ValueError("grids beyond three dimensions are unsupported")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
         if np.any(values < 0):
             raise ValueError("grid values must be nonnegative")
         for lo, hi in bounds:
@@ -219,22 +221,11 @@ class GridFunction(_GridFields):
                 raise ValueError("degenerate grid box")
         return super().__new__(cls, bounds, values)
 
-    @property
-    def dims(self) -> int:
-        return self.values.ndim
-
-    @property
-    def resolution(self) -> tuple[int, ...]:
-        return self.values.shape
-
     def steps(self) -> tuple[float, ...]:
         return tuple((hi - lo) / n for (lo, hi), n in zip(self.bounds, self.values.shape))
 
-    def cell_volume(self) -> float:
-        return float(np.prod(self.steps()))
-
     def mass(self) -> float:
-        return float(self.values.sum()) * self.cell_volume()
+        return float(self.values.sum()) * float(np.prod(self.steps()))
 
 
 def _coordinate_axes(v: Subspace) -> tuple[int, ...]:
@@ -265,7 +256,7 @@ def grid_factorize(f: GridFunction, graph: GraphDecomposition,
         raise ValueError("weight does not match the edge list")
     if not phi.is_nonnegative() or not is_balanced(graph, phi):
         raise ValueError("weight must be balanced and nonnegative")
-    if graph.ambient != f.dims:
+    if graph.ambient != f.values.ndim:
         raise ValueError("graph ambient does not match grid dimension")
     axes = [_coordinate_axes(v) for v in graph.vertices]
     steps = f.steps()
@@ -346,18 +337,16 @@ def quadrature_check(datum: HBLDatum, c: float, fs, *,
         t = float(tau)
         if t == 0.0:
             continue
-        if g.dims != form.shape[0]:
+        if g.values.ndim != form.shape[0]:
             raise ValueError("grid function dimension does not match map rank")
         y = form @ points  # rank x cells
         vals = np.zeros(points.shape[1])
         inside = np.ones(points.shape[1], dtype=bool)
         idx = []
-        for a in range(g.dims):
-            lo, hi = g.bounds[a]
-            h = (hi - lo) / g.resolution[a]
-            ia = np.floor((y[a] - lo) / h).astype(int)
-            inside &= (ia >= 0) & (ia < g.resolution[a])
-            idx.append(np.clip(ia, 0, g.resolution[a] - 1))
+        for ya, (lo, _), h, n in zip(y, g.bounds, g.steps(), g.values.shape):
+            ia = np.floor((ya - lo) / h).astype(int)
+            inside &= (ia >= 0) & (ia < n)
+            idx.append(np.clip(ia, 0, n - 1))
         vals[inside] = g.values[tuple(i[inside] for i in idx)]
         integrand = integrand * np.where(vals > 0, vals, 0.0) ** t
 

@@ -89,7 +89,6 @@ def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
 class VerificationReport(NamedTuple):
     map_masses: tuple[Fraction, ...]
     sigma: tuple[Fraction, ...]
-    sigma_balanced: bool
     sigma_mass: Fraction
     problems: tuple[str, ...]
     valid: bool
@@ -124,11 +123,10 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
 
     if any(v.ambient != graph.ambient for v in graph.vertices):
         # validate_graph has named these vertices; the maps cannot take them.
-        return VerificationReport(masses, (), False, Fraction(0), tuple(problems), False)
+        return VerificationReport(masses, (), Fraction(0), tuple(problems), False)
 
     sigma = _summary(pres.theta, _distinguishing(datum, graph))
-    sigma_off = list(unbalanced_vertices(graph, sigma))
-    for k, (into,), (outof,) in sigma_off:
+    for k, (into,), (outof,) in unbalanced_vertices(graph, sigma):
         problems.append(
             f"{SIGMA_BALANCE}: summary weight unbalanced at {graph.describe_vertex(k)} "
             f"(in {into}, out {outof})"
@@ -140,7 +138,6 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
     return VerificationReport(
         map_masses=masses,
         sigma=sigma.component(0),
-        sigma_balanced=not sigma_off,
         sigma_mass=sigma_mass,
         problems=tuple(problems),
         valid=not problems,

@@ -264,13 +264,13 @@ def reference_verify(datum, pres) -> VerificationReport:
             problems.append(f"theta-mass: map {name} has total mass {masses[i]}, "
                             f"expected {datum.exponents[i]}")
     sigma = WeightFunction(1, reference_summary(datum, pres))
-    sigma_off = reference_unbalanced(graph, sigma)
     problems += [f"sigma-balance: summary weight unbalanced at {graph.describe_vertex(k)} "
-                 f"(in {into}, out {outof})" for k, (into,), (outof,) in sigma_off]
+                 f"(in {into}, out {outof})"
+                 for k, (into,), (outof,) in reference_unbalanced(graph, sigma)]
     sigma_mass = reference_total_mass(graph, sigma)[0]
     if sigma_mass != 1:
         problems.append(f"sigma-mass: summary weight has total mass {sigma_mass}, expected 1")
-    return VerificationReport(masses, sigma.component(0), not sigma_off, sigma_mass,
+    return VerificationReport(masses, sigma.component(0), sigma_mass,
                               tuple(problems), not problems)
 
 

@@ -761,14 +761,10 @@ def test_unwritable_out_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--tol", "nan", "--tol must be finite and positive"),
-    ("--tol", "inf", "--tol must be finite and positive"),
-    ("--tol", "0", "--tol must be finite and positive"),
     ("--max-lattice", "1", "--max-lattice must be at least 2"),
+    ("--tol", "1e-9", "unrecognized arguments: --tol"),
 ])
 def test_out_of_range_options_exit_two(capsys, option, value, message):
-    # A NaN tolerance would turn quadrature's valid certificate into a false
-    # "exceeded" (exit 1), an infinite one into "dominated" on any evidence.
     with pytest.raises(SystemExit) as exc:
         main(["quadrature", "--data", fixture("lw2.datum.json"),
               "--presentation", fixture("lw2.presentation.json"), option, value])
@@ -848,6 +844,28 @@ def test_exact_commands_never_import_numpy(tmp_path):
     )
     result = python_subprocess(["-c", script, fixture("lw2.datum.json"),
                                 fixture("lw2.presentation.json")], tmp_path, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+def test_quadrature_reads_its_input_before_numpy(tmp_path):
+    """A quadrature that stops before its trials, on a mismatched pair
+    (exit 2) or an invalid certificate (exit 1), loads neither numpy nor the
+    oracle, so it costs what verify costs."""
+    mutant = json.loads(pathlib.Path(fixture("lw2.presentation.json")).read_text())
+    mutant["edges"][0]["theta"][0] = "2"
+    (tmp_path / "mutant.json").write_text(json.dumps(mutant))
+    script = (
+        "import sys\n"
+        "from hblcert import cli\n"
+        "lw3, lw2, lw2_pres, mutant = sys.argv[1:]\n"
+        "for argv, status in ((['--data', lw3, '--presentation', lw2_pres], 2),\n"
+        "                     (['--data', lw2, '--presentation', mutant], 1)):\n"
+        "    assert cli.main(['quadrature', *argv]) == status, argv\n"
+        "loaded = [m for m in ('numpy', 'hblcert.oracle') if m in sys.modules]\n"
+        "sys.exit(f'imported {loaded}' if loaded else 0)\n"
+    )
+    result = python_subprocess(["-c", script, fixture("lw3.datum.json"), fixture("lw2.datum.json"),
+                                fixture("lw2.presentation.json"), "mutant.json"], tmp_path)
     assert result.returncode == 0, result.stderr
 
 

@@ -4,8 +4,9 @@ not dataclasses, every function the benchmark's tracer wraps exists and a
 call through data reaches its lattice span, importing the package root
 loads no module, every public name, private module-level function or class
 and module constant of the package has a reader outside the tests (a
-function the tracer wraps counts as read), and no module but linalg reads a
-private attribute of Matrix or Subspace."""
+function the tracer wraps counts as read), every field of a NamedTuple
+record is read as an attribute outside the tests, and no module but linalg
+reads a private attribute of Matrix or Subspace."""
 
 import ast
 import importlib
@@ -178,6 +179,28 @@ def test_every_public_name_has_a_caller():
                 if uses <= 0:
                     unused.append(f"{path.name}: {node.name}.{meth.name}")
     assert not unused, f"no caller outside tests: {unused}"
+
+
+def _record_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) for every annotated field of a NamedTuple class."""
+    return [(node.name, item.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def test_every_record_field_is_read():
+    # A record field that only its constructor sets is a dead output: each
+    # must be read as an attribute by the package, the benchmark or the
+    # scripts. Setting one by keyword is not a read.
+    trees = _trees()
+    read = Counter(sub.attr for tree in trees.values() for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+    fields = [(path.name, cls, field) for path in SOURCES
+              for cls, field in _record_fields(trees[path])]
+    unread = [f"{name}: {cls}.{field}" for name, cls, field in fields if not read[field]]
+    assert fields and not unread, f"record fields no one reads: {unread}"
 
 
 def _module_names(node: ast.stmt) -> list[str]:

@@ -301,6 +301,21 @@ def test_quadrature_zero_function_reports_zero_ratio():
     assert (lhs, rhs, ratio) == (0.0, 0.0, 0.0)
 
 
+SQUARE = GridFunction(((0.0, 1.0), (0.0, 1.0)), np.ones((4, 4)))
+SEGMENT = GridFunction(((0.0, 1.0),), np.ones(4))
+
+
+@pytest.mark.parametrize("datum, fs, message", [
+    (loomis_whitney_datum(3), [SQUARE] * 4, "quadrature beyond dimension 3 is unsupported"),
+    (loomis_whitney_datum(2), [SQUARE] * 2, "need one grid function per map"),
+    (loomis_whitney_datum(2), [SEGMENT] * 3, "grid function dimension does not match map rank"),
+], ids=["dimension", "count", "rank"])
+def test_quadrature_rejects_input_it_cannot_integrate(datum, fs, message):
+    with pytest.raises(ValueError) as raised:
+        quadrature_check(datum, 1.0, fs, box=((0.0, 1.0),) * datum.dim, resolution=4)
+    assert str(raised.value) == message
+
+
 # Maps that are not surjective, each with a product extremiser: the pivot
 # chart y of (x1, x1)'s image is the point (y, y), whose own measure is
 # sqrt(2) dy, and (x1, x2) of (x1, x2, x1+x2)'s image is a point of measure

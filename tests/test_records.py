@@ -32,7 +32,7 @@ def _samples() -> dict:
         "ChainDecomposition": (chains, ("terms",)),
         "ChainTerm": (chains.terms[0], ("component", "coefficient", "edges")),
         "VerificationReport": (verify_presentation(datum, pres), (
-            "map_masses", "sigma", "sigma_balanced", "sigma_mass", "problems", "valid")),
+            "map_masses", "sigma", "sigma_mass", "problems", "valid")),
         "BoundCertificate": (cert, ("factors", "value", "exact_one")),
         "BoundFactor": (cert.factors[0], ("map_index", "edge", "base", "exponent")),
         "ExponentPolytope": (poly, ("n", "rows")),
@@ -95,6 +95,8 @@ EDGE = GraphDecomposition.build(1, [Subspace.zero(1), Subspace.full(1)],
     (lambda: GridFunction(((0.0, 1.0),), [[1.0]]), "bounds and value axes disagree"),
     (lambda: GridFunction(((0.0, 1.0),) * 4, [[[[1.0]]]]),
      "grids beyond three dimensions are unsupported"),
+    (lambda: GridFunction(((0.0, 1.0),), [float("nan")]), "grid values must be finite"),
+    (lambda: GridFunction(((0.0, 1.0),), [float("inf")]), "grid values must be finite"),
     (lambda: GridFunction(((0.0, 1.0),), [-1.0]), "grid values must be nonnegative"),
     (lambda: GridFunction(((1.0, 1.0),), [1.0]), "degenerate grid box"),
 ], ids=lambda x: x if isinstance(x, str) else "")
