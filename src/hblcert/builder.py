@@ -43,13 +43,11 @@ from typing import NamedTuple
 from hblcert.data import HBLDatum
 from hblcert.lattice import CandidateLattice, generate_lattice, is_ready
 from hblcert.linalg import (
-    Matrix,
     Subspace,
     _echelon,
     _null_space,
     _over_common_denominator,
     _primitive,
-    kernel,
     ordered,
     sum_and_intersection,
 )
@@ -313,14 +311,14 @@ def _reduce_caratheodory(n: int, terms: list[tuple[Fraction, Point]]
     points = sorted(merged, key=lambda p: [x * (big // p[0]) for x in p[1]])
     coeffs = [merged[p] for p in points]
     while len(points) > n + 1:
-        # Rows are the points with a trailing 1; a kernel vector is an
-        # affine dependence sum lam_k p_k = 0, sum lam_k = 0, so some lam_k > 0.
-        mat = Matrix.from_rows([[Fraction(x, d) for x in p] + [Fraction(1)] for d, p in points],
-                               cols=n + 1)
-        dep = kernel(mat.transpose())
-        if dep.dim == 0:
-            raise BuildError("more than n+1 vertices without an affine dependence")
-        lam = list(dep.basis.row(0))
+        # Column k is (N_k, D_k), the point with a trailing 1 times D_k > 0, so a
+        # null vector mu gives the affine dependence lam_k = mu_k D_k:
+        # sum lam_k p_k = 0 and sum lam_k = 0, so some lam_k > 0. There are
+        # more columns than the n+1 rows, so the null space is never zero.
+        cols = len(points)
+        rows = zip(*(nums + (d,) for d, nums in points))
+        mu = _null_space(*_echelon(rows, cols), cols).echelon[0]
+        lam = [m * d for m, (d, _) in zip(mu, points)]
         step: Fraction | None = None
         for c, l in zip(coeffs, lam):
             if l > 0 and (step is None or c / l < step):

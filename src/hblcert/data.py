@@ -138,10 +138,10 @@ def transform_datum(datum: HBLDatum, t: Matrix, s_list) -> HBLDatum:
 def __getattr__(name: str):
     # The candidate family lives in hblcert.lattice, which only construction
     # imports. The benchmark (bench/) calls data.generate_lattice and its
-    # tracer wraps that name, so the family's names resolve here on first
-    # use, until bench/ reads them from hblcert.lattice.
-    if name in ("CandidateLattice", "generate_lattice", "is_ready"):
+    # tracer wraps that name, so it resolves here on first use, until bench/
+    # reads it from hblcert.lattice.
+    if name == "generate_lattice":
         from hblcert import lattice
 
-        return getattr(lattice, name)
+        return lattice.generate_lattice
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

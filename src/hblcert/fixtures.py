@@ -43,7 +43,7 @@ def loomis_whitney_presentation(d: int) -> Presentation:
     return Presentation.from_edges(m, m, flag, weights)
 
 
-def fourmap_r6_datum(exponents=None) -> HBLDatum:
+def fourmap_r6_datum() -> HBLDatum:
     """Four maps on R^6: (x1,x2,x5), (x2,x3,x5+x6), (x4,x6), (x1,x3,x4,x5-x6)."""
     rows1 = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
     rows2 = [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 1]]
@@ -51,10 +51,7 @@ def fourmap_r6_datum(exponents=None) -> HBLDatum:
     rows4 = [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0],
              [0, 0, 0, 0, 1, -1]]
     maps = tuple(Matrix.from_rows(r, cols=6) for r in (rows1, rows2, rows3, rows4))
-    if exponents is None:
-        exponents = [Fraction(1, 2)] * 4
-    return HBLDatum(6, maps, ("pi1", "pi2", "pi3", "pi4"),
-                    tuple(Fraction(t) for t in exponents))
+    return HBLDatum(6, maps, ("pi1", "pi2", "pi3", "pi4"), (Fraction(1, 2),) * 4)
 
 
 def fourmap_r6_presentation() -> Presentation:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hblcert.linalg import Matrix, Subspace, frac, image, ordered
@@ -230,49 +231,41 @@ def decompose_flow(graph: GraphDecomposition, weight: WeightFunction) -> ChainDe
     Repeatedly subtracts the globally minimal positive entry along a maximal
     chain through its edge; every step zeroes at least one entry, and the
     reconstruction sum(coefficient over terms of component j containing e)
-    equals the weight exactly.
+    equals the weight exactly. The peeling runs on the weight's integer rows
+    (`integral`), and only the coefficients become Fractions.
 
-    Tie-breaking is deterministic: edges are scanned in stored order,
-    components in index order, and chain extension picks the lowest-index
-    eligible edge.
+    Tie-breaking is deterministic: among equal minimal entries the lowest
+    edge index wins, then the lowest component, and chain extension picks
+    the lowest-index eligible edge.
     """
     _check_sizes(graph, weight)
     if not weight.is_nonnegative():
         raise ValueError("weight has a negative entry")
     _require_balanced(graph, weight)
-    values = [list(vec) for vec in weight.values]
+    den, rows = weight.integral
+    values = [list(vec) for vec in rows]
     terms: list[ChainTerm] = []
     while True:
-        delta = None
-        for vec in values:
-            for x in vec:
-                if x > 0 and (delta is None or x < delta):
-                    delta = x
-        if delta is None:
+        least = min(((x, k, j) for k, vec in enumerate(values) for j, x in enumerate(vec)
+                     if x > 0), default=None)
+        if least is None:
             break
-        start = next(
-            (k, j)
-            for k, vec in enumerate(values)
-            for j, x in enumerate(vec)
-            if x == delta
-        )
-        k0, j = start
+        delta, k0, j = least
         chain = [k0]
+        tail, head = graph.edges[k0]
         # Extend backward to {0} along positive j-components.
-        tail = graph.edges[chain[0]][0]
         while not graph.vertices[tail].is_zero():
             k = next(e for e in graph.incoming[tail] if values[e][j] > 0)
             chain.insert(0, k)
             tail = graph.edges[k][0]
         # Extend forward to the full space.
-        head = graph.edges[chain[-1]][1]
         while not graph.vertices[head].is_full():
             k = next(e for e in graph.outgoing[head] if values[e][j] > 0)
             chain.append(k)
             head = graph.edges[k][1]
         for k in chain:
             values[k][j] -= delta
-        terms.append(ChainTerm(j, delta, tuple(chain)))
+        terms.append(ChainTerm(j, Fraction(delta, den), tuple(chain)))
     return ChainDecomposition(tuple(terms))
 
 
@@ -303,20 +296,10 @@ def project_graph(graph: GraphDecomposition, map_: Matrix
         raise ValueError("map domain does not match graph ambient")
     surj = _surjective_chart(map_)
     images = [image(surj, v) for v in graph.vertices]
-    pairs = []
-    for (a, b) in graph.edges:
-        if images[a] != images[b]:
-            pairs.append((images[a], images[b]))
-    projected = GraphDecomposition.build(surj.rows, images, pairs)
-    edge_map: list[int | None] = []
-    for (a, b) in graph.edges:
-        if images[a] == images[b]:
-            edge_map.append(None)
-        else:
-            src = projected.vertex_index[images[a]]
-            dst = projected.vertex_index[images[b]]
-            edge_map.append(projected.edge_index[(src, dst)])
-    return projected, tuple(edge_map)
+    pairs = [(images[a], images[b]) for a, b in graph.edges]
+    projected = GraphDecomposition.build(surj.rows, images, [p for p in pairs if p[0] != p[1]])
+    at, edge_at = projected.vertex_index, projected.edge_index
+    return projected, tuple(None if u == w else edge_at[(at[u], at[w])] for u, w in pairs)
 
 
 def pushforward(graph: GraphDecomposition, weight: WeightFunction, map_: Matrix
@@ -332,11 +315,12 @@ def pushforward(graph: GraphDecomposition, weight: WeightFunction, map_: Matrix
     # A map of the wrong domain is reported before any problem of the graph.
     projected, edge_map = project_graph(graph, map_)
     _require_balanced(graph, weight)
-    sums = [[Fraction(0)] * weight.width for _ in projected.edges]
+    den, rows = weight.integral
+    sums = [(0,) * weight.width for _ in projected.edges]
     for k, target in enumerate(edge_map):
         if target is not None:
-            sums[target] = [a + b for a, b in zip(sums[target], weight.values[k])]
-    result = WeightFunction(weight.width, tuple(tuple(v) for v in sums))
+            sums[target] = tuple(map(add, sums[target], rows[k]))
+    result = WeightFunction(weight.width, tuple(tuple(Fraction(x, den) for x in v) for v in sums))
     if not is_balanced(projected, result):
         raise ValueError("projected weight lost balance")
     if projected.ambient > 0 and total_mass(projected, result) != total_mass(graph, weight):

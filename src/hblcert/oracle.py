@@ -217,6 +217,8 @@ class GridFunction(_GridFields):
         if np.any(values < 0):
             raise ValueError("grid values must be nonnegative")
         for lo, hi in bounds:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("grid box bounds must be finite")
             if not hi > lo:
                 raise ValueError("degenerate grid box")
         return super().__new__(cls, bounds, values)

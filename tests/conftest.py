@@ -229,6 +229,30 @@ def reference_total_mass(graph, weight) -> tuple[Fraction, ...]:
     return mass
 
 
+def reference_decompose_flow(graph, weight) -> list[tuple[int, Fraction, tuple[int, ...]]]:
+    """Reference chain peeling in Fractions: (component, coefficient, edges)
+    per step, taking the least positive entry, the first such in edge-major
+    order, and extending its chain along the lowest-index positive edges."""
+    values = [list(vec) for vec in weight.values]
+    terms = []
+    while any(x > 0 for vec in values for x in vec):
+        delta = min(x for vec in values for x in vec if x > 0)
+        k0, j = next((k, j) for k, vec in enumerate(values)
+                     for j, x in enumerate(vec) if x == delta)
+        chain = [k0]
+        tail, head = graph.edges[k0]
+        while not graph.vertices[tail].is_zero():
+            chain.insert(0, next(e for e in graph.incoming[tail] if values[e][j] > 0))
+            tail = graph.edges[chain[0]][0]
+        while not graph.vertices[head].is_full():
+            chain.append(next(e for e in graph.outgoing[head] if values[e][j] > 0))
+            head = graph.edges[chain[-1]][1]
+        for k in chain:
+            values[k][j] -= delta
+        terms.append((j, delta, tuple(chain)))
+    return terms
+
+
 def reference_unbalanced(graph, weight) -> list[tuple[int, tuple, tuple]]:
     """Reference (vertex, in-sum, out-sum) at each unbalanced inner vertex, in Fractions."""
     out = []

@@ -27,6 +27,7 @@ from conftest import (
     random_balanced_weight,
     random_flag_graph,
     random_matrix,
+    reference_decompose_flow,
     weight_rows,
     zero_weights,
 )
@@ -206,6 +207,7 @@ def test_reconstruction_property():
         graph, flags = random_flag_graph(rng, m, rng.randint(1, 3))
         w = random_balanced_weight(rng, graph, flags, width)
         decomposition = decompose_flow(graph, w)
+        assert list(map(tuple, decomposition.terms)) == reference_decompose_flow(graph, w)
         assert len(decomposition.terms) <= len(graph.edges) * width
         rebuilt = [[Fraction(0)] * width for _ in graph.edges]
         for t in decomposition.terms:

@@ -17,7 +17,7 @@ import pytest
 
 from hblcert.builder import build_presentation
 from hblcert.cli import main
-from hblcert.data import CandidateLattice, HBLDatum, generate_lattice
+from hblcert.data import HBLDatum
 from hblcert.fixtures import (
     ALL_FIXTURES,
     fourmap_r6_datum,
@@ -26,6 +26,7 @@ from hblcert.fixtures import (
 )
 from hblcert.flowgraph import GraphDecomposition, WeightFunction
 from hblcert.formats import serialize_datum, serialize_presentation
+from hblcert.lattice import CandidateLattice, generate_lattice
 from hblcert.linalg import Matrix, span
 from hblcert.presentation import Presentation, bound_constant, verify_presentation
 

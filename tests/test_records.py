@@ -99,6 +99,8 @@ EDGE = GraphDecomposition.build(1, [Subspace.zero(1), Subspace.full(1)],
     (lambda: GridFunction(((0.0, 1.0),), [float("inf")]), "grid values must be finite"),
     (lambda: GridFunction(((0.0, 1.0),), [-1.0]), "grid values must be nonnegative"),
     (lambda: GridFunction(((1.0, 1.0),), [1.0]), "degenerate grid box"),
+    (lambda: GridFunction(((0.0, float("inf")),), [1.0]), "grid box bounds must be finite"),
+    (lambda: GridFunction(((float("-inf"), 0.0),), [1.0]), "grid box bounds must be finite"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_constructors_keep_their_error_texts(make, message):
     with pytest.raises(ValueError) as raised:
