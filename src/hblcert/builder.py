@@ -201,28 +201,24 @@ def enumerate_extremes(poly: ExponentPolytope) -> tuple[tuple[Fraction, ...], ..
 
 
 def caratheodory(poly: ExponentPolytope, point: Point, *,
-                 gaps: list[int] | None = None,
-                 tight: Echelon | None = None,
-                 reached: dict[Point, Met] | None = None) -> ExtremeDecomposition:
+                 met: dict[Point, Met] | None = None) -> ExtremeDecomposition:
     """Exact convex decomposition of a member point N / D into at most n+1 vertices.
 
     Walks tight-set bisections down to vertices, then trims the combination
     by eliminating affine dependences; every step is exact, and before
     returning sum c_k = 1 and sum c_k tau_k = tau are checked in integers.
-    `gaps`, when given, is the list of row gaps `poly.gaps(point)`, and
-    `tight` the `_tight` echelon of those gaps, which a caller that has
-    them passes rather than compute them again. `reached`, when given,
-    receives each vertex the bisections reach with its gaps and echelon.
+    `met`, when given, maps points of the polytope to their row gaps and
+    `_tight` echelon: the point's are read from it when there, and each
+    vertex the bisections reach is entered into it with its own.
     """
-    if gaps is None:
-        gaps = list(poly.gaps(point))
+    met = {} if met is None else met
+    gaps, tight = met.get(point) or (list(poly.gaps(point)), None)
     violated = poly.violated(gaps)
     if violated is not None:
         row, gap = violated
         raise ValueError(f"tau violates constraint {row.provenance}: "
                          f"{row.rhs + Fraction(gap, point[0])} vs {row.rhs}")
-    raw = _decompose_point(poly, point, gaps, _tight(poly, gaps) if tight is None else tight,
-                           {} if reached is None else reached)
+    raw = _decompose_point(poly, point, gaps, _tight(poly, gaps) if tight is None else tight, met)
     terms = _reduce_caratheodory(poly.n, raw)
     if not _reconstructs(terms, point):
         raise BuildError("convex decomposition failed to reconstruct the exponents")
@@ -539,8 +535,7 @@ def build_presentation(datum: HBLDatum, candidates: CandidateLattice, *,
                 trace.append(f"{indent}tau {_text(point)} not extreme; splitting")
             parts = []
             # The vertices reached are met here with their gaps and echelons.
-            for c, vertex in caratheodory(poly, point, gaps=gaps, tight=tight,
-                                          reached=node.met).terms:
+            for c, vertex in caratheodory(poly, point, met=node.met).terms:
                 if trace is not None:
                     trace.append(f"{indent}  extreme {_text(vertex)} with weight {c}")
                 parts.append((c, recurse(node, vertex, depth + 1)))

@@ -17,7 +17,8 @@ from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
-from hblcert.linalg import Matrix, Subspace, _over_common_denominator, image, image_rank, kernel
+from hblcert.linalg import (Matrix, Subspace, _over_common_denominator, frac, image, image_rank,
+                            kernel)
 
 
 class _DatumFields(NamedTuple):
@@ -39,6 +40,7 @@ class HBLDatum(_DatumFields):
         for m in maps:
             if m.cols != dim:
                 raise ValueError("map domain does not match ambient dimension")
+        exponents = tuple(map(frac, exponents))
         for t in exponents:
             if not (0 <= t <= 1):
                 raise ValueError(f"exponent {t} outside [0,1]")
@@ -62,7 +64,7 @@ class HBLDatum(_DatumFields):
         return tuple(map(kernel, self.maps))
 
     def with_exponents(self, exponents: tuple[Fraction, ...]) -> HBLDatum:
-        return HBLDatum(self.dim, self.maps, self.names, tuple(exponents),
+        return HBLDatum(self.dim, self.maps, self.names, exponents,
                         _image_dims=self._image_dims)
 
     def image_dims(self, v: Subspace) -> tuple[int, ...]:
@@ -112,9 +114,9 @@ def quotient_datum(datum: HBLDatum, v: Subspace) -> tuple[HBLDatum, Matrix]:
         raise ValueError("subspace ambient does not match datum dimension")
     if v.is_full():
         raise ValueError("cannot quotient by the full space")
-    vperp = v.perp()
+    vperp = v.perp
     embedding = vperp.chart()
-    maps = tuple(image(m, v).perp().basis @ m @ embedding for m in datum.maps)
+    maps = tuple(image(m, v).perp.basis @ m @ embedding for m in datum.maps)
     return HBLDatum(vperp.dim, maps, datum.names, datum.exponents), embedding
 
 

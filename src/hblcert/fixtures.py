@@ -31,7 +31,7 @@ def loomis_whitney_datum(d: int, exponents=None) -> HBLDatum:
         names.append(f"pi{i + 1}")
     if exponents is None:
         exponents = [Fraction(1, d)] * m
-    return HBLDatum(m, tuple(maps), tuple(names), tuple(Fraction(t) for t in exponents))
+    return HBLDatum(m, tuple(maps), tuple(names), tuple(exponents))
 
 
 def loomis_whitney_presentation(d: int) -> Presentation:

@@ -137,6 +137,7 @@ class WeightFunction(_WeightFields):
     """Vector-valued edge weights; scalar weights have width 1."""
 
     def __new__(cls, width: int, values: tuple[tuple[Fraction, ...], ...]) -> WeightFunction:
+        values = tuple(tuple(map(frac, vec)) for vec in values)
         for vec in values:
             if len(vec) != width:
                 raise ValueError("weight vector width mismatch")
@@ -144,7 +145,7 @@ class WeightFunction(_WeightFields):
 
     @staticmethod
     def scalar(values: Sequence) -> WeightFunction:
-        return WeightFunction(1, tuple((frac(x),) for x in values))
+        return WeightFunction(1, tuple((x,) for x in values))
 
     @cached_property
     def integral(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -156,9 +157,6 @@ class WeightFunction(_WeightFields):
 
     def is_nonnegative(self) -> bool:
         return all(x >= 0 for vec in self.integral[1] for x in vec)
-
-    def component(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(vec[j] for vec in self.values)
 
 
 def _check_sizes(graph: GraphDecomposition, weight: WeightFunction) -> None:

@@ -55,7 +55,7 @@ def _list(obj: dict, key: str, where: str) -> list:
     return obj[key]
 
 
-def _parse_matrix(rows, cols: int | None, where: str) -> Matrix:
+def _parse_matrix(rows, cols: int, where: str) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{where}: rows must be a list of lists")
     parsed = [[parse_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
@@ -63,11 +63,7 @@ def _parse_matrix(rows, cols: int | None, where: str) -> Matrix:
     widths = {len(r) for r in parsed}
     if len(widths) > 1:
         raise ParseError(f"{where}: ragged matrix rows")
-    if cols is None:
-        if not parsed:
-            raise ParseError(f"{where}: empty matrix needs a known width")
-        cols = len(parsed[0])
-    elif widths and widths != {cols}:
+    if widths and widths != {cols}:
         raise ParseError(f"{where}: expected {cols} columns, got {widths.pop()}")
     return Matrix.from_rows(parsed, cols=cols)
 
@@ -138,9 +134,8 @@ def parse_presentation(text: str) -> Presentation:
         if vid in by_id:
             raise ParseError(f"presentation: duplicate vertex id {vid!r}")
         basis = entry["basis"]
-        mat = _parse_matrix(basis, ambient, f"presentation: vertex {vid}") if basis \
-            else Matrix.zeros(0, ambient)
-        by_id[vid] = canonicalize(mat)
+        by_id[vid] = (canonicalize(_parse_matrix(basis, ambient, f"presentation: vertex {vid}"))
+                      if basis else Subspace.zero(ambient))
 
     width = None
     weights: dict[tuple[Subspace, Subspace], tuple[Fraction, ...]] = {}

@@ -256,15 +256,12 @@ class Subspace(_SubspaceFields):
             raise ValueError("ambient mismatch in subspace comparison")
         if self.dim > other.dim or not set(self.pivots).issubset(other.pivots):
             return False
-        perp = other.perp().echelon
+        perp = other.perp.echelon
         return not any(sum(map(mul, p, x)) for x in self.echelon for p in perp)
 
+    @cached_property
     def perp(self) -> Subspace:
         """Orthogonal complement w.r.t. the standard inner product."""
-        return self._perp
-
-    @cached_property
-    def _perp(self) -> Subspace:
         # Computed once: every inclusion test U <= V reads V-perp. The
         # echelon rows are already reduced.
         return _null_space(self.echelon, self.pivots, self.ambient)
@@ -274,7 +271,7 @@ class Subspace(_SubspaceFields):
         high-perp: one elimination over m columns, not 2m as in a meet."""
         if self.ambient != high.ambient:
             raise ValueError("ambient mismatch in relative complement")
-        return _null_space(*_echelon(high.perp().echelon, self.ambient,
+        return _null_space(*_echelon(high.perp.echelon, self.ambient,
                                      (self.echelon, self.pivots)), self.ambient)
 
     def projector(self) -> Matrix:
@@ -408,7 +405,7 @@ def quotient_rank(u: Subspace, w: Subspace) -> int:
     of W in coordinates of Q^m / U, one pairing with each row of U-perp."""
     if u.ambient != w.ambient:
         raise ValueError("ambient mismatch in subspace quotient rank")
-    perp = u.perp().echelon
+    perp = u.perp.echelon
     return len(_echelon([[sum(map(mul, p, x)) for p in perp] for x in w.echelon],
                         u.ambient - u.dim)[1])
 

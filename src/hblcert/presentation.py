@@ -137,7 +137,7 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
 
     return VerificationReport(
         map_masses=masses,
-        sigma=sigma.component(0),
+        sigma=tuple(x for (x,) in sigma.values),
         sigma_mass=sigma_mass,
         problems=tuple(problems),
         valid=not problems,

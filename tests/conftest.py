@@ -124,12 +124,12 @@ def reference_certificate(datum, pres) -> BoundCertificate:
     factors = []
     for k, (a, b) in enumerate(graph.edges):
         v1, v2 = graph.vertices[a], graph.vertices[b]
-        w = (v2 & v1.perp()).basis.row(0)
+        w = (v2 & v1.perp).basis.row(0)
         for i, m in enumerate(datum.maps):
             low, high = image(m, v1), image(m, v2)
             if low == high or theta.values[k][i] == 0:
                 continue
-            d = (high & low.perp()).basis.row(0)
+            d = (high & low.perp).basis.row(0)
             along = sum((x * y for x, y in zip(apply(m, w), d)), Fraction(0))
             factors.append(BoundFactor(i, k, along * along / (norm_sq(d) * norm_sq(w)),
                                        -theta.values[k][i] / 2))
@@ -294,7 +294,7 @@ def reference_verify(datum, pres) -> VerificationReport:
     sigma_mass = reference_total_mass(graph, sigma)[0]
     if sigma_mass != 1:
         problems.append(f"sigma-mass: summary weight has total mass {sigma_mass}, expected 1")
-    return VerificationReport(masses, sigma.component(0), sigma_mass,
+    return VerificationReport(masses, tuple(x for (x,) in sigma.values), sigma_mass,
                               tuple(problems), not problems)
 
 

@@ -388,7 +388,7 @@ def test_caratheodory_matches_the_fraction_bisection(hyp_rng, maps):
         points.append(mix(chosen, [Fraction(rng.randint(1, 9)) for _ in chosen]))
     for tau in points:
         reached = {}
-        decomposition = caratheodory(poly, as_point(tau), reached=reached)
+        decomposition = caratheodory(poly, as_point(tau), met=reached)
         assert fraction_terms(decomposition) == reference_caratheodory(poly, tau)
         assert {p for _, p in decomposition.terms} <= set(reached)
         assert set(map(fraction_point, reached)) <= set(vertices)
@@ -492,7 +492,7 @@ def embedded(table, v, high_part: bool):
     """A chart edge table of the restriction to V (or of the quotient by V,
     when high_part) in the top-level space: low vertices through the chart of
     V, high vertices W as V + W through the chart of V-perp."""
-    chart = v.perp().chart() if high_part else v.chart()
+    chart = v.perp.chart() if high_part else v.chart()
     at = {w: image(chart, w) + v if high_part else image(chart, w) for w in vertices_of(table)}
     den, rows = table
     return den, {(at[a], at[b]): row for (a, b), row in rows.items()}
@@ -1085,7 +1085,7 @@ def _reference_node(datum, node):
     chart = node.high.retraction()
     low = image(chart, node.low)
     quotient = quotient_datum(restrict_datum(datum, node.high)[0], low)[0]
-    perp = low.perp()
+    perp = low.perp
     return quotient, [image(perp.retraction(), image(chart, u) & perp) for u in node.family]
 
 

@@ -209,7 +209,7 @@ def test_quotient_maps_match_orthogonal_projections(hyp_rng):
     quotient, embedding = quotient_datum(datum, v)
     w = random_subspace(rng, quotient.dim)
     for new_map, old_map in zip(quotient.maps, maps):
-        reference = image(old_map, v).perp().projector() @ old_map @ embedding
+        reference = image(old_map, v).perp.projector() @ old_map @ embedding
         assert kernel(new_map) == kernel(reference)
         assert new_map.cols - kernel(new_map).dim == reference.cols - kernel(reference).dim
         assert image(new_map, w).dim == image(reference, w).dim

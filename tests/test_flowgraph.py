@@ -20,7 +20,7 @@ from hblcert.flowgraph import (
     validate_graph,
 )
 from hblcert.linalg import Matrix, Subspace, kernel, span
-from hblcert.presentation import summary_weight
+from hblcert.presentation import Presentation, summary_weight, verify_presentation
 
 from conftest import (
     identity,
@@ -56,6 +56,38 @@ def test_validate_reports_dimension_jump():
     g = GraphDecomposition.build(3, [zero, v2, full], [(zero, v2), (v2, full)])
     problems = validate_graph(g)
     assert any("jumps dimension 0 to 2" in p for p in problems)
+
+
+def test_validate_reports_a_source_outside_its_target():
+    # span{e1..e5} becomes span{e1, e3, e4, e5, e6}: every edge still raises
+    # the dimension by one and every vertex keeps its edges, so containment
+    # is the one axiom the r6 certificate breaks, and it breaks only there.
+    pres = fourmap_r6_presentation()
+    vertices = list(pres.graph.vertices)
+    assert vertices[5] == span([[int(c == j) for c in range(6)] for j in range(5)], 6)
+    vertices[5] = span([[int(c == j) for c in range(6)] for j in (0, 2, 3, 4, 5)], 6)
+    graph = GraphDecomposition(6, tuple(vertices), pres.graph.edges)
+    problem = ("edge 4 (span{[1 0 0 0 0 0],[0 1 0 0 0 0],[0 0 1 0 0 0],[0 0 0 1 0 0]} -> "
+               "span{[1 0 0 0 0 0],[0 0 1 0 0 0],[0 0 0 1 0 0],[0 0 0 0 1 0],[0 0 0 0 0 1]}) "
+               "source is not contained in target")
+    assert validate_graph(graph) == [problem]
+    report = verify_presentation(fourmap_r6_datum(), Presentation(graph, pres.theta))
+    assert not report.valid and report.problems == ("graph: " + problem,)
+
+
+@pytest.mark.parametrize("malform, problem", [
+    (lambda g: GraphDecomposition(g.ambient, g.vertices[1:],
+                                  tuple((a - 1, b - 1) for a, b in g.edges[1:])),
+     "missing the zero subspace"),
+    (lambda g: GraphDecomposition(g.ambient, g.vertices + g.vertices[:1], g.edges),
+     "duplicate vertices"),
+    (lambda g: GraphDecomposition(g.ambient, g.vertices, g.edges + g.edges[:1]),
+     "duplicate edges"),
+], ids=["zero", "vertices", "edges"])
+def test_validate_reports_each_malformed_list(malform, problem):
+    # The masses of a certificate on such a graph fail too; the graph
+    # problem is what names the cause.
+    assert problem in validate_graph(malform(lw_chain()))
 
 
 def test_r6_weights_balanced_with_mass_half():

@@ -68,11 +68,11 @@ def test_r6_kernel_intersection_from_the_chain_analysis():
 def test_orthogonal_complement_examples():
     v4 = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
                [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]], 6)
-    assert v4.perp() == span([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]], 6)
+    assert v4.perp == span([[0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]], 6)
     v6 = span([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
                [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]], 6)
-    assert v6.perp() == span([[0, 0, 0, 0, 1, -1]], 6)
-    assert Subspace.zero(4).perp() == Subspace.full(4)
+    assert v6.perp == span([[0, 0, 0, 0, 1, -1]], 6)
+    assert Subspace.zero(4).perp == Subspace.full(4)
 
 
 def test_projection_matrix_examples():
@@ -150,9 +150,9 @@ def test_intersection_duality(ambient, hyp_rng):
     rng = random.Random(hyp_rng.randint(0, 10**9))
     u = random_subspace(rng, ambient)
     w = random_subspace(rng, ambient)
-    assert (u & w) == (u.perp() + w.perp()).perp()
-    assert u.perp().perp() == u
-    assert u.dim + u.perp().dim == ambient
+    assert (u & w) == (u.perp + w.perp).perp
+    assert u.perp.perp == u
+    assert u.dim + u.perp.dim == ambient
 
 
 @given(st.integers(1, 5), st.randoms(use_true_random=False),
@@ -167,7 +167,7 @@ def test_inclusion_and_quotient_rank_match_the_sum(ambient, hyp_rng, kind):
     for a, b in ((u, w), (w, u)):
         assert (a <= b) == ((a + b) == b)
         assert quotient_rank(a, b) == (a + b).dim - a.dim
-    assert u.perp() == kernel(u.basis)
+    assert u.perp == kernel(u.basis)
     with pytest.raises(ValueError):
         u <= Subspace.full(ambient + 1)
     with pytest.raises(ValueError):
@@ -306,10 +306,10 @@ def test_sum_and_intersection_matches_duality(data):
     w = canonicalize(data.draw(rational_matrices(cols=ambient)))
     total, meet = sum_and_intersection(u, w)
     assert total.basis == reference_span(u.basis_rows() + w.basis_rows(), ambient)
-    assert meet == (u.perp() + w.perp()).perp()
+    assert meet == (u.perp + w.perp).perp
     assert (total, meet) == (u + w, u & w)
     assert total.dim + meet.dim == u.dim + w.dim
-    for s in (total, meet, u.perp()):
+    for s in (total, meet, u.perp):
         assert_echelon_is_the_primitive_basis(s)
 
 
@@ -340,7 +340,7 @@ def test_projector_laws(ambient, hyp_rng):
     assert p.transpose() == p
     for row in u.basis_rows():
         assert apply(p, row) == tuple(row)
-    for row in u.perp().basis_rows():
+    for row in u.perp.basis_rows():
         assert all(x == 0 for x in apply(p, row))
 
 
@@ -366,6 +366,6 @@ def test_perp_in_is_the_meet_with_the_complement(data):
     u = canonicalize(data.draw(rational_matrices(cols=ambient)))
     w = canonicalize(data.draw(rational_matrices(cols=ambient)))
     for low, high in ((u, w), (u & w, w), (u, u + w)):
-        assert low.perp_in(high) == high & low.perp()
+        assert low.perp_in(high) == high & low.perp
     with pytest.raises(ValueError, match="ambient mismatch"):
         u.perp_in(Subspace.zero(ambient + 1))

@@ -175,6 +175,26 @@ def test_ascent_keeps_the_sup_when_a_map_is_split_in_two():
         assert abs(sup - 1) <= 1e-9, (start, sup)
 
 
+@pytest.mark.parametrize("pad", ["zero row", "zero map"])
+def test_gaussian_side_ignores_a_zero_row_and_a_zero_map(pad):
+    # A zero row keeps pi1 of rank 2 but no longer onto its codomain, so its
+    # chart is the QR one; a zero map at tau = 0 has rank 0 and no chart.
+    lw2 = loomis_whitney_datum(2)
+    pi = lw2.maps
+    if pad == "zero row":
+        pi1 = Matrix.from_rows([*map(pi[0].row, range(pi[0].rows)), (0, 0, 0)])
+        padded = HBLDatum(3, (pi1, *pi[1:]), lw2.names, lw2.exponents)
+        charted, shape = 0, (2, 3)
+    else:
+        padded = HBLDatum(3, (*pi, Matrix.zeros(1, 3)), (*lw2.names, "z"), (*lw2.exponents, 0))
+        charted, shape = 3, (0, 3)
+    assert orthonormal_forms(padded)[charted].shape == shape
+    readings = [(gaussian_ratio(datum, GaussianInput.identity(datum)),
+                 gaussian_ratio(datum, GaussianInput.random(datum, np.random.default_rng(7))),
+                 *gaussian_ascent(datum, 400, 0)) for datum in (lw2, padded)]
+    assert readings[1] == pytest.approx(readings[0], rel=1e-12)
+
+
 @pytest.mark.parametrize("name", ["lw2", "lw3", "lw4", "lw5", "r6"])
 def test_ascent_stops_once_it_reaches_the_sup(name, monkeypatch):
     make_datum, make_pres = ALL_FIXTURES[name]

@@ -219,7 +219,7 @@ def test_edge_norms_match_orthogonal_projection(hyp_rng):
     pres = Presentation(graph, WeightFunction(2, ((Fraction(0),) * 2,) * len(graph.edges)))
     for k, (a, b) in enumerate(graph.edges):
         v1, v2 = graph.vertices[a], graph.vertices[b]
-        w = (v2 & v1.perp()).basis.row(0)
+        w = (v2 & v1.perp).basis.row(0)
         for i, pi in enumerate(maps):
             low = image(pi, v1)
             if low == image(pi, v2):
@@ -525,6 +525,6 @@ def test_new_direction_is_the_line_high_cap_low_perp(ambient, hyp_rng):
         high = low + span([[rng.randint(-2, 2) for _ in range(ambient)]], ambient)
         if high != low:
             break
-    assert presentation._new_direction(low, high) == (high & low.perp()).echelon[0]
+    assert presentation._new_direction(low, high) == (high & low.perp).echelon[0]
     with pytest.raises(ValueError, match="does not raise dimension by one"):
         presentation._new_direction(low, low)

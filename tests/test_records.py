@@ -91,6 +91,8 @@ EDGE = GraphDecomposition.build(1, [Subspace.zero(1), Subspace.full(1)],
     (lambda: CandidateLattice((LINE, LINE), True, ("given", "given"), None),
      "duplicate subspaces in candidate lattice"),
     (lambda: WeightFunction(2, ((Fraction(1),),)), "weight vector width mismatch"),
+    (lambda: WeightFunction(1, ((0.5,),)), "not an exact rational: 0.5"),
+    (lambda: HBLDatum(3, LW2.maps, LW2.names, (0.5,) * 3), "not an exact rational: 0.5"),
     (lambda: Presentation(EDGE, WeightFunction(1, ())), "theta does not match the edge list"),
     (lambda: GridFunction(((0.0, 1.0),), [[1.0]]), "bounds and value axes disagree"),
     (lambda: GridFunction(((0.0, 1.0),) * 4, [[[[1.0]]]]),
@@ -103,6 +105,13 @@ EDGE = GraphDecomposition.build(1, [Subspace.zero(1), Subspace.full(1)],
     (lambda: GridFunction(((float("-inf"), 0.0),), [1.0]), "grid box bounds must be finite"),
 ], ids=lambda x: x if isinstance(x, str) else "")
 def test_constructors_keep_their_error_texts(make, message):
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises((ValueError, TypeError)) as raised:
         make()
     assert str(raised.value) == message
+
+
+def test_int_entries_are_read_as_fractions():
+    datum = HBLDatum(1, (Matrix.from_rows([[2]]),), ("pi1",), (1,))
+    factor, = bound_constant(datum, Presentation(EDGE, WeightFunction(1, ((1,),)))).factors
+    assert type(factor.exponent) is Fraction and factor.exponent == Fraction(-1, 2)
+    assert type(datum.exponents[0]) is Fraction
