@@ -49,14 +49,6 @@ class GraphDecomposition(_GraphFields):
         return GraphDecomposition(ambient, tuple(unique), tuple(sorted(edges)))
 
     @cached_property
-    def vertex_index(self) -> dict[Subspace, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def incoming(self) -> tuple[tuple[int, ...], ...]:
         inc: list[list[int]] = [[] for _ in self.vertices]
         for k, (_, b) in enumerate(self.edges):
@@ -276,7 +268,7 @@ def _surjective_chart(map_: Matrix) -> Matrix:
     img = image(map_, Subspace.full(map_.cols))
     if img.is_full():
         return map_
-    return img.retraction() @ map_
+    return Matrix.from_rows([map_.row(p) for p in img.pivots], map_.cols)
 
 
 def project_graph(graph: GraphDecomposition, map_: Matrix
@@ -296,7 +288,8 @@ def project_graph(graph: GraphDecomposition, map_: Matrix
     images = [image(surj, v) for v in graph.vertices]
     pairs = [(images[a], images[b]) for a, b in graph.edges]
     projected = GraphDecomposition.build(surj.rows, images, [p for p in pairs if p[0] != p[1]])
-    at, edge_at = projected.vertex_index, projected.edge_index
+    at = {v: k for k, v in enumerate(projected.vertices)}
+    edge_at = {e: k for k, e in enumerate(projected.edges)}
     return projected, tuple(None if u == w else edge_at[(at[u], at[w])] for u, w in pairs)
 
 

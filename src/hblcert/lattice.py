@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from hblcert.data import HBLDatum
-from hblcert.linalg import Subspace, quotient_rank, sum_and_intersection
+from hblcert.linalg import Subspace, _echelon, sum_and_intersection
 
 
 class _LatticeFields(NamedTuple):
@@ -226,7 +226,8 @@ class _Inclusions:
         bound dim(A + B) >= max(dim A, dim B) + 1 when that meets l;
         otherwise from an F_2 rank of the rows of A and B that reaches l,
         since the F_2 rank of an integer matrix never exceeds its rational
-        rank; and otherwise `quotient_rank` decides.
+        rank; and otherwise the rank of B's rows on top of A's echelon
+        decides.
         """
         up, down, bydim, subs = self.up, self.down, self.bydim, self.subs
         js &= ~(up[i] | down[i])
@@ -262,7 +263,8 @@ class _Inclusions:
         basis = list(self.mod2[i])
         for x in self.mod2[j]:
             _insert_mod2(basis, x)
-        return len(basis) >= l or quotient_rank(self.subs[i], self.subs[j]) == l - self.subs[i].dim
+        a, b = self.subs[i], self.subs[j]
+        return len(basis) >= l or len(_echelon(b.echelon, a.ambient, (a.echelon, a.pivots))[1]) == l
 
     def closed(self) -> bool:
         """Whether every pairwise sum and intersection is a member; exact

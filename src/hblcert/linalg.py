@@ -286,15 +286,6 @@ class Subspace(_SubspaceFields):
         """The chart Q^dim -> Q^ambient whose columns are the RREF basis."""
         return self.basis.transpose()
 
-    def retraction(self) -> Matrix:
-        """Left inverse of the chart: selects pivot coordinates.
-
-        With E = chart(), retraction() @ E is the identity and
-        E @ retraction() restricts to the identity on the subspace itself.
-        """
-        return _reduced(1, [[int(j == p) for j in range(self.ambient)] for p in self.pivots],
-                        self.ambient)
-
 
 def ordered(subspaces: Iterable[Subspace]) -> list[Subspace]:
     """The subspaces by dimension, then by their RREF basis entries, row-major.
@@ -398,16 +389,6 @@ def _null_space(reduced: Sequence[Sequence[int]], pivots: Sequence[int], cols: i
             v[p] = -row[f] * (scale // row[p])
         rows.append(v)
     return _canonical(rows, cols)
-
-
-def quotient_rank(u: Subspace, w: Subspace) -> int:
-    """dim(U + W) - dim U, without forming U + W: the rank of the echelon rows
-    of W in coordinates of Q^m / U, one pairing with each row of U-perp."""
-    if u.ambient != w.ambient:
-        raise ValueError("ambient mismatch in subspace quotient rank")
-    perp = u.perp.echelon
-    return len(_echelon([[sum(map(mul, p, x)) for p in perp] for x in w.echelon],
-                        u.ambient - u.dim)[1])
 
 
 def sum_and_intersection(u: Subspace, w: Subspace) -> tuple[Subspace, Subspace]:

@@ -65,13 +65,6 @@ def _distinguishing(datum: HBLDatum, graph: GraphDecomposition) -> list[tuple[in
             for a, b in graph.edges]
 
 
-def _summary(theta: WeightFunction, dist: list[tuple[int, ...]]) -> WeightFunction:
-    """sigma, each edge's sum taken in theta's integer form and put over its D."""
-    den, rows = theta.integral
-    return WeightFunction(1, tuple((Fraction(sum(row[i] for i in maps), den),)
-                                   for row, maps in zip(rows, dist)))
-
-
 def _require_match(datum: HBLDatum, pres: Presentation) -> None:
     """Raise ValueError unless the presentation is over the datum's space and maps."""
     if datum.dim != pres.graph.ambient:
@@ -81,9 +74,13 @@ def _require_match(datum: HBLDatum, pres: Presentation) -> None:
 
 
 def summary_weight(datum: HBLDatum, pres: Presentation) -> WeightFunction:
-    """Scalar weight sigma(e) = sum of theta_i(e) over maps distinguishing e."""
+    """Scalar weight sigma(e) = sum of theta_i(e) over maps distinguishing e,
+    each edge's sum taken in theta's integer form and put over its D."""
     _require_match(datum, pres)
-    return _summary(pres.theta, _distinguishing(datum, pres.graph))
+    den, rows = pres.theta.integral
+    dist = _distinguishing(datum, pres.graph)
+    return WeightFunction(1, tuple((Fraction(sum(row[i] for i in maps), den),)
+                                   for row, maps in zip(rows, dist)))
 
 
 class VerificationReport(NamedTuple):
@@ -125,7 +122,7 @@ def verify_presentation(datum: HBLDatum, pres: Presentation) -> VerificationRepo
         # validate_graph has named these vertices; the maps cannot take them.
         return VerificationReport(masses, (), Fraction(0), tuple(problems), False)
 
-    sigma = _summary(pres.theta, _distinguishing(datum, graph))
+    sigma = summary_weight(datum, pres)
     for k, (into,), (outof,) in unbalanced_vertices(graph, sigma):
         problems.append(
             f"{SIGMA_BALANCE}: summary weight unbalanced at {graph.describe_vertex(k)} "

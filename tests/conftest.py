@@ -402,7 +402,7 @@ def random_balanced_weight(rng: random.Random, graph: GraphDecomposition,
             if c == 0:
                 continue
             for k in range(len(flag) - 1):
-                a = graph.vertex_index[flag[k]]
-                b = graph.vertex_index[flag[k + 1]]
-                values[graph.edge_index[(a, b)]][j] += c
+                a = graph.vertices.index(flag[k])
+                b = graph.vertices.index(flag[k + 1])
+                values[graph.edges.index((a, b))][j] += c
     return WeightFunction(width, tuple(tuple(v) for v in values))

@@ -1079,14 +1079,19 @@ def test_the_integer_merge_and_sort_gives_the_fraction_order(hyp_rng):
     assert len(reduced) <= n + 1
 
 
+def _pivot_selection(v):
+    """The 0/1 matrix that reads a vector of v off at v's pivot coordinates."""
+    return Matrix.from_rows([[int(j == p) for j in range(v.ambient)] for p in v.pivots], v.ambient)
+
+
 def _reference_node(datum, node):
     """The node's datum on high/low and its family in that datum's chart, by
     the public restriction to high and quotient by low."""
-    chart = node.high.retraction()
+    chart = _pivot_selection(node.high)
     low = image(chart, node.low)
     quotient = quotient_datum(restrict_datum(datum, node.high)[0], low)[0]
     perp = low.perp
-    return quotient, [image(perp.retraction(), image(chart, u) & perp) for u in node.family]
+    return quotient, [image(_pivot_selection(perp), image(chart, u) & perp) for u in node.family]
 
 
 @given(st.randoms(use_true_random=False))

@@ -399,6 +399,20 @@ def test_bound_command(capsys):
     assert report["bound"]["value"] == 1.0
 
 
+def test_bound_of_an_invalid_certificate_exits_one_without_a_bound(capsys, tmp_path):
+    pres = json.loads(pathlib.Path(fixture("lw2.presentation.json")).read_text())
+    pres["edges"][0]["theta"][0] = "1"
+    path = tmp_path / "unbalanced.presentation.json"
+    path.write_text(json.dumps(pres))
+    code, report = run_json(capsys, "bound", "--data", fixture("lw2.datum.json"),
+                            "--presentation", str(path))
+    assert code == 1 and report["verdict"] == "invalid" and "bound" not in report
+    assert report["problems"] == [
+        "theta-balance: map pi1 unbalanced at span{[1 0 0]} (in 1, out 1/2)",
+        "theta-mass: map pi1 has total mass 1, expected 1/2",
+    ]
+
+
 def test_decompose_flow_command(capsys):
     code, report = run_json(
         capsys, "decompose-flow", "--presentation", fixture("r6.presentation.json"),
@@ -418,6 +432,15 @@ def test_project_command(capsys):
     assert code == 0
     assert report["edge_map"] == [0, 1, None]
     assert report["masses"] == ["1/2", "1/2", "1/2"]
+
+
+@pytest.mark.parametrize("map_index", ["3", "-1"])
+def test_project_rejects_a_map_index_out_of_range(capsys, map_index):
+    code = main(["project", "--data", fixture("lw2.datum.json"),
+                 "--presentation", fixture("lw2.presentation.json"), "--map-index", map_index])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: --map-index {map_index} out of range for 3 maps\n"
 
 
 @pytest.mark.parametrize("map_index", ["0", "1", "2", "3"])
@@ -657,6 +680,13 @@ def test_empty_theta_exits_two_naming_its_edge(tmp_path):
 def test_missing_file_exits_two(capsys):
     code = main(["check-data", "--data", "/nonexistent/nowhere.json"])
     assert code == 2
+
+
+def test_a_missing_required_file_flag_exits_two(capsys):
+    code = main(["verify", "--presentation", fixture("lw2.presentation.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: missing required --data\n"
 
 
 @pytest.mark.parametrize("argv, what", [

@@ -426,11 +426,11 @@ def test_closure_compares_and_ranks_only_what_its_order_leaves_open(
     counts = {"le": 0, "rank": 0, "eliminate": 0}
 
     def counted(key, f):
-        return lambda u, w: counts.__setitem__(key, counts[key] + 1) or f(u, w)
+        return lambda *args: counts.__setitem__(key, counts[key] + 1) or f(*args)
 
     monkeypatch.setattr(Subspace, "__le__", counted("le", Subspace.__le__))
-    monkeypatch.setattr(lattice_module, "quotient_rank",
-                        counted("rank", lattice_module.quotient_rank))
+    # Only the exact fallback of `_spans` eliminates in the lattice module.
+    monkeypatch.setattr(lattice_module, "_echelon", counted("rank", lattice_module._echelon))
     monkeypatch.setattr(lattice_module, "sum_and_intersection",
                         counted("eliminate", lattice_module.sum_and_intersection))
     lattice = generate_lattice(datum, seeds=seeds)
@@ -489,9 +489,9 @@ def test_the_kept_order_is_the_inclusion_order(rng):
 # nothing, and the exact rank decides.
 def test_a_short_mod2_rank_falls_back_to_the_exact_rank(monkeypatch):
     calls = []
-    original = lattice_module.quotient_rank
-    monkeypatch.setattr(lattice_module, "quotient_rank",
-                        lambda u, w: calls.append(1) or original(u, w))
+    original = lattice_module._echelon
+    monkeypatch.setattr(lattice_module, "_echelon",
+                        lambda *args: calls.append(1) or original(*args))
     rng = random.Random(23)
     for _ in range(40):
         ambient = rng.randint(3, 5)

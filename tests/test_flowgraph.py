@@ -79,11 +79,13 @@ def test_validate_reports_a_source_outside_its_target():
     (lambda g: GraphDecomposition(g.ambient, g.vertices[1:],
                                   tuple((a - 1, b - 1) for a, b in g.edges[1:])),
      "missing the zero subspace"),
+    (lambda g: GraphDecomposition(g.ambient, g.vertices[:-1], g.edges[:-1]),
+     "missing the full space"),
     (lambda g: GraphDecomposition(g.ambient, g.vertices + g.vertices[:1], g.edges),
      "duplicate vertices"),
     (lambda g: GraphDecomposition(g.ambient, g.vertices, g.edges + g.edges[:1]),
      "duplicate edges"),
-], ids=["zero", "vertices", "edges"])
+], ids=["zero", "full", "vertices", "edges"])
 def test_validate_reports_each_malformed_list(malform, problem):
     # The masses of a certificate on such a graph fail too; the graph
     # problem is what names the cause.
@@ -223,9 +225,9 @@ def test_chain_indicator_is_balanced_with_mass_one():
         flag = flags[0]
         values = [[Fraction(0)] for _ in graph.edges]
         for k in range(m):
-            a = graph.vertex_index[flag[k]]
-            b = graph.vertex_index[flag[k + 1]]
-            values[graph.edge_index[(a, b)]][0] = Fraction(1)
+            a = graph.vertices.index(flag[k])
+            b = graph.vertices.index(flag[k + 1])
+            values[graph.edges.index((a, b))][0] = Fraction(1)
         w = weight_rows(values, 1)
         assert is_balanced(graph, w)
         assert total_mass(graph, w) == (Fraction(1),)

@@ -105,6 +105,22 @@ def test_parse_presentation_rejects_theta_that_is_not_a_list(theta):
         parse_presentation(text)
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    ([], [], "needs at least one vertex"),
+    ([{"id": "a", "basis": []}, {"id": "b", "basis": []}],
+     [{"from": "a", "to": "b", "theta": ["1"]}], "could not infer the ambient dimension"),
+    ([{"id": "a", "basis": []}, {"id": "a", "basis": [["1"]]}],
+     [{"from": "a", "to": "a", "theta": ["1"]}], "duplicate vertex id 'a'"),
+    ([{"id": "a", "basis": []}, {"id": "b", "basis": [["1"]]}], [],
+     "needs at least one edge"),
+])
+def test_parse_presentation_rejects_an_empty_or_ambiguous_graph(vertices, edges, message):
+    text = json.dumps({"vertices": vertices, "edges": edges})
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == f"presentation: {message}"
+
+
 def test_parse_presentation_rejects_an_empty_theta_at_its_own_edge():
     # An empty first row used to set the width to 0 and blame the next edge.
     edges = [{"from": "a", "to": "b", "theta": []}, {"from": "b", "to": "c", "theta": ["1"]}]

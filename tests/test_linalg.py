@@ -16,7 +16,6 @@ from hblcert.linalg import (
     image,
     kernel,
     ordered,
-    quotient_rank,
     span,
     sum_and_intersection,
 )
@@ -99,9 +98,8 @@ def test_retraction_is_left_inverse_of_chart():
         v = random_subspace(rng, 5)
         if v.dim == 0:
             continue
-        r = v.retraction()
-        e = v.basis.transpose()
-        assert r @ e == identity(v.dim)
+        e = v.chart()
+        assert Matrix.from_rows([e.row(p) for p in v.pivots], v.dim) == identity(v.dim)
 
 
 @st.composite
@@ -166,12 +164,10 @@ def test_inclusion_and_quotient_rank_match_the_sum(ambient, hyp_rng, kind):
          "equal": u, "above": u + other, "below": u & other}[kind]
     for a, b in ((u, w), (w, u)):
         assert (a <= b) == ((a + b) == b)
-        assert quotient_rank(a, b) == (a + b).dim - a.dim
+        assert len(_echelon(b.echelon, ambient, (a.echelon, a.pivots))[1]) == (a + b).dim
     assert u.perp == kernel(u.basis)
     with pytest.raises(ValueError):
         u <= Subspace.full(ambient + 1)
-    with pytest.raises(ValueError):
-        quotient_rank(u, Subspace.zero(ambient + 1))
 
 
 def reference_rref(rows, cols):
